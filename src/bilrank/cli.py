@@ -25,6 +25,7 @@ from .spanspace import (
     BudgetExceeded,
     isotropic_set,
     kind_space_dim,
+    radical_census,
     random_subspace,
     rank_spectrum,
 )
@@ -45,12 +46,14 @@ def _resolve_budget(args) -> int:
 
 
 def _emit(obj, as_json: bool, out_path=None) -> None:
-    text = fileio.dumps(obj) if as_json else None
+    if not (as_json or out_path):
+        return
+    text = fileio.dumps(obj)
     if as_json:
         sys.stdout.write(text)
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(fileio.dumps(obj))
+            fh.write(text)
 
 
 def _exit_code_for(reports) -> int:
@@ -129,7 +132,7 @@ def cmd_analyze(args) -> int:
         out["constant_rank"] = spec.is_constant_rank
         if M.dim == 0:
             out["note"] = "rank(M)=0 (zero subspace)"
-        lefts, rights = theoremlab._radical_census(M, budget)
+        lefts, rights = radical_census(M, budget)
         out["distinct_left_radicals"] = len(lefts)
         out["distinct_right_radicals"] = len(rights)
         if M.field.p != 2 and M.kind != "general":
@@ -205,7 +208,7 @@ def _search_rank2_distinct_radicals(args, budget):
             spec = rank_spectrum(M, budget)
             if spec.ranks != (2,):
                 continue
-            lefts, _ = theoremlab._radical_census(M, budget)
+            lefts, _ = radical_census(M, budget)
         except BudgetExceeded:
             continue
         if len(lefts) == want_lines:
@@ -315,10 +318,8 @@ def _campaign_dmax(q: int, n: int, kind: str, step_cap: int = 1 << 16) -> int:
     return max(1, min(dmax, kind_space_dim(n, kind)))
 
 
-def _campaign_construction_points(args, budget, selection, summary) -> None:
+def _campaign_construction_points(args, budget, selection, qs, ns, summary) -> None:
     """Grid points driven by a named construction instead of the sampler."""
-    qs = [int(v) for v in args.q.split(",")]
-    ns = [int(v) for v in args.n.split(",")]
     for q in qs:
         for n in ns:
             params = {"q": q, "n": n}
@@ -352,42 +353,8 @@ def _campaign_construction_points(args, budget, selection, summary) -> None:
                                       "violations": len(point["violations"])})
 
 
-def _count_verdicts(reports) -> dict:
-    counts: dict[str, int] = {}
-    for rep in reports:
-        counts[rep.verdict] = counts.get(rep.verdict, 0) + 1
-    return counts
-
-
-def cmd_campaign(args) -> int:
-    budget = _resolve_budget(args)
-    qs = [int(v) for v in args.q.split(",")]
-    ns = [int(v) for v in args.n.split(",")]
-    kinds = args.kind.split(",") if args.kind else list(KINDS)
-    for kind in kinds:
-        if kind not in KINDS:
-            print(f"error: unknown kind {kind!r}", file=sys.stderr)
-            return EXIT_ERROR
-    os.makedirs(args.out, exist_ok=True)
-    summary = {"points": [], "violated_total": 0, "budget_errors": 0, "seed": args.seed}
-    if args.construction:
-        # constructions get the full suite by default, samplers just the bounds
-        selection = args.suite.split(",") if args.suite else None
-        _campaign_construction_points(args, budget, selection, summary)
-        path = os.path.join(args.out, "summary.json")
-        with open(path, "w") as fh:
-            fh.write(fileio.dumps(summary))
-        if args.json:
-            _emit(summary, True)
-        else:
-            print(f"campaign: {len(summary['points'])} grid points, "
-                  f"{summary['violated_total']} violations, summary in {path}")
-        if summary["violated_total"]:
-            return EXIT_VIOLATED
-        if summary["budget_errors"]:
-            return EXIT_ERROR
-        return EXIT_OK
-    selection = args.suite.split(",") if args.suite else ["bounds"]
+def _campaign_sampler_points(args, budget, selection, qs, ns, kinds, summary) -> None:
+    """Grid points of seeded random subspaces, ``args.trials`` per point."""
     for q in qs:
         field = field_for_order(q)
         for n in ns:
@@ -424,6 +391,33 @@ def cmd_campaign(args) -> int:
                 summary["points"].append({"file": name, "violations": len(violations)})
                 summary["violated_total"] += len(violations)
                 summary["budget_errors"] += budget_errors
+
+
+def _count_verdicts(reports) -> dict:
+    counts: dict[str, int] = {}
+    for rep in reports:
+        counts[rep.verdict] = counts.get(rep.verdict, 0) + 1
+    return counts
+
+
+def cmd_campaign(args) -> int:
+    budget = _resolve_budget(args)
+    qs = [int(v) for v in args.q.split(",")]
+    ns = [int(v) for v in args.n.split(",")]
+    kinds = args.kind.split(",") if args.kind else list(KINDS)
+    for kind in kinds:
+        if kind not in KINDS:
+            print(f"error: unknown kind {kind!r}", file=sys.stderr)
+            return EXIT_ERROR
+    os.makedirs(args.out, exist_ok=True)
+    summary = {"points": [], "violated_total": 0, "budget_errors": 0, "seed": args.seed}
+    if args.construction:
+        # constructions get the full suite by default, samplers just the bounds
+        selection = args.suite.split(",") if args.suite else None
+        _campaign_construction_points(args, budget, selection, qs, ns, summary)
+    else:
+        selection = args.suite.split(",") if args.suite else ["bounds"]
+        _campaign_sampler_points(args, budget, selection, qs, ns, kinds, summary)
     path = os.path.join(args.out, "summary.json")
     with open(path, "w") as fh:
         fh.write(fileio.dumps(summary))

@@ -454,9 +454,6 @@ class Tower:
         """Image in L of a base-field code."""
         return self._embed[a]
 
-    def in_base_image(self, z: int) -> bool:
-        return z in self._section
-
     def retract(self, z: int) -> int:
         """Base-field code of an element lying in the embedded copy of K."""
         try:

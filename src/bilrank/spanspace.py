@@ -1,10 +1,15 @@
 """Subspaces M of Bil(V): bases, enumeration, rank spectra, derived objects.
 
-The enumeration of the q^d - 1 nonzero elements of a subspace is the
-hot loop of every theorem check.  Coefficient vectors are listed in a
-fixed lexicographic order (index i -> base-q digits of i, most
-significant first), so runs are reproducible and the index range can be
-split into contiguous blocks for independent workers.
+This is the one module that walks the elements of M.  `scan_blocks` is
+that walk: it lists the q^d - 1 nonzero coefficient vectors in a fixed
+lexicographic order (index i -> base-q digits of i, most significant
+first) and yields them in blocks together with their flattened forms,
+so runs are reproducible and blocks are vectorised.  In `projective`
+mode it keeps only the vectors whose leading nonzero entry is 1, one
+representative per scalar line, which is exhaustive for anything that
+depends only on ranks or radicals.  Spectra, radical censuses, spreads
+and every checker's element loop are built on it; only callers that
+read ranks pay for eliminating a block.
 
 Operations that walk q^d or q^n objects take an explicit step budget
 and raise BudgetExceeded instead of silently sampling: a theorem check
@@ -20,14 +25,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import linalg
-from .formcore import (
-    ALTERNATING,
-    GENERAL,
-    GramForm,
-    Subspace,
-    classify,
-    rank,
-)
+from .formcore import ALTERNATING, GramForm, Subspace, classify, left_radical, right_radical
 from .gf import Field
 
 DEFAULT_BUDGET = 10**8
@@ -62,7 +60,7 @@ def _kind_of_basis(forms) -> str:
 class FormSubspace:
     """A subspace of Bil(V) given by a linearly independent basis of forms."""
 
-    __slots__ = ("field", "n", "basis", "kind", "_flat")
+    __slots__ = ("field", "n", "basis", "kind", "_flat", "_spectrum")
 
     def __init__(self, field: Field, n: int, basis):
         basis = tuple(basis)
@@ -76,23 +74,27 @@ class FormSubspace:
             if basis
             else np.zeros((0, n * n), dtype=np.int64)
         )
-        # incremental check so a dependent row can be named in diagnostics
-        taken = np.zeros((0, n * n), dtype=np.int64)
-        for i in range(len(basis)):
-            stacked = np.vstack([taken, flat[i : i + 1]])
-            red, piv = linalg.rref(field, stacked)
-            if len(piv) != len(stacked):
-                raise ValueError(f"basis row {i} is dependent on earlier rows")
-            taken = stacked
+        if basis and linalg.rank(field, flat) < len(basis):
+            # only now look for the first dependent row, to name it in diagnostics
+            i = next(i for i in range(len(basis)) if linalg.rank(field, flat[: i + 1]) <= i)
+            raise ValueError(f"basis row {i} is dependent on earlier rows")
         self.field = field
         self.n = n
         self.basis = basis
         self.kind = _kind_of_basis(basis)
         self._flat = flat
+        self._spectrum = None  # filled by the first rank_spectrum call
 
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @property
+    def symmetric(self) -> bool:
+        """M <= Symm(V).  Alternating forms are symmetric only in characteristic 2."""
+        if self.kind == KIND_ALTERNATING:
+            return self.field.p == 2 or not self.basis
+        return self.kind == KIND_SYMMETRIC
 
     def basis_flat(self):
         """Basis forms flattened row-major to a (dim, n^2) array."""
@@ -116,12 +118,7 @@ class FormSubspace:
     def form_from_coefficients(self, coeffs) -> GramForm:
         if len(coeffs) != self.dim:
             raise ValueError(f"expected {self.dim} coefficients")
-        fld = self.field
-        acc = np.zeros(self.n * self.n, dtype=np.int64)
-        for c, row in zip(coeffs, self._flat):
-            if c:
-                acc = fld.add_arr(acc, fld.mul_arr(int(c), row))
-        return GramForm(fld, acc.reshape(self.n, self.n))
+        return GramForm(self.field, flat_forms_for(self, [coeffs])[0].reshape(self.n, self.n))
 
     def contains_form(self, f: GramForm) -> bool:
         rows, piv = linalg.rref(self.field, self._flat) if self.dim else (self._flat, [])
@@ -180,6 +177,34 @@ def flat_forms_for(M: FormSubspace, coeffs):
     return acc
 
 
+def scan_blocks(M: FormSubspace, budget: Optional[int] = None, projective=False, what="scan"):
+    """Yield (coeffs, flats) blocks over the nonzero elements of M: the one walk.
+
+    With projective=True only coefficient vectors whose leading nonzero
+    entry is 1 are kept: one representative per scalar line, enough for
+    anything that only depends on radicals or ranks.
+    """
+    q, d = M.field.q, M.dim
+    charge(q**d, M.n * M.n, budget, what)
+    for start in range(1, q**d, _BLOCK):
+        coeffs = coefficient_block(M, start, min(start + _BLOCK, q**d))
+        if projective:
+            lead = coeffs[np.arange(len(coeffs)), np.argmax(coeffs != 0, axis=1)]
+            coeffs = coeffs[lead == 1]
+            if not len(coeffs):
+                continue
+        yield coeffs, flat_forms_for(M, coeffs)
+
+
+def elements(
+    M: FormSubspace, budget: Optional[int] = None, projective=False, what="elements"
+) -> Iterator[tuple[tuple[int, ...], GramForm]]:
+    """(coefficients, form) for each element `scan_blocks` visits, in its order."""
+    for coeffs, flats in scan_blocks(M, budget, projective, what):
+        for row_c, row_f in zip(coeffs, flats):
+            yield tuple(int(c) for c in row_c), GramForm(M.field, row_f.reshape(M.n, M.n))
+
+
 def enumerate_nonzero(
     M: FormSubspace, budget: Optional[int] = None
 ) -> Iterator[tuple[tuple[int, ...], GramForm]]:
@@ -188,14 +213,7 @@ def enumerate_nonzero(
     Order is lexicographic in the coefficient codes and identical from
     run to run.
     """
-    q, d = M.field.q, M.dim
-    charge(q**d, M.n * M.n, budget, "enumerate_nonzero")
-    for start in range(1, q**d, _BLOCK):
-        stop = min(start + _BLOCK, q**d)
-        coeffs = coefficient_block(M, start, stop)
-        flats = flat_forms_for(M, coeffs)
-        for row_c, row_f in zip(coeffs, flats):
-            yield tuple(int(c) for c in row_c), GramForm(M.field, row_f.reshape(M.n, M.n))
+    return elements(M, budget, what="enumerate_nonzero")
 
 
 @dataclass(frozen=True)
@@ -223,19 +241,23 @@ class RankSpectrum:
 
 
 def rank_spectrum(M: FormSubspace, budget: Optional[int] = None) -> RankSpectrum:
-    """Exact rank spectrum of M by full enumeration (batched elimination)."""
+    """Exact rank spectrum of M by full enumeration (batched elimination).
+
+    The budget is charged on every call; the walk runs on the first one
+    only, and later calls return the spectrum stored on M.
+    """
     q, d, n = M.field.q, M.dim, M.n
     if d == 0:
         return RankSpectrum((), ())
-    charge(q**d, n * n, budget, "rank_spectrum")
+    if M._spectrum is not None:
+        charge(q**d, n * n, budget, "rank_spectrum")
+        return M._spectrum
     counts = np.zeros(n + 1, dtype=np.int64)
-    for start in range(1, q**d, _BLOCK):
-        stop = min(start + _BLOCK, q**d)
-        flats = flat_forms_for(M, coefficient_block(M, start, stop))
-        ranks = linalg.batch_rank(M.field, flats.reshape(-1, n, n))
-        counts += np.bincount(ranks, minlength=n + 1)
+    for _, flats in scan_blocks(M, budget, what="rank_spectrum"):
+        counts += np.bincount(linalg.batch_rank(M.field, flats.reshape(-1, n, n)), minlength=n + 1)
     present = [r for r in range(1, n + 1) if counts[r]]
-    return RankSpectrum(tuple(present), tuple((r, int(counts[r])) for r in present))
+    M._spectrum = RankSpectrum(tuple(present), tuple((r, int(counts[r])) for r in present))
+    return M._spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +289,8 @@ def kernel_at(M: FormSubspace, u, side: str = "left") -> FormSubspace:
     loop of the counting identity.
     """
     coeff_rows = linalg.right_null_space(M.field, _kernel_matrix(M, u, side))
-    return FormSubspace(
-        M.field, M.n, [M.form_from_coefficients(c) for c in coeff_rows]
-    )
+    flats = flat_forms_for(M, coeff_rows)
+    return FormSubspace(M.field, M.n, [GramForm(M.field, r.reshape(M.n, M.n)) for r in flats])
 
 
 def kernel_dims_all(M: FormSubspace, side: str, budget: Optional[int] = None):
@@ -397,30 +418,65 @@ class SpreadReport:
     pairwise_trivial: bool
 
 
+def radical_census(M: FormSubspace, budget: Optional[int] = None):
+    """Distinct left/right radical keys over M^x, with example coefficients."""
+    lefts: dict[tuple, tuple] = {}
+    rights: dict[tuple, tuple] = {}
+    for coeffs, f in elements(M, budget, projective=True, what="radical census"):
+        lefts.setdefault(left_radical(f).key(), coeffs)
+        rights.setdefault(right_radical(f).key(), coeffs)
+    return lefts, rights
+
+
+def _partition_status(point_sets, total: int) -> tuple[bool, bool]:
+    """(pairwise trivial, covers) for the nonzero points of some subspaces.
+
+    Disjointness of the nonzero point sets is exactly additivity of sizes.
+    """
+    union: set[tuple[int, ...]] = set()
+    card = 0
+    for pts in point_sets:
+        nonzero = {tuple(int(v) for v in p) for p in pts if p.any()}
+        card += len(nonzero)
+        union |= nonzero
+    return card == len(union), len(union) == total
+
+
 def radical_spread(M: FormSubspace, budget: Optional[int] = None) -> SpreadReport:
     """Distinct radicals over M^x for an alternating constant rank subspace."""
-    from .formcore import right_radical
-
     if M.kind != KIND_ALTERNATING:
         raise ValueError("radical_spread requires an alternating subspace")
     spec = rank_spectrum(M, budget)
     if not spec.is_constant_rank:
         raise ValueError(f"radical_spread requires constant rank, spectrum is {spec.ranks}")
+    # rad(cf) = rad(f), so one element per scalar line sees every radical
     seen: dict[tuple, Subspace] = {}
-    for _, f in enumerate_nonzero(M, budget):
+    for _, f in elements(M, budget, projective=True, what="radical_spread"):
         rad = right_radical(f)
         seen.setdefault(rad.key(), rad)
     radicals = tuple(seen[k] for k in sorted(seen))
-    union: set[tuple[int, ...]] = set()
-    card = 0
-    for rad in radicals:
-        pts = rad.points()
-        card += len(pts) - 1
-        union.update(tuple(int(v) for v in p) for p in pts[1:] if p.any())
-    # disjointness of the nonzero point sets is exactly additivity of sizes
-    pairwise_trivial = card == len(union)
-    covers = len(union) == M.field.q**M.n - 1
+    pairwise_trivial, covers = _partition_status(
+        (rad.points() for rad in radicals), M.field.q**M.n - 1
+    )
     return SpreadReport(radicals, len(radicals), covers, pairwise_trivial)
+
+
+def induced_partition(M: FormSubspace, radicals) -> tuple[list[int], bool, bool]:
+    """The subspaces M_i = {g in M : R_i <= rad_L g}, one per radical R_i.
+
+    Returns their dimensions and whether their nonzero elements meet
+    pairwise trivially and cover M^x.
+    """
+    fld, q, d = M.field, M.field.q, M.dim
+    dims, point_sets = [], []
+    for rad in radicals:
+        mats = [_kernel_matrix(M, u, "left") for u in rad.rows]
+        stacked = np.vstack(mats) if mats else np.zeros((0, d), dtype=np.int64)
+        coeff_rows = linalg.right_null_space(fld, stacked)
+        dims.append(len(coeff_rows))
+        if len(coeff_rows):
+            point_sets.append(fld.matmul_arr(linalg.code_vectors(q, len(coeff_rows)), coeff_rows))
+    return (dims, *_partition_status(point_sets, q**d - 1))
 
 
 # ---------------------------------------------------------------------------

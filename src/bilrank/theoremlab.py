@@ -20,21 +20,24 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .formcore import GramForm, left_radical, rank, right_radical, witt_census
+from .formcore import GramForm, evaluate, left_radical, rank, right_radical, witt_census
 from .spanspace import (
+    DEFAULT_BUDGET,
     KIND_ALTERNATING,
     BudgetExceeded,
     FormSubspace,
     annihilator_Au,
     charge,
-    coefficient_block,
-    flat_forms_for,
+    elements,
+    induced_partition,
     isotropic_set,
     kernel_at,
     kernel_dims_all,
     kind_basis,
+    radical_census,
     radical_spread,
     rank_spectrum,
+    scan_blocks,
 )
 
 HOLDS = "holds"
@@ -105,44 +108,6 @@ def _budget_report(theorem_id, exc: BudgetExceeded) -> VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# Shared enumeration helpers
-
-
-def _scan_blocks(M: FormSubspace, budget, projective=False, what="scan"):
-    """Yield (coeffs, flats, ranks) blocks over the nonzero elements of M.
-
-    With projective=True only coefficient vectors whose leading nonzero
-    entry is 1 are kept: one representative per scalar line, enough for
-    anything that only depends on radicals or ranks.
-    """
-    q, d, n = M.field.q, M.dim, M.n
-    charge(q**d, n * n, budget, what)
-    for start in range(1, q**d, _BLOCK):
-        stop = min(start + _BLOCK, q**d)
-        coeffs = coefficient_block(M, start, stop)
-        if projective:
-            lead = coeffs[np.arange(len(coeffs)), np.argmax(coeffs != 0, axis=1)]
-            coeffs = coeffs[lead == 1]
-            if not len(coeffs):
-                continue
-        flats = flat_forms_for(M, coeffs)
-        ranks = linalg.batch_rank(M.field, flats.reshape(-1, n, n))
-        yield coeffs, flats, ranks
-
-
-def _radical_census(M: FormSubspace, budget):
-    """Distinct left/right radical keys over M^x, with example coefficients."""
-    lefts: dict[tuple, tuple] = {}
-    rights: dict[tuple, tuple] = {}
-    for coeffs, flats, _ in _scan_blocks(M, budget, projective=True, what="radical census"):
-        for crow, frow in zip(coeffs, flats):
-            f = GramForm(M.field, frow.reshape(M.n, M.n))
-            lefts.setdefault(left_radical(f).key(), tuple(int(c) for c in crow))
-            rights.setdefault(right_radical(f).key(), tuple(int(c) for c in crow))
-    return lefts, rights
-
-
-# ---------------------------------------------------------------------------
 # Orthogonality: radical pairs of maximal-rank elements annihilate all of M
 
 
@@ -164,7 +129,8 @@ def check_orthogonality(M: FormSubspace, budget: Optional[int] = None) -> Verifi
         checked_elements = 0
         pair_points = 0
         if m:
-            for coeffs, flats, ranks in _scan_blocks(M, budget, projective=True, what=tid):
+            for coeffs, flats in scan_blocks(M, budget, projective=True, what=tid):
+                ranks = linalg.batch_rank(fld, flats.reshape(-1, M.n, M.n))
                 for crow, frow, rk in zip(coeffs, flats, ranks):
                     if rk != m:
                         continue
@@ -281,7 +247,7 @@ def check_kernel_bounds(M: FormSubspace, budget: Optional[int] = None) -> Verifi
                             other = right_radical if side == "left" else left_radical
                             rads = {
                                 other(f).key()
-                                for _, f in _named_elements(K, budget)
+                                for _, f in elements(K, budget, projective=True)
                                 if rank(f) == m
                             }
                             if len(rads) > 1:
@@ -297,23 +263,8 @@ def check_kernel_bounds(M: FormSubspace, budget: Optional[int] = None) -> Verifi
         return _budget_report(tid, exc)
 
 
-def _named_elements(M: FormSubspace, budget):
-    for coeffs, flats, _ in _scan_blocks(M, budget, projective=True, what="elements"):
-        for crow, frow in zip(coeffs, flats):
-            yield tuple(int(c) for c in crow), GramForm(M.field, frow.reshape(M.n, M.n))
-
-
 # ---------------------------------------------------------------------------
 # The family of dimension bounds
-
-
-def _common_radical_state(M, spec, budget):
-    """(feasible, all_equal) for the radicals over M^x (alternating input)."""
-    try:
-        lefts, _ = _radical_census(M, budget)
-        return True, len(lefts) <= 1
-    except BudgetExceeded:
-        return False, False
 
 
 def check_dimension_bounds(M: FormSubspace, budget: Optional[int] = None) -> list[VerificationReport]:
@@ -325,7 +276,6 @@ def check_dimension_bounds(M: FormSubspace, budget: Optional[int] = None) -> lis
     q, n, d = M.field.q, M.n, M.dim
     m, r = spec.m, spec.r
     p = M.field.p
-    symmetric = all((f.entries == f.entries.T).all() for f in M.basis)
     alternating = M.kind == KIND_ALTERNATING
     constant = spec.is_constant_rank
     out = []
@@ -342,7 +292,7 @@ def check_dimension_bounds(M: FormSubspace, budget: Optional[int] = None) -> lis
     h_const = _hyp("constant rank", "|rank(M)| = 1", f"rank(M) = {list(spec.ranks)}", constant)
     h_qm = _hyp("field size", f"q >= m+1 = {m + 1}", f"q = {q}", q >= m + 1)
     h_alt = _hyp("alternating", "M <= Alt(V)", M.kind, alternating)
-    h_sym = _hyp("symmetric", "M <= Symm(V)", M.kind, symmetric)
+    h_sym = _hyp("symmetric", "M <= Symm(V)", M.kind, M.symmetric)
 
     bound("bound-constant-rank-n", [nonzero, h_const, h_qm], n)
     bound(
@@ -390,22 +340,16 @@ def check_dimension_bounds(M: FormSubspace, budget: Optional[int] = None) -> lis
         2 * n,
     )
 
-    # the common-radical lemma needs a radical census, so gate on feasibility
+    # the census walks M as rank_spectrum did, so it fits the same budget
     if alternating and constant and d >= 1:
-        feasible, all_equal = _common_radical_state(M, spec, budget)
-        if feasible:
-            hyps = [nonzero, h_alt, h_const,
-                    _hyp("common radical", "all elements of M^x share one radical",
-                         f"distinct radicals > 1: {not all_equal}", all_equal)]
-            ok = d <= m // 2
-            wit = None if ok else {"kind": "dimension-bound", "dim": d, "limit": m // 2,
-                                   "strict": False, "spectrum": list(spec.ranks)}
-            out.append(_finish("bound-common-radical-half-m", hyps, ok, wit,
-                               {"dim": d, "limit": m // 2}))
-        else:
-            out.append(VerificationReport(
-                "bound-common-radical-half-m", (), BUDGET_EXCEEDED, None,
-                {"budget_error": "radical census over budget"}))
+        all_equal = len(radical_census(M, budget)[0]) <= 1
+        hyps = [nonzero, h_alt, h_const,
+                _hyp("common radical", "all elements of M^x share one radical",
+                     f"distinct radicals > 1: {not all_equal}", all_equal)]
+        ok = d <= m // 2
+        wit = None if ok else {"kind": "dimension-bound", "dim": d, "limit": m // 2,
+                               "strict": False, "spectrum": list(spec.ranks)}
+        out.append(_finish("bound-common-radical-half-m", hyps, ok, wit, {"dim": d, "limit": m // 2}))
     else:
         hyps = [nonzero, h_alt, h_const,
                 _hyp("common radical", "all elements of M^x share one radical",
@@ -436,26 +380,7 @@ def check_spread(M: FormSubspace, budget: Optional[int] = None) -> VerificationR
         expected_t = (q**n - 1) // (q ** (n - m) - 1) if m < n else 1
         divides = True if m == n else n % (n - m) == 0
         # the induced partition of M itself: M_i = {g : R_i <= rad g}
-        from .spanspace import _kernel_matrix
-
-        induced_sizes = []
-        union: set[tuple] = set()
-        card = 0
-        for rad in report.radicals:
-            mats = [_kernel_matrix(M, u, "left") for u in rad.rows]
-            stacked = np.vstack(mats) if mats else np.zeros((0, d), dtype=np.int64)
-            coeff_rows = linalg.right_null_space(M.field, stacked)
-            dim_i = len(coeff_rows)
-            induced_sizes.append(dim_i)
-            pts = (
-                M.field.matmul_arr(linalg.code_vectors(q, dim_i), coeff_rows)
-                if dim_i
-                else np.zeros((1, d), dtype=np.int64)
-            )
-            card += len(pts) - 1
-            union.update(tuple(int(v) for v in row) for row in pts[1:])
-        induced_trivial = card == len(union)
-        induced_covers = len(union) == q**d - 1
+        induced_sizes, induced_trivial, induced_covers = induced_partition(M, report.radicals)
         ok = (
             report.covers
             and report.pairwise_trivial
@@ -503,7 +428,7 @@ def check_radical_equality(M: FormSubspace, budget: Optional[int] = None) -> Ver
         ]
         if d == 0:
             return _finish(tid, hyps, True, None, {"note": "zero subspace"})
-        lefts, rights = _radical_census(M, budget)
+        lefts, rights = radical_census(M, budget)
         ok = len(lefts) == 1 or len(rights) == 1
         witness = None
         if not ok:
@@ -529,15 +454,14 @@ def check_isotropic_partition(M: FormSubspace, budget: Optional[int] = None) -> 
     try:
         spec = rank_spectrum(M, budget)
         q, n, d, m = M.field.q, M.n, M.dim, spec.m
-        symmetric = all((f.entries == f.entries.T).all() for f in M.basis)
         hyps = [
-            _hyp("symmetric", "M <= Symm(V)", M.kind, symmetric),
+            _hyp("symmetric", "M <= Symm(V)", M.kind, M.symmetric),
             _hyp("odd characteristic", "q odd", f"q = {q}", q % 2 == 1),
             _hyp("constant rank", "|rank(M)| = 1", f"rank(M) = {list(spec.ranks)}", spec.is_constant_rank),
             _hyp("full dimension", f"dim M = n = {n}", f"dim M = {d}", d == n),
             _hyp("field size", f"q >= m+1 = {m + 1}", f"q = {q}", q >= m + 1),
         ]
-        if not symmetric or q % 2 == 0:
+        if not M.symmetric or q % 2 == 0:
             return _finish(tid, hyps, False, None, {"note": "isotropic set undefined here"})
         iso = isotropic_set(M, budget)
         iso_points = set(iso.vectors)
@@ -592,20 +516,19 @@ def check_witt_census_identity(M: FormSubspace, budget: Optional[int] = None) ->
     try:
         spec = rank_spectrum(M, budget)
         q, n, d, m = M.field.q, M.n, M.dim, spec.m
-        symmetric = all((f.entries == f.entries.T).all() for f in M.basis)
         hyps = [
-            _hyp("symmetric", "M <= Symm(V)", M.kind, symmetric),
+            _hyp("symmetric", "M <= Symm(V)", M.kind, M.symmetric),
             _hyp("odd characteristic", "q odd", f"q = {q}", q % 2 == 1),
             _hyp("constant even rank", "rank(M) = {2k}", f"rank(M) = {list(spec.ranks)}",
                  spec.is_constant_rank and m % 2 == 0),
             _hyp("full dimension", f"dim M = n = {n}", f"dim M = {d}", d == n),
         ]
-        if not symmetric or q % 2 == 0 or not spec.is_constant_rank or m % 2:
+        if not M.symmetric or q % 2 == 0 or not spec.is_constant_rank or m % 2:
             return _finish(tid, hyps, False, None, {"note": "census undefined here"})
         k = m // 2
         charge(q**d, n**3, budget, tid)
         a_count = b_count = 0
-        for _, f in _all_elements(M, budget):
+        for _, f in elements(M, budget):
             w = witt_census(f).witt_index
             if w == k:
                 a_count += 1
@@ -624,12 +547,6 @@ def check_witt_census_identity(M: FormSubspace, budget: Optional[int] = None) ->
                        {"A": a_count, "B": b_count, "isotropic_nonzero": len(iso.vectors)})
     except BudgetExceeded as exc:
         return _budget_report(tid, exc)
-
-
-def _all_elements(M: FormSubspace, budget):
-    for coeffs, flats, _ in _scan_blocks(M, budget, projective=False, what="elements"):
-        for crow, frow in zip(coeffs, flats):
-            yield tuple(int(c) for c in crow), GramForm(M.field, frow.reshape(M.n, M.n))
 
 
 # ---------------------------------------------------------------------------
@@ -655,8 +572,6 @@ def check_maximality(
         spec = rank_spectrum(M, budget)
         q, n, d, m = M.field.q, M.n, M.dim, spec.m
         fld = M.field
-        from .spanspace import DEFAULT_BUDGET
-
         claims = bool(declared and declared.get("maximal"))
         ambient = kind_basis(fld, n, M.kind)
         dk = len(ambient)
@@ -679,18 +594,17 @@ def check_maximality(
                 tid, tuple(hyps), NOT_APPLICABLE, None,
                 {"mode": "skipped", "note": "ambient kind space over budget; nothing declared"})
 
-        elements = np.vstack(
-            [np.zeros((1, n * n), dtype=np.int64)]
-            + [flats for _, flats, _ in _scan_blocks(M, budget, what=tid)]
-        ) if d else np.zeros((1, n * n), dtype=np.int64)
-        rows_m, piv_m = (linalg.rref(fld, M.basis_flat()) if d else
-                         (np.zeros((0, n * n), dtype=np.int64), []))
+        # constant rank, so d >= 1: the stack is M itself, zero first
+        stack = np.vstack(
+            [np.zeros((1, n * n), dtype=np.int64)] + [flats for _, flats in scan_blocks(M, budget, what=tid)]
+        )
+        rows_m, piv_m = linalg.rref(fld, M.basis_flat())
         amb_flat = np.stack([f.flat() for f in ambient]) if ambient else np.zeros((0, n * n), dtype=np.int64)
 
         def extends(h_flat) -> bool:
             if linalg.in_row_span(fld, rows_m, piv_m, h_flat):
                 return False
-            sums = fld.add_arr(h_flat[None, :], elements)
+            sums = fld.add_arr(h_flat[None, :], stack)
             ranks = linalg.batch_rank(fld, sums.reshape(-1, n, n))
             return bool((ranks == m).all())
 
@@ -870,8 +784,9 @@ def check_declared(M: FormSubspace, declared: Optional[dict], budget: Optional[i
 def _spectrum_witness(M: FormSubspace, declared_ranks, budget) -> dict:
     """First element whose rank falls outside the declared spectrum."""
     allowed = set(declared_ranks)
-    for coeffs, flats, ranks in _scan_blocks(M, budget, what="spectrum witness"):
-        for crow, frow, rk in zip(coeffs, flats, ranks):
+    for coeffs, flats in scan_blocks(M, budget, what="spectrum witness"):
+        ranks = linalg.batch_rank(M.field, flats.reshape(-1, M.n, M.n))
+        for crow, rk in zip(coeffs, ranks):
             if int(rk) not in allowed:
                 return {
                     "kind": "spectrum-mismatch",
@@ -907,8 +822,6 @@ def replay_witness(M: FormSubspace, witness: dict) -> bool:
     if kind == "kind-mismatch":
         return M.kind == witness["actual_kind"] != witness["declared_kind"]
     if kind == "orthogonality":
-        from .formcore import evaluate
-
         g = M.basis[witness["g_index"]]
         val = evaluate(g, witness["u"], witness["w"])
         return val == witness["value"] != 0
@@ -917,7 +830,7 @@ def replay_witness(M: FormSubspace, witness: dict) -> bool:
         if M.contains_form(h):
             return False
         target = witness["rank"]
-        for _, g in _all_elements(M, None):
+        for _, g in elements(M, None):
             if rank(GramForm(M.field, M.field.add_arr(h.entries, g.entries))) != target:
                 return False
         return rank(h) == target
@@ -941,19 +854,22 @@ def replay_witness(M: FormSubspace, witness: dict) -> bool:
 # Suite dispatch
 
 
-SUITE_NAMES = (
-    "declared",
-    "orthogonality",
-    "counting",
-    "kernel-bounds",
-    "bounds",
-    "spread",
-    "radical-equality",
-    "isotropic-partition",
-    "witt-census",
-    "filtration",
-    "maximality",
-)
+# name -> checker, in suite order; the lambdas look each checker up by name
+# at call time, so a rebinding of the module attribute reaches run_suite
+_CHECKERS = {
+    "declared": lambda M, budget, declared, seed: [check_declared(M, declared, budget)],
+    "orthogonality": lambda M, budget, *_: [check_orthogonality(M, budget)],
+    "counting": lambda M, budget, *_: [check_counting_identity(M, budget)],
+    "kernel-bounds": lambda M, budget, *_: [check_kernel_bounds(M, budget)],
+    "bounds": lambda M, budget, *_: check_dimension_bounds(M, budget),
+    "spread": lambda M, budget, *_: [check_spread(M, budget)],
+    "radical-equality": lambda M, budget, *_: [check_radical_equality(M, budget)],
+    "isotropic-partition": lambda M, budget, *_: [check_isotropic_partition(M, budget)],
+    "witt-census": lambda M, budget, *_: [check_witt_census_identity(M, budget)],
+    "filtration": lambda M, budget, *_: [check_filtration(M, budget)],
+    "maximality": lambda M, budget, declared, seed: [check_maximality(M, budget, declared, seed)],
+}
+SUITE_NAMES = tuple(_CHECKERS)
 
 
 def run_suite(
@@ -970,28 +886,6 @@ def run_suite(
         raise ValueError(f"unknown suite selection: {sorted(unknown)}")
     out: list[VerificationReport] = []
     for name in SUITE_NAMES:
-        if name not in selected:
-            continue
-        if name == "declared":
-            out.append(check_declared(M, declared, budget))
-        elif name == "orthogonality":
-            out.append(check_orthogonality(M, budget))
-        elif name == "counting":
-            out.append(check_counting_identity(M, budget))
-        elif name == "kernel-bounds":
-            out.append(check_kernel_bounds(M, budget))
-        elif name == "bounds":
-            out.extend(check_dimension_bounds(M, budget))
-        elif name == "spread":
-            out.append(check_spread(M, budget))
-        elif name == "radical-equality":
-            out.append(check_radical_equality(M, budget))
-        elif name == "isotropic-partition":
-            out.append(check_isotropic_partition(M, budget))
-        elif name == "witt-census":
-            out.append(check_witt_census_identity(M, budget))
-        elif name == "filtration":
-            out.append(check_filtration(M, budget))
-        elif name == "maximality":
-            out.append(check_maximality(M, budget, declared, seed))
+        if name in selected:
+            out.extend(_CHECKERS[name](M, budget, declared, seed))
     return out

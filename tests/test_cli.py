@@ -1,10 +1,13 @@
 """CLI contract: files, exit codes, reproducibility, seeds."""
 
+import glob
+import hashlib
 import json
 import os
 
 import pytest
 
+from bilrank import constructions as cons
 from bilrank import fileio
 from bilrank.cli import main
 
@@ -246,3 +249,64 @@ def test_campaign_construction_mode(tmp_path):
     point = read_json(os.path.join(out, "q3-n3-alt-pencil.json"))
     assert point["violations"] == []
     assert run(["verify", os.path.join(out, "q3-n3-alt-pencil.sub")]) == 0
+
+
+# --- pinned report bytes ---------------------------------------------------------
+
+FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+
+# small inputs that between them make every checker applicable at least once
+PINNED_MEMBERS = (
+    ("alt-full", {"q": 3, "n": 3}),
+    ("alt-full", {"q": 5, "n": 2}),  # the common-radical bound
+    ("alt-odd", {"q": 3, "k": 3}),
+    ("alt-pencil", {"q": 3, "n": 5}),  # the alternating rn bound
+    ("trace-symmetric", {"q": 3, "ext": 2, "n": 3}),  # maximality
+    ("trace-symmetric", {"q": 3, "ext": 2}),  # dim M = n: isotropic partition, Witt census
+    ("column-family", {"q": 3, "m": 2, "r": 1}),
+    ("column-family", {"q": 3, "m": 3, "r": 1, "ext": 2}),  # radical equality
+    ("block-symmetric", {"q": 3, "n": 4, "r": 2}),
+)
+
+# sha256 of "<exit code>\n<stdout>" of `bilrank verify FILE --json`, all suites
+PINNED_REPORT_SHA256 = {
+    "fixture-alt-spectrum-q3-n3-s1.json": "c555b3d42f9900b7d85eda043e008adc2cb429b1eb95d66b1f57a92607578a92",
+    "fixture-symm-rank2-distinct-radicals-q3-n3.json": "49a9a4a9018fa4ec696af0ae6e9bcf372e8ee4cda1f63a7234cb3ba05818c80b",
+    "alt-full-n3-q3": "c555b3d42f9900b7d85eda043e008adc2cb429b1eb95d66b1f57a92607578a92",
+    "alt-full-n2-q5": "40620e5d7a1ee4822748a6e5616d39543aa4c1b27c887db9653bb33dd12fb48d",
+    "alt-odd-k3-q3": "c555b3d42f9900b7d85eda043e008adc2cb429b1eb95d66b1f57a92607578a92",
+    "alt-pencil-n5-q3": "fb0c80dce559d69e900fdc4b4898e5ea6faecf14c2ccffe19d8774e0d812302d",
+    "trace-symmetric-ext2-n3-q3": "0ce1718012c787da27bbf2c2a1e564af5350394270a01aaadfa6aa7ca03a94a5",
+    "trace-symmetric-ext2-n3-q3-declared-1": "e503ad48516347780a1f03746657401115d05e4d3219a3b11806c8091999ce85",
+    "trace-symmetric-ext2-n3-q3-declared-2-3": "b8c253a40fe0007c0610bef48c281e4ed72635a3fbcc429d4b92467ef4f8df29",
+    "trace-symmetric-ext2-q3": "5d9e2a8734e6aae873a27986f1f1c8d0e3a098654d1848f1440336f438be32d2",
+    "column-family-m2-q3-r1": "f93c86b9a809eaa9ae3d9e3f259fdf16bd0650a106a54f78babcf19065c3e20e",
+    "column-family-ext2-m3-q3-r1": "cb1256d9071ff120cda84036ccb6485f61344c1c5be97d6ad3070a144e21628b",
+    "block-symmetric-n4-q3-r2": "f50256f4cfb1cde9dca881a201829f0333397bcb407d335c47d724fa20e95943",
+}
+
+
+def _pinned_inputs(workdir):
+    """(key, path) for every input whose report bytes are pinned."""
+    out = [("fixture-" + os.path.basename(p), p) for p in sorted(glob.glob(os.path.join(FIXTURE_DIR, "*.json")))]
+    for name, params in PINNED_MEMBERS:
+        M, declared = cons.build(cons.ConstructionRequest(name, dict(params)))
+        key = name + "".join(f"-{k}{v}" for k, v in sorted(params.items()))
+        out.append((key, os.path.join(workdir, key + ".json")))
+        fileio.write_subspace(out[-1][1], M, declared)
+        if key == "trace-symmetric-ext2-n3-q3":
+            # corrupted declared spectra: a stray rank, and a missing one
+            for wrong in ([1], [2, 3]):
+                bad = f"{key}-declared-{'-'.join(map(str, wrong))}"
+                out.append((bad, os.path.join(workdir, bad + ".json")))
+                fileio.write_subspace(out[-1][1], M, dict(declared, spectrum=wrong))
+    return out
+
+
+def test_verify_report_bytes_are_pinned(tmp_path, capsys):
+    got = {}
+    for key, path in _pinned_inputs(str(tmp_path)):
+        code = run(["verify", path, "--json"])
+        text = f"{code}\n{capsys.readouterr().out}"
+        got[key] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == PINNED_REPORT_SHA256

@@ -53,6 +53,18 @@ def test_dependent_basis_row_is_named():
     g = fc.GramForm(F3, F3.mul_arr(2, f.entries))
     with pytest.raises(ValueError, match="basis row 1 is dependent"):
         sp.FormSubspace(F3, 2, [f, g])
+    with pytest.raises(ValueError, match="basis row 0 is dependent"):
+        sp.FormSubspace(F3, 2, [fc.zero_form(F3, 2), f])
+    h = fc.GramForm(F3, [[0, 1], [0, 0]])
+    with pytest.raises(ValueError, match="basis row 2 is dependent"):
+        sp.FormSubspace(F3, 2, [f, h, fc.GramForm(F3, F3.add_arr(f.entries, h.entries))])
+
+
+def test_symmetric_flag_matches_the_basis():
+    spaces = [sp.full_kind_space(F, n, kind) for F in (F2, F3, F4) for n in (2, 3) for kind in sp.KINDS]
+    spaces.append(sp.span([], field=F3, n=2))
+    for M in spaces:
+        assert M.symmetric == all((f.entries == f.entries.T).all() for f in M.basis), M
 
 
 def test_kind_tag_matches_classification():
@@ -105,6 +117,47 @@ def test_enumeration_budget_guard():
 
 
 # --- rank spectra ----------------------------------------------------------------
+
+
+def _closed_form_rank_counts(kind, q, n):
+    """Classical counts of the rank-r matrices in Bil(V), Alt(V) or Symm(V).
+
+    Bil: Landsberg's product; Alt and Symm: MacWilliams, "Orthogonal
+    matrices over finite fields", Amer. Math. Monthly 1969.
+    """
+    from fractions import Fraction
+    from math import prod
+
+    counts = {}
+    for r in range(1, n + 1):
+        if kind == "general":
+            c = Fraction(prod((q**n - q**i) ** 2 for i in range(r)), prod(q**r - q**i for i in range(r)))
+        elif kind == "alternating":
+            if r % 2:
+                continue
+            s = r // 2
+            c = Fraction(q ** (s * (s - 1)) * prod(q ** (n - i) - 1 for i in range(2 * s)),
+                         prod(q ** (2 * i) - 1 for i in range(1, s + 1)))
+        else:
+            c = prod((Fraction(q ** (2 * i), q ** (2 * i) - 1) for i in range(1, r // 2 + 1)), start=Fraction(1))
+            c *= prod(q ** (n - i) - 1 for i in range(r))
+        assert c.denominator == 1
+        if c:
+            counts[r] = int(c)
+    return counts
+
+
+ORACLE_POINTS = (
+    [("general", q, 2) for q in (2, 3, 4, 5)] + [("general", q, 3) for q in (2, 3)]
+    + [("alternating", q, n) for q in (2, 3, 4, 5) for n in (3, 4)] + [("alternating", q, 5) for q in (2, 3)]
+    + [("symmetric", q, n) for q in (2, 3, 4, 5) for n in (2, 3)] + [("symmetric", q, 4) for q in (2, 3)]
+)
+
+
+@pytest.mark.parametrize("kind,q,n", ORACLE_POINTS)
+def test_spectrum_of_full_kind_space_matches_closed_form(kind, q, n):
+    M = sp.full_kind_space(field_for_order(q), n, kind)
+    assert dict(sp.rank_spectrum(M).counts) == _closed_form_rank_counts(kind, q, n)
 
 
 def test_spectrum_full_alternating_n3_q2():
