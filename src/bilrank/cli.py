@@ -36,15 +36,6 @@ EXIT_VIOLATED = 1
 EXIT_ERROR = 2
 
 
-def _resolve_budget(args) -> int:
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get("BILRANK_BUDGET")
-    if env:
-        return int(env)
-    return DEFAULT_BUDGET
-
-
 def _emit(obj, as_json: bool, out_path=None) -> None:
     if not (as_json or out_path):
         return
@@ -69,7 +60,7 @@ def _exit_code_for(reports) -> int:
 
 
 def cmd_construct(args) -> int:
-    budget = _resolve_budget(args)
+    budget = args.budget
     params = {
         key: getattr(args, key)
         for key in ("q", "n", "k", "ext", "m", "r")
@@ -111,7 +102,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    budget = _resolve_budget(args)
+    budget = args.budget
     try:
         loaded = fileio.read_subspace(args.file)
     except ValueError as exc:
@@ -158,7 +149,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    budget = _resolve_budget(args)
+    budget = args.budget
     try:
         loaded = fileio.read_subspace(args.file)
     except ValueError as exc:
@@ -287,7 +278,7 @@ def _search_alt_spectrum(args, budget):
 
 
 def cmd_search(args) -> int:
-    budget = _resolve_budget(args)
+    budget = args.budget
     try:
         if args.mode == "rank2-distinct-radicals":
             log = _search_rank2_distinct_radicals(args, budget)
@@ -360,24 +351,21 @@ def _campaign_sampler_points(args, budget, selection, qs, ns, kinds, summary) ->
         for n in ns:
             for kind in kinds:
                 dmax = _campaign_dmax(q, n, kind)
-                counts: dict[str, int] = {}
+                all_reports = []
                 violations = []
-                budget_errors = 0
                 for trial in range(args.trials):
                     ss = np.random.SeedSequence([args.seed, q, n, KINDS.index(kind), trial])
                     d_rng = np.random.default_rng(ss)
                     d = int(d_rng.integers(1, dmax + 1))
                     M = random_subspace(field, n, d, kind, ss.spawn(1)[0])
                     reports = run_suite(M, selection=selection, budget=budget, seed=None)
-                    for rep in reports:
-                        counts[rep.verdict] = counts.get(rep.verdict, 0) + 1
-                        if rep.verdict == VIOLATED:
-                            violations.append(
-                                {"trial": trial, "d": d, "theorem_id": rep.theorem_id,
-                                 "witness": rep.witness}
-                            )
-                        elif rep.verdict == BUDGET_EXCEEDED:
-                            budget_errors += 1
+                    all_reports.extend(reports)
+                    violations.extend(
+                        {"trial": trial, "d": d, "theorem_id": rep.theorem_id, "witness": rep.witness}
+                        for rep in reports
+                        if rep.verdict == VIOLATED
+                    )
+                counts = _count_verdicts(all_reports)
                 point = {
                     "grid_point": {"q": q, "n": n, "kind": kind},
                     "trials": args.trials,
@@ -390,7 +378,7 @@ def _campaign_sampler_points(args, budget, selection, qs, ns, kinds, summary) ->
                     fh.write(fileio.dumps(point))
                 summary["points"].append({"file": name, "violations": len(violations)})
                 summary["violated_total"] += len(violations)
-                summary["budget_errors"] += budget_errors
+                summary["budget_errors"] += counts.get(BUDGET_EXCEEDED, 0)
 
 
 def _count_verdicts(reports) -> dict:
@@ -401,9 +389,15 @@ def _count_verdicts(reports) -> dict:
 
 
 def cmd_campaign(args) -> int:
-    budget = _resolve_budget(args)
-    qs = [int(v) for v in args.q.split(",")]
-    ns = [int(v) for v in args.n.split(",")]
+    budget = args.budget
+    try:
+        qs = [int(v) for v in args.q.split(",")]
+        ns = [int(v) for v in args.n.split(",")]
+        for q in qs:
+            field_for_order(q)  # raises on an order that is not a prime power
+    except ValueError as exc:
+        print(f"error: --q/--n: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     kinds = args.kind.split(",") if args.kind else list(KINDS)
     for kind in kinds:
         if kind not in KINDS:
@@ -513,6 +507,14 @@ def main(argv=None) -> int:
     if args.command == "search" and args.mode != "maximal" and args.q is None:
         print("error: this search mode requires --q and --n", file=sys.stderr)
         return EXIT_ERROR
+    if args.budget is None:
+        # --budget overrides BILRANK_BUDGET, which overrides the default
+        env = os.environ.get("BILRANK_BUDGET")
+        try:
+            args.budget = int(env) if env else DEFAULT_BUDGET
+        except ValueError:
+            print(f"error: BILRANK_BUDGET must be an integer, got {env!r}", file=sys.stderr)
+            return EXIT_ERROR
     return args.func(args)
 
 

@@ -148,3 +148,9 @@ def code_vectors(q: int, n: int, start: int = 0, stop: int | None = None):
         out[:, j] = idx % q
         idx //= q
     return out
+
+
+def code_index(q: int, vecs):
+    """Inverse of `code_vectors`: the listing index of each row of a (B, n) array."""
+    vecs = np.asarray(vecs, dtype=np.int64)
+    return vecs @ (q ** np.arange(vecs.shape[1] - 1, -1, -1, dtype=np.int64))

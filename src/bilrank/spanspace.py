@@ -7,9 +7,13 @@ first) and yields them in blocks together with their flattened forms,
 so runs are reproducible and blocks are vectorised.  In `projective`
 mode it keeps only the vectors whose leading nonzero entry is 1, one
 representative per scalar line, which is exhaustive for anything that
-depends only on ranks or radicals.  Spectra, radical censuses, spreads
-and every checker's element loop are built on it; only callers that
-read ranks pay for eliminating a block.
+depends only on ranks or radicals.
+
+Two results of the walk are kept on M.  `rank_spectrum` reads ranks
+only.  `lines` is the table of the scalar lines of M^x, one row per
+line with its rank and both radicals; the radical census, the radical
+spread, the orthogonality checker and the kernel-bound incidence
+`max_rank_incidence` all read it, so each radical is computed once.
 
 Operations that walk q^d or q^n objects take an explicit step budget
 and raise BudgetExceeded instead of silently sampling: a theorem check
@@ -60,7 +64,7 @@ def _kind_of_basis(forms) -> str:
 class FormSubspace:
     """A subspace of Bil(V) given by a linearly independent basis of forms."""
 
-    __slots__ = ("field", "n", "basis", "kind", "_flat", "_spectrum")
+    __slots__ = ("field", "n", "basis", "kind", "_flat", "_spectrum", "_lines")
 
     def __init__(self, field: Field, n: int, basis):
         basis = tuple(basis)
@@ -84,6 +88,7 @@ class FormSubspace:
         self.kind = _kind_of_basis(basis)
         self._flat = flat
         self._spectrum = None  # filled by the first rank_spectrum call
+        self._lines = None  # filled by the first lines call
 
     @property
     def dim(self) -> int:
@@ -162,19 +167,9 @@ def span(forms, field: Optional[Field] = None, n: Optional[int] = None) -> FormS
 # Enumeration
 
 
-def coefficient_block(M: FormSubspace, start: int, stop: int):
-    """Coefficient vectors with enumeration indices in [start, stop)."""
-    return linalg.code_vectors(M.field.q, M.dim, start, stop)
-
-
 def flat_forms_for(M: FormSubspace, coeffs):
     """Flattened forms for a block of coefficient vectors: (B, n^2)."""
-    fld = M.field
-    coeffs = np.asarray(coeffs, dtype=np.int64)
-    acc = np.zeros((coeffs.shape[0], M.n * M.n), dtype=np.int64)
-    for j in range(M.dim):
-        acc = fld.add_arr(acc, fld.mul_arr(coeffs[:, j : j + 1], M._flat[j][None, :]))
-    return acc
+    return M.field.matmul_arr(coeffs, M._flat)
 
 
 def scan_blocks(M: FormSubspace, budget: Optional[int] = None, projective=False, what="scan"):
@@ -187,22 +182,13 @@ def scan_blocks(M: FormSubspace, budget: Optional[int] = None, projective=False,
     q, d = M.field.q, M.dim
     charge(q**d, M.n * M.n, budget, what)
     for start in range(1, q**d, _BLOCK):
-        coeffs = coefficient_block(M, start, min(start + _BLOCK, q**d))
+        coeffs = linalg.code_vectors(q, d, start, min(start + _BLOCK, q**d))
         if projective:
             lead = coeffs[np.arange(len(coeffs)), np.argmax(coeffs != 0, axis=1)]
             coeffs = coeffs[lead == 1]
             if not len(coeffs):
                 continue
         yield coeffs, flat_forms_for(M, coeffs)
-
-
-def elements(
-    M: FormSubspace, budget: Optional[int] = None, projective=False, what="elements"
-) -> Iterator[tuple[tuple[int, ...], GramForm]]:
-    """(coefficients, form) for each element `scan_blocks` visits, in its order."""
-    for coeffs, flats in scan_blocks(M, budget, projective, what):
-        for row_c, row_f in zip(coeffs, flats):
-            yield tuple(int(c) for c in row_c), GramForm(M.field, row_f.reshape(M.n, M.n))
 
 
 def enumerate_nonzero(
@@ -213,7 +199,9 @@ def enumerate_nonzero(
     Order is lexicographic in the coefficient codes and identical from
     run to run.
     """
-    return elements(M, budget, what="enumerate_nonzero")
+    for coeffs, flats in scan_blocks(M, budget, what="enumerate_nonzero"):
+        for row_c, row_f in zip(coeffs, flats):
+            yield tuple(int(c) for c in row_c), GramForm(M.field, row_f.reshape(M.n, M.n))
 
 
 @dataclass(frozen=True)
@@ -260,25 +248,56 @@ def rank_spectrum(M: FormSubspace, budget: Optional[int] = None) -> RankSpectrum
     return M._spectrum
 
 
+@dataclass(frozen=True)
+class Line:
+    """One scalar line of M^x: its lead-1 coefficients, rank and radicals."""
+
+    coeffs: tuple[int, ...]
+    rank: int
+    left_radical: Subspace
+    right_radical: Subspace
+
+    def radicals(self, side: str) -> tuple[Subspace, Subspace]:
+        """(the radical on `side`, the radical on the other side)."""
+        if side == "left":
+            return self.left_radical, self.right_radical
+        return self.right_radical, self.left_radical
+
+
+def lines(M: FormSubspace, budget: Optional[int] = None) -> tuple[Line, ...]:
+    """One row per scalar line of M^x, in the projective `scan_blocks` order.
+
+    Rank and radicals are constant on a line, so the table holds them for
+    every element of M^x.  The budget is charged on every call; the walk
+    runs on the first one only, and later calls return the table stored
+    on M.
+    """
+    if M._lines is not None:
+        charge(M.field.q**M.dim, M.n * M.n, budget, "radical census")
+        return M._lines
+    rows = []
+    for coeffs, flats in scan_blocks(M, budget, projective=True, what="radical census"):
+        ranks = linalg.batch_rank(M.field, flats.reshape(-1, M.n, M.n))
+        for crow, frow, rk in zip(coeffs, flats, ranks):
+            f = GramForm(M.field, frow.reshape(M.n, M.n))
+            rows.append(Line(tuple(int(c) for c in crow), int(rk), left_radical(f), right_radical(f)))
+    M._lines = tuple(rows)
+    return M._lines
+
+
 # ---------------------------------------------------------------------------
 # Kernels M_u, the sets V(M), I(M), A_u, and radical spreads
 
 
 def _kernel_matrix(M: FormSubspace, u, side: str):
     """n x d matrix whose right null space is the coefficient space of M_u."""
-    fld = M.field
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    stack = M._flat.reshape(-1, M.n, M.n)
     u = np.asarray(u, dtype=np.int64)
-    cols = []
-    for f in M.basis:
-        if side == "left":
-            cols.append(fld.matmul_arr(u[None, :], f.entries)[0])
-        elif side == "right":
-            cols.append(fld.matmul_arr(f.entries, u[:, None])[:, 0])
-        else:
-            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if not cols:
-        return np.zeros((M.n, 0), dtype=np.int64)
-    return np.stack(cols, axis=1)
+    if side == "left":
+        return M.field.matmul_arr(u[None, :], stack)[:, 0, :].T
+    return M.field.matmul_arr(stack, u[:, None])[:, :, 0].T
 
 
 def kernel_at(M: FormSubspace, u, side: str = "left") -> FormSubspace:
@@ -297,12 +316,9 @@ def kernel_dims_all(M: FormSubspace, side: str, budget: Optional[int] = None):
     """dim M_u for every u in V, ordered by vector index: a (q^n,) array."""
     fld, n, d = M.field, M.n, M.dim
     charge(fld.q**n, d * n, budget, "kernel_dims_all")
-    out = np.empty(fld.q**n, dtype=np.int64)
-    if d == 0:
-        out[:] = 0
-        return out
-    stack = np.stack([f.entries for f in M.basis])  # (d, n, n)
+    stack = M._flat.reshape(-1, n, n)  # (d, n, n)
     total = fld.q**n
+    out = np.empty(total, dtype=np.int64)
     for start in range(0, total, _BLOCK):
         stop = min(start + _BLOCK, total)
         vecs = linalg.code_vectors(fld.q, n, start, stop)
@@ -312,6 +328,33 @@ def kernel_dims_all(M: FormSubspace, side: str, budget: Optional[int] = None):
             mats = fld.matmul_arr(stack[None, :, :, :], vecs[:, None, :, None])[:, :, :, 0]
         out[start:stop] = d - linalg.batch_rank(fld, mats)
     return out
+
+
+def max_rank_incidence(M: FormSubspace, side: str, budget: Optional[int] = None):
+    """Which M_u hold an element of the maximal rank m, and is its radical shared?
+
+    Returns two (q^n,) boolean arrays ordered by vector index: whether
+    M_u holds a rank-m element, and whether all rank-m elements of M_u
+    have the same radical on the other side (vacuously true when there
+    are none).  M_u = {f in M : u in rad f} on the chosen side, so both
+    are incidences between V and the radicals of the rank-m lines.
+    """
+    q, n = M.field.q, M.n
+    rows = lines(M, budget)
+    m = max((row.rank for row in rows), default=0)
+    other_id = np.full(q**n, -1, dtype=np.int64)  # first other-side radical seen at u
+    shared = np.ones(q**n, dtype=bool)
+    ids: dict[tuple, int] = {}
+    for row in rows:
+        if row.rank != m:
+            continue
+        own, other = row.radicals(side)
+        rid = ids.setdefault(other.key(), len(ids))
+        at = linalg.code_index(q, own.points())
+        seen = other_id[at]
+        shared[at] &= (seen < 0) | (seen == rid)
+        other_id[at] = np.where(seen < 0, rid, seen)
+    return other_id >= 0, shared
 
 
 @dataclass(frozen=True)
@@ -367,18 +410,13 @@ def totally_isotropic(M: FormSubspace, U: Subspace) -> bool:
 
 @dataclass(frozen=True)
 class IsotropicSet:
-    """I(M)^x and, when the partition hypotheses hold, its A_u classes."""
+    """I(M)^x, the nonzero isotropic vectors in vector-index order."""
 
     vectors: tuple[tuple[int, ...], ...]
-    partition: Optional[tuple[tuple[Subspace, int], ...]]
 
 
 def isotropic_set(M: FormSubspace, budget: Optional[int] = None) -> IsotropicSet:
-    """All nonzero w with f(w, w) = 0 for every f in M.
-
-    When M is constant rank with dim M = n and q >= m + 1, the vectors
-    are additionally grouped into their A_u classes with dimensions.
-    """
+    """All nonzero w with f(w, w) = 0 for every f in M."""
     fld = M.field
     if fld.p == 2:
         raise ValueError("isotropic_set requires odd characteristic")
@@ -393,19 +431,7 @@ def isotropic_set(M: FormSubspace, budget: Optional[int] = None) -> IsotropicSet
         quad = fld.sum_arr(fld.mul_arr(tv, vecs), axis=1)
         mask &= quad == 0
     mask[0] = False
-    iso = vecs[mask]
-    vectors = tuple(tuple(int(v) for v in p) for p in iso)
-
-    partition = None
-    if M.dim == n and M.dim > 0:
-        spec = rank_spectrum(M, budget)
-        if spec.is_constant_rank and q >= spec.m + 1:
-            groups: dict[tuple, tuple[Subspace, int]] = {}
-            for u in iso:
-                a_u = annihilator_Au(M, u)
-                groups.setdefault(a_u.key(), (a_u, a_u.dim))
-            partition = tuple(groups[k] for k in sorted(groups))
-    return IsotropicSet(vectors, partition)
+    return IsotropicSet(tuple(tuple(int(v) for v in p) for p in vecs[mask]))
 
 
 @dataclass(frozen=True)
@@ -422,9 +448,9 @@ def radical_census(M: FormSubspace, budget: Optional[int] = None):
     """Distinct left/right radical keys over M^x, with example coefficients."""
     lefts: dict[tuple, tuple] = {}
     rights: dict[tuple, tuple] = {}
-    for coeffs, f in elements(M, budget, projective=True, what="radical census"):
-        lefts.setdefault(left_radical(f).key(), coeffs)
-        rights.setdefault(right_radical(f).key(), coeffs)
+    for row in lines(M, budget):
+        lefts.setdefault(row.left_radical.key(), row.coeffs)
+        rights.setdefault(row.right_radical.key(), row.coeffs)
     return lefts, rights
 
 
@@ -449,11 +475,9 @@ def radical_spread(M: FormSubspace, budget: Optional[int] = None) -> SpreadRepor
     spec = rank_spectrum(M, budget)
     if not spec.is_constant_rank:
         raise ValueError(f"radical_spread requires constant rank, spectrum is {spec.ranks}")
-    # rad(cf) = rad(f), so one element per scalar line sees every radical
     seen: dict[tuple, Subspace] = {}
-    for _, f in elements(M, budget, projective=True, what="radical_spread"):
-        rad = right_radical(f)
-        seen.setdefault(rad.key(), rad)
+    for row in lines(M, budget):
+        seen.setdefault(row.right_radical.key(), row.right_radical)
     radicals = tuple(seen[k] for k in sorted(seen))
     pairwise_trivial, covers = _partition_status(
         (rad.points() for rad in radicals), M.field.q**M.n - 1
@@ -495,31 +519,17 @@ def kind_space_dim(n: int, kind: str) -> int:
 
 def kind_basis(field: Field, n: int, kind: str) -> list[GramForm]:
     """The standard basis of the ambient space of the given kind."""
-    out = []
-    if kind == KIND_GENERAL:
-        for i in range(n):
-            for j in range(n):
-                m = np.zeros((n, n), dtype=np.int64)
-                m[i, j] = 1
-                out.append(GramForm(field, m))
-    elif kind == KIND_SYMMETRIC:
-        for i in range(n):
-            for j in range(i, n):
-                m = np.zeros((n, n), dtype=np.int64)
-                m[i, j] = 1
-                m[j, i] = 1
-                if i == j:
-                    m[i, i] = 1
-                out.append(GramForm(field, m))
-    elif kind == KIND_ALTERNATING:
-        for i in range(n):
-            for j in range(i + 1, n):
-                m = np.zeros((n, n), dtype=np.int64)
-                m[i, j] = 1
-                m[j, i] = field.neg(1)
-                out.append(GramForm(field, m))
-    else:
+    if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
+    out = []
+    for i in range(n):
+        # general: every cell; symmetric: i <= j; alternating: i < j
+        for j in range(0 if kind == KIND_GENERAL else i + (kind == KIND_ALTERNATING), n):
+            m = np.zeros((n, n), dtype=np.int64)
+            m[i, j] = 1
+            if kind != KIND_GENERAL:
+                m[j, i] = 1 if kind == KIND_SYMMETRIC else field.neg(1)
+            out.append(GramForm(field, m))
     return out
 
 
@@ -545,9 +555,7 @@ def random_subspace(field: Field, n: int, d: int, kind: str, seed: int) -> FormS
         coeffs = rng.integers(0, field.q, size=(d, dim_kind), dtype=np.int64)
         if d == 0:
             break
-        rows = np.zeros((d, n * n), dtype=np.int64)
-        for j in range(dim_kind):
-            rows = field.add_arr(rows, field.mul_arr(coeffs[:, j : j + 1], flat[j][None, :]))
+        rows = field.matmul_arr(coeffs, flat)
         if linalg.rank(field, rows) == d:
             break
     basis = [GramForm(field, r.reshape(n, n)) for r in rows] if d else []

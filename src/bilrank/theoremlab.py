@@ -28,12 +28,14 @@ from .spanspace import (
     FormSubspace,
     annihilator_Au,
     charge,
-    elements,
+    enumerate_nonzero,
+    full_kind_space,
     induced_partition,
     isotropic_set,
     kernel_at,
     kernel_dims_all,
-    kind_basis,
+    lines,
+    max_rank_incidence,
     radical_census,
     radical_spread,
     rank_spectrum,
@@ -44,8 +46,6 @@ HOLDS = "holds"
 VIOLATED = "violated"
 NOT_APPLICABLE = "not-applicable"
 BUDGET_EXCEEDED = "budget-exceeded"
-
-_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -128,40 +128,33 @@ def check_orthogonality(M: FormSubspace, budget: Optional[int] = None) -> Verifi
         violation = None
         checked_elements = 0
         pair_points = 0
-        if m:
-            for coeffs, flats in scan_blocks(M, budget, projective=True, what=tid):
-                ranks = linalg.batch_rank(fld, flats.reshape(-1, M.n, M.n))
-                for crow, frow, rk in zip(coeffs, flats, ranks):
-                    if rk != m:
-                        continue
-                    checked_elements += 1
-                    f = GramForm(fld, frow.reshape(M.n, M.n))
-                    radl, radr = left_radical(f), right_radical(f)
-                    key = (radl.key(), radr.key())
-                    if key in seen_pairs:
-                        continue
-                    seen_pairs.add(key)
-                    pair_points += (fld.q**radl.dim) * (fld.q**radr.dim)
-                    if radl.dim == 0 or radr.dim == 0:
-                        continue
-                    for gi, g in enumerate(M.basis):
-                        vals = fld.matmul_arr(fld.matmul_arr(radl.rows, g.entries), radr.rows.T)
-                        nz = np.argwhere(np.asarray(vals) != 0)
-                        if len(nz):
-                            i, j = (int(v) for v in nz[0])
-                            violation = {
-                                "kind": "orthogonality",
-                                "f_coefficients": [int(c) for c in crow],
-                                "u": [int(v) for v in radl.rows[i]],
-                                "w": [int(v) for v in radr.rows[j]],
-                                "g_index": gi,
-                                "value": int(np.asarray(vals)[i, j]),
-                            }
-                            break
-                    if violation:
-                        break
-                if violation:
-                    break
+        basis = M.basis_flat().reshape(-1, M.n, M.n)
+        for row in lines(M, budget) if m else ():  # the zero subspace has no lines
+            if row.rank != m:
+                continue
+            checked_elements += 1
+            radl, radr = row.left_radical, row.right_radical
+            key = (radl.key(), radr.key())
+            if key in seen_pairs:
+                continue
+            seen_pairs.add(key)
+            pair_points += (fld.q**radl.dim) * (fld.q**radr.dim)
+            if radl.dim == 0 or radr.dim == 0:
+                continue
+            # U G W^T for every basis form G at once: (d, dim rad_L, dim rad_R)
+            vals = fld.matmul_arr(fld.matmul_arr(radl.rows, basis), radr.rows.T)
+            nz = np.argwhere(vals != 0)
+            if len(nz):
+                gi, i, j = (int(v) for v in nz[0])
+                violation = {
+                    "kind": "orthogonality",
+                    "f_coefficients": list(row.coeffs),
+                    "u": [int(v) for v in radl.rows[i]],
+                    "w": [int(v) for v in radr.rows[j]],
+                    "g_index": gi,
+                    "value": int(vals[gi, i, j]),
+                }
+                break
         details = {
             "max_rank": m,
             "max_rank_lines_checked": checked_elements,
@@ -214,53 +207,45 @@ def check_kernel_bounds(M: FormSubspace, budget: Optional[int] = None) -> Verifi
     try:
         spec = rank_spectrum(M, budget)
         q, d, n, m = M.field.q, M.dim, M.n, spec.m
-        fld = M.field
         alternating = M.kind == KIND_ALTERNATING
         charge(q**n, max(d * n, 1), budget, tid)
-        violation = None
+        sides = ("left", "right")
+        dims = np.stack([kernel_dims_all(M, side, budget) for side in sides], axis=1)  # (q^n, 2)
+        holds = shared = np.zeros_like(dims, dtype=bool)
+        if m and q >= m + 1:  # the zero subspace has no lines to look at
+            incidence = [max_rank_incidence(M, side, budget) for side in sides]
+            holds = np.stack([h for h, _ in incidence], axis=1)
+            shared = np.stack([s for _, s in incidence], axis=1)
+        # (lemma, bound, where it fails), in the order each (u, side) is tested
+        lemmas = (
+            ("dim >= dim M - n", d - n, dims < d - n),
+            ("alternating dim >= dim M - (n-1)", d - (n - 1), alternating & (dims < d - (n - 1))),
+            ("dim >= dim M - m", d - m, holds & (dims < d - m)),
+            ("equality case: shared radical", None, holds & (dims == d - m) & ~shared),
+        )
         vecs = linalg.code_vectors(q, n)
-        for idx in range(1, q**n):
-            u = vecs[idx]
-            lead = u[np.argmax(u != 0)]
-            if lead != 1:
-                continue  # M_{cu} = M_u, one representative per line is exhaustive
-            for side in ("left", "right"):
-                K = kernel_at(M, u, side)
-                if K.dim < d - n:
-                    violation = {"kind": "kernel-bound", "u": [int(v) for v in u], "side": side,
-                                 "dim_kernel": K.dim, "bound": d - n, "lemma": "dim >= dim M - n"}
-                    break
-                if alternating and K.dim < d - (n - 1):
-                    violation = {"kind": "kernel-bound", "u": [int(v) for v in u], "side": side,
-                                 "dim_kernel": K.dim, "bound": d - (n - 1),
-                                 "lemma": "alternating dim >= dim M - (n-1)"}
-                    break
-                if q >= m + 1 and K.dim > 0:
-                    kspec = rank_spectrum(K, budget)
-                    if m in kspec.ranks:
-                        if K.dim < d - m:
-                            violation = {"kind": "kernel-bound", "u": [int(v) for v in u], "side": side,
-                                         "dim_kernel": K.dim, "bound": d - m,
-                                         "lemma": "dim >= dim M - m"}
-                            break
-                        if K.dim == d - m:
-                            other = right_radical if side == "left" else left_radical
-                            rads = {
-                                other(f).key()
-                                for _, f in elements(K, budget, projective=True)
-                                if rank(f) == m
-                            }
-                            if len(rads) > 1:
-                                violation = {"kind": "kernel-bound", "u": [int(v) for v in u],
-                                             "side": side, "dim_kernel": K.dim,
-                                             "lemma": "equality case: shared radical",
-                                             "distinct_radicals": len(rads)}
-                                break
-            if violation:
-                break
+        # M_{cu} = M_u, so one representative per line (lead entry 1) is exhaustive
+        lead_one = vecs[np.arange(q**n), np.argmax(vecs != 0, axis=1)] == 1
+        failing = np.argwhere(lead_one[:, None] & np.logical_or.reduce([f for _, _, f in lemmas]))
+        violation = None
+        if len(failing):
+            idx, s = (int(v) for v in failing[0])
+            lemma, bound = next((lem, b) for lem, b, f in lemmas if f[idx, s])
+            violation = {"kind": "kernel-bound", "u": [int(v) for v in vecs[idx]], "side": sides[s],
+                         "dim_kernel": int(dims[idx, s]), "lemma": lemma}
+            if bound is None:
+                violation["distinct_radicals"] = _distinct_radicals(M, vecs[idx], sides[s], m, budget)
+            else:
+                violation["bound"] = bound
         return _finish(tid, [], violation is None, violation, {"max_rank": m})
     except BudgetExceeded as exc:
         return _budget_report(tid, exc)
+
+
+def _distinct_radicals(M: FormSubspace, u, side: str, m: int, budget) -> int:
+    """Distinct other-side radicals over the rank-m elements of M_u."""
+    pairs = (row.radicals(side) for row in lines(M, budget) if row.rank == m)
+    return len({other.key() for own, other in pairs if own.contains(u)})
 
 
 # ---------------------------------------------------------------------------
@@ -466,27 +451,28 @@ def check_isotropic_partition(M: FormSubspace, budget: Optional[int] = None) -> 
         iso = isotropic_set(M, budget)
         iso_points = set(iso.vectors)
         classes: dict[tuple, tuple] = {}
-        dims_of_M_u = []
+        dims_of_A_u = []
         for u in iso.vectors:
             a_u = annihilator_Au(M, u)
             classes.setdefault(a_u.key(), (a_u, a_u.dim))
-            dims_of_M_u.append((u, kernel_at(M, u, "left").dim, a_u.dim))
+            dims_of_A_u.append(a_u.dim)
         class_list = [classes[k] for k in sorted(classes)]
         r_classes = len(class_list)
         union: set[tuple] = set()
         card = 0
-        covered = True
-        for sub, dim_i in class_list:
+        for sub, _ in class_list:
             pts = {tuple(int(v) for v in row) for row in sub.points()[1:]}
             card += len(pts)
             union |= pts
-            covered = covered and pts <= iso_points
-        partition_ok = covered and card == len(union) and union == iso_points
+        partition_ok = card == len(union) and union == iso_points
         lhs = sum((q**dim_i - 1) ** 2 for _, dim_i in class_list)
         rhs = (q**n - 1) * (q ** (n - m) - 1)
         sum_ok = lhs == rhs
         r_ok = r_classes != 1 and (m >= n or r_classes >= 2)
-        dim_match = all(ku == au for _, ku, au in dims_of_M_u) if d == n else True
+        dim_match = True
+        if d == n:
+            at = linalg.code_index(q, np.array(iso.vectors, dtype=np.int64).reshape(-1, n))
+            dim_match = bool((kernel_dims_all(M, "left", budget)[at] == dims_of_A_u).all())
         ok = partition_ok and sum_ok and r_ok and dim_match
         witness = None
         if not ok:
@@ -528,7 +514,7 @@ def check_witt_census_identity(M: FormSubspace, budget: Optional[int] = None) ->
         k = m // 2
         charge(q**d, n**3, budget, tid)
         a_count = b_count = 0
-        for _, f in elements(M, budget):
+        for _, f in enumerate_nonzero(M, budget):
             w = witt_census(f).witt_index
             if w == k:
                 a_count += 1
@@ -573,8 +559,8 @@ def check_maximality(
         q, n, d, m = M.field.q, M.n, M.dim, spec.m
         fld = M.field
         claims = bool(declared and declared.get("maximal"))
-        ambient = kind_basis(fld, n, M.kind)
-        dk = len(ambient)
+        ambient = full_kind_space(fld, n, M.kind)
+        dk = ambient.dim
         exhaustive = (q**dk) * (q**d) * n * n <= (DEFAULT_BUDGET if budget is None else budget)
         hyps = [
             _hyp("constant rank", "|rank(M)| = 1", f"rank(M) = {list(spec.ranks)}", spec.is_constant_rank),
@@ -599,7 +585,6 @@ def check_maximality(
             [np.zeros((1, n * n), dtype=np.int64)] + [flats for _, flats in scan_blocks(M, budget, what=tid)]
         )
         rows_m, piv_m = linalg.rref(fld, M.basis_flat())
-        amb_flat = np.stack([f.flat() for f in ambient]) if ambient else np.zeros((0, n * n), dtype=np.int64)
 
         def extends(h_flat) -> bool:
             if linalg.in_row_span(fld, rows_m, piv_m, h_flat):
@@ -611,13 +596,7 @@ def check_maximality(
         extension = None
         tried = 0
         if exhaustive:
-            total = q**dk
-            for start in range(1, total, _BLOCK):
-                stop = min(start + _BLOCK, total)
-                combos = linalg.code_vectors(q, dk, start, stop)
-                cand = np.zeros((len(combos), n * n), dtype=np.int64)
-                for j in range(dk):
-                    cand = fld.add_arr(cand, fld.mul_arr(combos[:, j : j + 1], amb_flat[j][None, :]))
+            for _, cand in scan_blocks(ambient, budget, what=tid):
                 for h in cand:
                     tried += 1
                     if extends(h):
@@ -631,10 +610,7 @@ def check_maximality(
                 combo = rng.integers(0, q, size=dk, dtype=np.int64)
                 if not combo.any():
                     continue
-                h = np.zeros(n * n, dtype=np.int64)
-                for j in range(dk):
-                    if combo[j]:
-                        h = fld.add_arr(h, fld.mul_arr(int(combo[j]), amb_flat[j]))
+                h = fld.matmul_arr(combo[None, :], ambient.basis_flat())[0]
                 tried += 1
                 if extends(h):
                     extension = h
@@ -830,7 +806,7 @@ def replay_witness(M: FormSubspace, witness: dict) -> bool:
         if M.contains_form(h):
             return False
         target = witness["rank"]
-        for _, g in elements(M, None):
+        for _, g in enumerate_nonzero(M):
             if rank(GramForm(M.field, M.field.add_arr(h.entries, g.entries))) != target:
                 return False
         return rank(h) == target

@@ -240,6 +240,30 @@ def test_campaign_rejects_unknown_kind(tmp_path):
                 "--trials", "1", "--seed", "1", "--out", str(tmp_path / "c")]) == 2
 
 
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        (["--q", "x", "--n", "3"], "'x'"),
+        (["--q", "3,,5", "--n", "3"], "''"),
+        (["--q", "6", "--n", "3"], "6 is not a prime power"),
+        (["--q", "3", "--n", "3.5"], "'3.5'"),
+    ],
+)
+def test_campaign_bad_grid_is_a_usage_error(tmp_path, capsys, grid, message):
+    out = tmp_path / "c"
+    assert run(["campaign", *grid, "--trials", "1", "--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --q/--n: ") and message in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_non_integer_budget_env_var_is_a_usage_error(trace_fixture, monkeypatch, capsys):
+    monkeypatch.setenv("BILRANK_BUDGET", "abc")
+    assert run(["analyze", trace_fixture]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: BILRANK_BUDGET must be an integer, got 'abc'\n"
+
+
 def test_campaign_construction_mode(tmp_path):
     out = str(tmp_path / "cc")
     assert run(["campaign", "--q", "2,3", "--n", "3", "--construction", "alt-pencil",
@@ -268,7 +292,16 @@ PINNED_MEMBERS = (
     ("block-symmetric", {"q": 3, "n": 4, "r": 2}),
 )
 
+# members verified under small budgets: their budget_errors name rank_spectrum,
+# kernel-bounds, kernel_dims_all, isotropic_set and witt-census
+PINNED_BUDGET_MEMBERS = (
+    ("alt-pencil", {"q": 3, "n": 4}),
+    ("block-symmetric", {"q": 3, "n": 4, "r": 1}),
+)
+PINNED_BUDGETS = (300, 500)
+
 # sha256 of "<exit code>\n<stdout>" of `bilrank verify FILE --json`, all suites
+# (with `--budget B` for the budget members)
 PINNED_REPORT_SHA256 = {
     "fixture-alt-spectrum-q3-n3-s1.json": "c555b3d42f9900b7d85eda043e008adc2cb429b1eb95d66b1f57a92607578a92",
     "fixture-symm-rank2-distinct-radicals-q3-n3.json": "49a9a4a9018fa4ec696af0ae6e9bcf372e8ee4cda1f63a7234cb3ba05818c80b",
@@ -283,30 +316,42 @@ PINNED_REPORT_SHA256 = {
     "column-family-m2-q3-r1": "f93c86b9a809eaa9ae3d9e3f259fdf16bd0650a106a54f78babcf19065c3e20e",
     "column-family-ext2-m3-q3-r1": "cb1256d9071ff120cda84036ccb6485f61344c1c5be97d6ad3070a144e21628b",
     "block-symmetric-n4-q3-r2": "f50256f4cfb1cde9dca881a201829f0333397bcb407d335c47d724fa20e95943",
+    "alt-pencil-n4-q3-budget300": "52b43da88ef11d1b450f577961dabf9d3326a6f05d19e3c8f858141ee3f00653",
+    "alt-pencil-n4-q3-budget500": "de8118953be637e1c0fdb71e9a18634cbc47e149d75198b278e5ed0c0383b325",
+    "block-symmetric-n4-q3-r1-budget300": "52b43da88ef11d1b450f577961dabf9d3326a6f05d19e3c8f858141ee3f00653",
+    "block-symmetric-n4-q3-r1-budget500": "d47671436c4ee4fc3a821d37e968df07e681a4a672d5de8ec3b5574b7ccf7a1c",
 }
 
 
 def _pinned_inputs(workdir):
-    """(key, path) for every input whose report bytes are pinned."""
-    out = [("fixture-" + os.path.basename(p), p) for p in sorted(glob.glob(os.path.join(FIXTURE_DIR, "*.json")))]
-    for name, params in PINNED_MEMBERS:
+    """(key, verify arguments) for every input whose report bytes are pinned."""
+    out = [("fixture-" + os.path.basename(p), [p]) for p in sorted(glob.glob(os.path.join(FIXTURE_DIR, "*.json")))]
+
+    def write(key, M, declared):
+        path = os.path.join(workdir, key + ".json")
+        fileio.write_subspace(path, M, declared)
+        return path
+
+    for name, params in PINNED_MEMBERS + PINNED_BUDGET_MEMBERS:
         M, declared = cons.build(cons.ConstructionRequest(name, dict(params)))
         key = name + "".join(f"-{k}{v}" for k, v in sorted(params.items()))
-        out.append((key, os.path.join(workdir, key + ".json")))
-        fileio.write_subspace(out[-1][1], M, declared)
+        path = write(key, M, declared)
+        if (name, params) in PINNED_BUDGET_MEMBERS:
+            out.extend((f"{key}-budget{b}", [path, "--budget", str(b)]) for b in PINNED_BUDGETS)
+            continue
+        out.append((key, [path]))
         if key == "trace-symmetric-ext2-n3-q3":
             # corrupted declared spectra: a stray rank, and a missing one
             for wrong in ([1], [2, 3]):
                 bad = f"{key}-declared-{'-'.join(map(str, wrong))}"
-                out.append((bad, os.path.join(workdir, bad + ".json")))
-                fileio.write_subspace(out[-1][1], M, dict(declared, spectrum=wrong))
+                out.append((bad, [write(bad, M, dict(declared, spectrum=wrong))]))
     return out
 
 
 def test_verify_report_bytes_are_pinned(tmp_path, capsys):
     got = {}
-    for key, path in _pinned_inputs(str(tmp_path)):
-        code = run(["verify", path, "--json"])
+    for key, args in _pinned_inputs(str(tmp_path)):
+        code = run(["verify", *args, "--json"])
         text = f"{code}\n{capsys.readouterr().out}"
         got[key] = hashlib.sha256(text.encode()).hexdigest()
     assert got == PINNED_REPORT_SHA256

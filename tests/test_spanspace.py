@@ -1,7 +1,10 @@
 """Subspace enumeration, spectra and the derived sets of the theory."""
 
+import itertools
+
 import numpy as np
 import pytest
+from conftest import catalogue_requests
 
 from bilrank import constructions as cons
 from bilrank import formcore as fc
@@ -261,6 +264,90 @@ def test_kernel_equality_case_shares_radical():
             assert len(rads) <= 1
             hit += 1
     assert hit > 0
+
+
+# --- the line table and the kernel-bound incidence -----------------------------------
+
+
+def _scalar_form(M, coeffs):
+    """sum_j c_j B_j entry by entry with scalar field arithmetic."""
+    F, n = M.field, M.n
+    rows = [[0] * n for _ in range(n)]
+    for c, b in zip(coeffs, M.basis):
+        for i in range(n):
+            for j in range(n):
+                rows[i][j] = F.add(rows[i][j], F.mul(c, int(b.entries[i, j])))
+    return fc.GramForm(F, rows)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: sp.full_kind_space(F3, 3, "alternating"),
+        lambda: cons.block_symmetric(F3, 4, 2),
+        lambda: cons.alternating_pencil(F4, 4),
+        lambda: sp.random_subspace(F5, 3, 3, "general", 4),
+        lambda: cons.build(cons.ConstructionRequest("column-family", {"q": 2, "m": 2, "r": 2, "ext": 2}))[0],
+        lambda: sp.span([], field=F3, n=2),
+    ],
+)
+def test_line_table_rows_match_formcore(make):
+    M = make()
+    q, d = M.field.q, M.dim
+    table = sp.lines(M)
+    lead_one = [
+        c for c in itertools.product(range(q), repeat=d) if any(c) and c[next(i for i, v in enumerate(c) if v)] == 1
+    ]
+    assert len(table) == (q**d - 1) // (q - 1)
+    assert [row.coeffs for row in table] == lead_one
+    for row in table:
+        f = _scalar_form(M, row.coeffs)
+        assert f == M.form_from_coefficients(row.coeffs)
+        assert row.rank == fc.rank(f)
+        assert row.left_radical == fc.left_radical(f)
+        assert row.right_radical == fc.right_radical(f)
+    assert sp.lines(M) is table
+
+
+def _brute_incidence(M, side, m):
+    """(dim M_u, M_u holds a rank-m element, those share one radical) per u."""
+    q, n = M.field.q, M.n
+    other = fc.right_radical if side == "left" else fc.left_radical
+    out = {}
+    for u in itertools.product(range(q), repeat=n):
+        lead = next((v for v in u if v), 1)
+        if lead != 1:
+            continue  # M_{cu} = M_u: filled in from the representative below
+        K = sp.kernel_at(M, u, side)
+        holds = K.dim > 0 and m in sp.rank_spectrum(K).ranks
+        rads = {other(f).key() for _, f in sp.enumerate_nonzero(K) if fc.rank(f) == m} if holds else set()
+        for c in range(1, q):
+            cu = tuple(M.field.mul(c, v) for v in u)
+            out[cu] = (K.dim, holds, len(rads) <= 1)
+    return [out[u] for u in itertools.product(range(q), repeat=n)]
+
+
+def _catalogue_up_to(points):
+    """The catalogue members whose V has at most `points` vectors."""
+    for req in catalogue_requests():
+        M, _ = cons.build(req)
+        if M.field.q**M.n <= points:
+            yield req
+
+
+@pytest.mark.parametrize(
+    "req",
+    list(_catalogue_up_to(729)),
+    ids=lambda r: r.name + "".join(f"-{k}{v}" for k, v in sorted(r.params.items())),
+)
+def test_max_rank_incidence_matches_brute_force(req):
+    M, _ = cons.build(req)
+    m = sp.rank_spectrum(M).m
+    for side in ("left", "right"):
+        dims = sp.kernel_dims_all(M, side)
+        holds, shared = sp.max_rank_incidence(M, side)
+        got = list(zip(dims.tolist(), holds.tolist(), shared.tolist()))
+        assert got == _brute_incidence(M, side, m)
 
 
 # --- V(M) --------------------------------------------------------------------------

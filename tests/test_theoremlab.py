@@ -97,6 +97,24 @@ def test_kernel_bounds_on_catalogue(catalogue):
         assert rep.verdict == tl.HOLDS, req
 
 
+def test_kernel_bounds_equality_witness(monkeypatch):
+    # honest inputs never fail, so let the incidence deny every shared radical:
+    # in Alt(V), n = 3, every M_u (u != 0) is one line of rank-2 forms with radical <u>
+    M = sp.full_kind_space(F3, 3, "alternating")
+    real = sp.max_rank_incidence
+
+    def unshared(M, side, budget=None):
+        holds, shared = real(M, side, budget)
+        return holds, np.zeros_like(shared)
+
+    monkeypatch.setattr(tl, "max_rank_incidence", unshared)
+    rep = tl.check_kernel_bounds(M)
+    assert rep.verdict == tl.VIOLATED
+    assert sp.kernel_at(M, (0, 0, 1), "left").dim == 1
+    assert rep.witness == {"kind": "kernel-bound", "u": [0, 0, 1], "side": "left", "dim_kernel": 1,
+                           "lemma": "equality case: shared radical", "distinct_radicals": 1}
+
+
 # --- dimension bounds ---------------------------------------------------------------
 
 
