@@ -42,12 +42,6 @@ class GramForm:
         """Row-major length n^2 vector of codes."""
         return self.entries.reshape(-1)
 
-    def is_zero(self) -> bool:
-        return not self.entries.any()
-
-    def transpose(self) -> "GramForm":
-        return GramForm(self.field, self.entries.T)
-
     def __eq__(self, other):
         return (
             isinstance(other, GramForm)

@@ -305,9 +305,6 @@ class Field:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return self._inv[a]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)

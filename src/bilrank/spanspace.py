@@ -9,11 +9,14 @@ mode it keeps only the vectors whose leading nonzero entry is 1, one
 representative per scalar line, which is exhaustive for anything that
 depends only on ranks or radicals.
 
-Two results of the walk are kept on M.  `rank_spectrum` reads ranks
-only.  `lines` is the table of the scalar lines of M^x, one row per
-line with its rank and both radicals; the radical census, the radical
-spread, the orthogonality checker and the kernel-bound incidence
-`max_rank_incidence` all read it, so each radical is computed once.
+M is walked once.  Rank, radicals and Witt index are constant on the
+scalar lines of M^x, so `line_table` keeps the lead-1 coefficients and
+the rank of every line (one projective walk, one `batch_rank` per
+block) on M, and everything else reads it: `rank_spectrum` counts its
+ranks q - 1 times each, `lines` adds both radicals of every line for
+the radical census, the radical spread, the orthogonality checker and
+the kernel-bound incidence `max_rank_incidence`, and the checkers take
+the spectrum witness and the Witt census from it.
 
 Operations that walk q^d or q^n objects take an explicit step budget
 and raise BudgetExceeded instead of silently sampling: a theorem check
@@ -64,7 +67,7 @@ def _kind_of_basis(forms) -> str:
 class FormSubspace:
     """A subspace of Bil(V) given by a linearly independent basis of forms."""
 
-    __slots__ = ("field", "n", "basis", "kind", "_flat", "_spectrum", "_lines")
+    __slots__ = ("field", "n", "basis", "kind", "_flat", "_table", "_lines")
 
     def __init__(self, field: Field, n: int, basis):
         basis = tuple(basis)
@@ -87,7 +90,7 @@ class FormSubspace:
         self.basis = basis
         self.kind = _kind_of_basis(basis)
         self._flat = flat
-        self._spectrum = None  # filled by the first rank_spectrum call
+        self._table = None  # filled by the first line_table call
         self._lines = None  # filled by the first lines call
 
     @property
@@ -228,24 +231,32 @@ class RankSpectrum:
         return dict(self.counts).get(rnk, 0)
 
 
-def rank_spectrum(M: FormSubspace, budget: Optional[int] = None) -> RankSpectrum:
-    """Exact rank spectrum of M by full enumeration (batched elimination).
+def line_table(M: FormSubspace, budget: Optional[int], what: str):
+    """(coeffs, ranks) of the scalar lines of M^x, in projective `scan_blocks` order.
 
-    The budget is charged on every call; the walk runs on the first one
-    only, and later calls return the spectrum stored on M.
+    `coeffs` is the (L, d) array of lead-1 coefficient vectors and `ranks`
+    the (L,) array of their ranks, L = (q^d - 1)/(q - 1).  The budget is
+    charged under `what` on every call; the walk runs on the first one
+    only, and later calls return the table stored on M.
     """
+    charge(M.field.q**M.dim, M.n * M.n, budget, what)
+    if M._table is None:
+        coeffs, ranks = [np.zeros((0, M.dim), dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        for block, flats in scan_blocks(M, budget, projective=True, what=what):
+            coeffs.append(block)
+            ranks.append(linalg.batch_rank(M.field, flats.reshape(-1, M.n, M.n)))
+        M._table = (np.concatenate(coeffs), np.concatenate(ranks))
+    return M._table
+
+
+def rank_spectrum(M: FormSubspace, budget: Optional[int] = None) -> RankSpectrum:
+    """Exact rank spectrum of M: each scalar line holds q - 1 elements of its rank."""
     q, d, n = M.field.q, M.dim, M.n
     if d == 0:
         return RankSpectrum((), ())
-    if M._spectrum is not None:
-        charge(q**d, n * n, budget, "rank_spectrum")
-        return M._spectrum
-    counts = np.zeros(n + 1, dtype=np.int64)
-    for _, flats in scan_blocks(M, budget, what="rank_spectrum"):
-        counts += np.bincount(linalg.batch_rank(M.field, flats.reshape(-1, n, n)), minlength=n + 1)
+    counts = np.bincount(line_table(M, budget, "rank_spectrum")[1], minlength=n + 1) * (q - 1)
     present = [r for r in range(1, n + 1) if counts[r]]
-    M._spectrum = RankSpectrum(tuple(present), tuple((r, int(counts[r])) for r in present))
-    return M._spectrum
+    return RankSpectrum(tuple(present), tuple((r, int(counts[r])) for r in present))
 
 
 @dataclass(frozen=True)
@@ -265,23 +276,16 @@ class Line:
 
 
 def lines(M: FormSubspace, budget: Optional[int] = None) -> tuple[Line, ...]:
-    """One row per scalar line of M^x, in the projective `scan_blocks` order.
+    """The rows of `line_table` with both radicals of each line.
 
-    Rank and radicals are constant on a line, so the table holds them for
-    every element of M^x.  The budget is charged on every call; the walk
-    runs on the first one only, and later calls return the table stored
-    on M.
+    The budget is charged on every call; the radicals are computed on the
+    first one only, and later calls return the rows stored on M.
     """
-    if M._lines is not None:
-        charge(M.field.q**M.dim, M.n * M.n, budget, "radical census")
-        return M._lines
-    rows = []
-    for coeffs, flats in scan_blocks(M, budget, projective=True, what="radical census"):
-        ranks = linalg.batch_rank(M.field, flats.reshape(-1, M.n, M.n))
-        for crow, frow, rk in zip(coeffs, flats, ranks):
-            f = GramForm(M.field, frow.reshape(M.n, M.n))
-            rows.append(Line(tuple(int(c) for c in crow), int(rk), left_radical(f), right_radical(f)))
-    M._lines = tuple(rows)
+    coeffs, ranks = line_table(M, budget, "radical census")
+    if M._lines is None:
+        forms = (GramForm(M.field, g) for g in flat_forms_for(M, coeffs).reshape(-1, M.n, M.n))
+        M._lines = tuple(Line(tuple(int(c) for c in crow), int(rk), left_radical(f), right_radical(f))
+                         for crow, rk, f in zip(coeffs, ranks, forms))
     return M._lines
 
 
@@ -387,13 +391,8 @@ def v_set(M: FormSubspace, side: str, budget: Optional[int] = None) -> VSetRepor
 
 
 def annihilator_Au(M: FormSubspace, u) -> Subspace:
-    """A_u = {w : f(u, w) = 0 for all f in M}."""
-    fld = M.field
-    u = np.asarray(u, dtype=np.int64)
-    if M.dim == 0:
-        return Subspace.full(fld, M.n)
-    rows = np.stack([fld.matmul_arr(u[None, :], f.entries)[0] for f in M.basis])
-    return Subspace.from_rows(fld, M.n, linalg.right_null_space(fld, rows))
+    """A_u = {w : f(u, w) = 0 for all f in M}: the null space of the rows u^T G_i."""
+    return Subspace.from_rows(M.field, M.n, linalg.right_null_space(M.field, _kernel_matrix(M, u, "left").T))
 
 
 def totally_isotropic(M: FormSubspace, U: Subspace) -> bool:
@@ -454,18 +453,16 @@ def radical_census(M: FormSubspace, budget: Optional[int] = None):
     return lefts, rights
 
 
-def _partition_status(point_sets, total: int) -> tuple[bool, bool]:
-    """(pairwise trivial, covers) for the nonzero points of some subspaces.
+def partition_status(q: int, point_sets) -> tuple[bool, np.ndarray]:
+    """(pairwise trivial, union) for the nonzero points of some subspaces.
 
-    Disjointness of the nonzero point sets is exactly additivity of sizes.
+    The union is given as the ascending `code_index` of its points.  The
+    nonzero point sets meet pairwise trivially iff no point is hit twice.
     """
-    union: set[tuple[int, ...]] = set()
-    card = 0
-    for pts in point_sets:
-        nonzero = {tuple(int(v) for v in p) for p in pts if p.any()}
-        card += len(nonzero)
-        union |= nonzero
-    return card == len(union), len(union) == total
+    at = [np.zeros(1, dtype=np.int64)] + [linalg.code_index(q, pts) for pts in point_sets]
+    hits = np.bincount(np.concatenate(at))
+    hits[0] = 0  # index 0 is the zero vector
+    return bool((hits <= 1).all()), np.flatnonzero(hits)
 
 
 def radical_spread(M: FormSubspace, budget: Optional[int] = None) -> SpreadReport:
@@ -479,10 +476,8 @@ def radical_spread(M: FormSubspace, budget: Optional[int] = None) -> SpreadRepor
     for row in lines(M, budget):
         seen.setdefault(row.right_radical.key(), row.right_radical)
     radicals = tuple(seen[k] for k in sorted(seen))
-    pairwise_trivial, covers = _partition_status(
-        (rad.points() for rad in radicals), M.field.q**M.n - 1
-    )
-    return SpreadReport(radicals, len(radicals), covers, pairwise_trivial)
+    pairwise_trivial, union = partition_status(M.field.q, (rad.points() for rad in radicals))
+    return SpreadReport(radicals, len(radicals), len(union) == M.field.q**M.n - 1, pairwise_trivial)
 
 
 def induced_partition(M: FormSubspace, radicals) -> tuple[list[int], bool, bool]:
@@ -500,7 +495,8 @@ def induced_partition(M: FormSubspace, radicals) -> tuple[list[int], bool, bool]
         dims.append(len(coeff_rows))
         if len(coeff_rows):
             point_sets.append(fld.matmul_arr(linalg.code_vectors(q, len(coeff_rows)), coeff_rows))
-    return (dims, *_partition_status(point_sets, q**d - 1))
+    pairwise_trivial, union = partition_status(q, point_sets)
+    return dims, pairwise_trivial, len(union) == q**d - 1
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ off metadata.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -29,13 +30,16 @@ from .spanspace import (
     annihilator_Au,
     charge,
     enumerate_nonzero,
+    flat_forms_for,
     full_kind_space,
     induced_partition,
     isotropic_set,
     kernel_at,
     kernel_dims_all,
+    line_table,
     lines,
     max_rank_incidence,
+    partition_status,
     radical_census,
     radical_spread,
     rank_spectrum,
@@ -449,7 +453,7 @@ def check_isotropic_partition(M: FormSubspace, budget: Optional[int] = None) -> 
         if not M.symmetric or q % 2 == 0:
             return _finish(tid, hyps, False, None, {"note": "isotropic set undefined here"})
         iso = isotropic_set(M, budget)
-        iso_points = set(iso.vectors)
+        iso_at = linalg.code_index(q, np.array(iso.vectors, dtype=np.int64).reshape(-1, n))
         classes: dict[tuple, tuple] = {}
         dims_of_A_u = []
         for u in iso.vectors:
@@ -458,21 +462,15 @@ def check_isotropic_partition(M: FormSubspace, budget: Optional[int] = None) -> 
             dims_of_A_u.append(a_u.dim)
         class_list = [classes[k] for k in sorted(classes)]
         r_classes = len(class_list)
-        union: set[tuple] = set()
-        card = 0
-        for sub, _ in class_list:
-            pts = {tuple(int(v) for v in row) for row in sub.points()[1:]}
-            card += len(pts)
-            union |= pts
-        partition_ok = card == len(union) and union == iso_points
+        pairwise_trivial, union = partition_status(q, (sub.points() for sub, _ in class_list))
+        partition_ok = pairwise_trivial and np.array_equal(union, iso_at)
         lhs = sum((q**dim_i - 1) ** 2 for _, dim_i in class_list)
         rhs = (q**n - 1) * (q ** (n - m) - 1)
         sum_ok = lhs == rhs
         r_ok = r_classes != 1 and (m >= n or r_classes >= 2)
         dim_match = True
         if d == n:
-            at = linalg.code_index(q, np.array(iso.vectors, dtype=np.int64).reshape(-1, n))
-            dim_match = bool((kernel_dims_all(M, "left", budget)[at] == dims_of_A_u).all())
+            dim_match = bool((kernel_dims_all(M, "left", budget)[iso_at] == dims_of_A_u).all())
         ok = partition_ok and sum_ok and r_ok and dim_match
         witness = None
         if not ok:
@@ -513,13 +511,10 @@ def check_witt_census_identity(M: FormSubspace, budget: Optional[int] = None) ->
             return _finish(tid, hyps, False, None, {"note": "census undefined here"})
         k = m // 2
         charge(q**d, n**3, budget, tid)
-        a_count = b_count = 0
-        for _, f in enumerate_nonzero(M, budget):
-            w = witt_census(f).witt_index
-            if w == k:
-                a_count += 1
-            elif w == k - 1:
-                b_count += 1
+        # c f has the isotropic vectors of f, so the Witt index is constant on each line
+        flats = flat_forms_for(M, line_table(M, budget, tid)[0])
+        witt = Counter(witt_census(GramForm(M.field, g)).witt_index for g in flats.reshape(-1, n, n))
+        a_count, b_count = (q - 1) * witt[k], (q - 1) * witt[k - 1]
         iso = isotropic_set(M, budget)
         total_ok = a_count + b_count == q**d - 1
         diff = a_count - b_count
@@ -580,41 +575,27 @@ def check_maximality(
                 tid, tuple(hyps), NOT_APPLICABLE, None,
                 {"mode": "skipped", "note": "ambient kind space over budget; nothing declared"})
 
-        # constant rank, so d >= 1: the stack is M itself, zero first
-        stack = np.vstack(
-            [np.zeros((1, n * n), dtype=np.int64)] + [flats for _, flats in scan_blocks(M, budget, what=tid)]
-        )
-        rows_m, piv_m = linalg.rref(fld, M.basis_flat())
-
-        def extends(h_flat) -> bool:
-            if linalg.in_row_span(fld, rows_m, piv_m, h_flat):
-                return False
-            sums = fld.add_arr(h_flat[None, :], stack)
-            ranks = linalg.batch_rank(fld, sums.reshape(-1, n, n))
-            return bool((ranks == m).all())
-
-        extension = None
-        tried = 0
+        # h extends M iff every h + g, g in M, has rank m; for h in M the sum
+        # with -h has rank 0 != m (constant rank, so m >= 1), so M needs no test
+        stack = flat_forms_for(M, linalg.code_vectors(q, d))  # all of M, zero first
         if exhaustive:
-            for _, cand in scan_blocks(ambient, budget, what=tid):
-                for h in cand:
-                    tried += 1
-                    if extends(h):
-                        extension = h
-                        break
-                if extension is not None:
-                    break
+            blocks = (cands for _, cands in scan_blocks(ambient, budget, what=tid))
         else:
             rng = np.random.default_rng(seed)
-            for _ in range(trials):
-                combo = rng.integers(0, q, size=dk, dtype=np.int64)
-                if not combo.any():
-                    continue
-                h = fld.matmul_arr(combo[None, :], ambient.basis_flat())[0]
-                tried += 1
-                if extends(h):
-                    extension = h
-                    break
+            combos = [rng.integers(0, q, size=dk, dtype=np.int64) for _ in range(trials)]
+            combos = np.array([c for c in combos if c.any()], dtype=np.int64).reshape(-1, dk)
+            blocks = [fld.matmul_arr(combos, ambient.basis_flat())]
+        per_call = max(1, 8192 // len(stack))  # candidates per batch_rank call
+        extension = None
+        tried = 0
+        for cands in (b[i:i + per_call] for b in blocks for i in range(0, len(b), per_call)):
+            sums = fld.add_arr(cands[:, None, :], stack[None, :, :]).reshape(-1, n, n)
+            extends = (linalg.batch_rank(fld, sums).reshape(len(cands), -1) == m).all(axis=1)
+            if extends.any():
+                first = int(np.argmax(extends))
+                extension, tried = cands[first], tried + first + 1
+                break
+            tried += len(cands)
 
         maximal = extension is None
         witness = None
@@ -758,25 +739,29 @@ def check_declared(M: FormSubspace, declared: Optional[dict], budget: Optional[i
 
 
 def _spectrum_witness(M: FormSubspace, declared_ranks, budget) -> dict:
-    """First element whose rank falls outside the declared spectrum."""
-    allowed = set(declared_ranks)
-    for coeffs, flats in scan_blocks(M, budget, what="spectrum witness"):
-        ranks = linalg.batch_rank(M.field, flats.reshape(-1, M.n, M.n))
-        for crow, rk in zip(coeffs, ranks):
-            if int(rk) not in allowed:
-                return {
-                    "kind": "spectrum-mismatch",
-                    "coefficients": [int(c) for c in crow],
-                    "rank": int(rk),
-                    "declared": sorted(allowed),
-                }
+    """First element whose rank falls outside the declared spectrum.
+
+    A line's lead-1 element comes first among its elements in the walk
+    order (1 is the smallest nonzero code), so the first stray line of
+    the table holds the first stray element.
+    """
+    allowed = sorted(set(declared_ranks))
+    coeffs, ranks = line_table(M, budget, "spectrum witness")
+    stray = np.flatnonzero(~np.isin(ranks, allowed))
+    if len(stray):
+        return {
+            "kind": "spectrum-mismatch",
+            "coefficients": [int(c) for c in coeffs[stray[0]]],
+            "rank": int(ranks[stray[0]]),
+            "declared": allowed,
+        }
     # no stray rank: some declared rank is missing entirely
     spec = rank_spectrum(M, budget)
     return {
         "kind": "spectrum-mismatch",
         "coefficients": None,
         "rank": None,
-        "declared": sorted(allowed),
+        "declared": allowed,
         "actual": list(spec.ranks),
     }
 

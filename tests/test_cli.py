@@ -300,8 +300,13 @@ PINNED_BUDGET_MEMBERS = (
 )
 PINNED_BUDGETS = (300, 500)
 
+# members verified with a sampling seed: their ambient kind space is over the
+# default budget, so maximality runs the seeded sampled scan
+PINNED_SEED_MEMBERS = (("alt-pencil", {"q": 3, "n": 5}),)
+PINNED_SEED = 17
+
 # sha256 of "<exit code>\n<stdout>" of `bilrank verify FILE --json`, all suites
-# (with `--budget B` for the budget members)
+# (with `--budget B` for the budget members, `--seed 17` for the seed members)
 PINNED_REPORT_SHA256 = {
     "fixture-alt-spectrum-q3-n3-s1.json": "c555b3d42f9900b7d85eda043e008adc2cb429b1eb95d66b1f57a92607578a92",
     "fixture-symm-rank2-distinct-radicals-q3-n3.json": "49a9a4a9018fa4ec696af0ae6e9bcf372e8ee4cda1f63a7234cb3ba05818c80b",
@@ -320,6 +325,7 @@ PINNED_REPORT_SHA256 = {
     "alt-pencil-n4-q3-budget500": "de8118953be637e1c0fdb71e9a18634cbc47e149d75198b278e5ed0c0383b325",
     "block-symmetric-n4-q3-r1-budget300": "52b43da88ef11d1b450f577961dabf9d3326a6f05d19e3c8f858141ee3f00653",
     "block-symmetric-n4-q3-r1-budget500": "d47671436c4ee4fc3a821d37e968df07e681a4a672d5de8ec3b5574b7ccf7a1c",
+    "alt-pencil-n5-q3-seed17": "b61586fa4ffbcc2a504af0a2ea939c666f293b39c012602dcc24da45e6ab041d",
 }
 
 
@@ -340,6 +346,8 @@ def _pinned_inputs(workdir):
             out.extend((f"{key}-budget{b}", [path, "--budget", str(b)]) for b in PINNED_BUDGETS)
             continue
         out.append((key, [path]))
+        if (name, params) in PINNED_SEED_MEMBERS:
+            out.append((f"{key}-seed{PINNED_SEED}", [path, "--seed", str(PINNED_SEED)]))
         if key == "trace-symmetric-ext2-n3-q3":
             # corrupted declared spectra: a stray rank, and a missing one
             for wrong in ([1], [2, 3]):

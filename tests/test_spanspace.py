@@ -1,6 +1,7 @@
 """Subspace enumeration, spectra and the derived sets of the theory."""
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -179,6 +180,18 @@ def test_spectrum_counts_sum_to_all_elements():
     M = cons.alternating_pencil(F5, 3)
     spec = sp.rank_spectrum(M)
     assert sum(c for _, c in spec.counts) == 5**M.dim - 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_spectrum_counts_match_per_element_ranks(q):
+    """The line-table spectrum against formcore.rank on every element of M."""
+    fld = field_for_order(q)
+    for n, kind, d in itertools.product((3, 4), sp.KINDS, (0, 1, 2, 3)):
+        if q**d > 250 or d > sp.kind_space_dim(n, kind):
+            continue
+        M = sp.random_subspace(fld, n, d, kind, seed=100 * q + 10 * n + d)
+        want = Counter(fc.rank(f) for _, f in sp.enumerate_nonzero(M))
+        assert dict(sp.rank_spectrum(M).counts) == dict(want), (n, kind, d)
 
 
 def test_subspace_spectrum_containment():
@@ -429,6 +442,7 @@ def test_isotropic_partition_classes_meet_trivially():
 def test_annihilator_examples():
     M = sp.span([fc.identity_form(F3, 3)])
     assert sp.annihilator_Au(M, (0, 0, 0)).dim == 3
+    assert sp.annihilator_Au(sp.span([], field=F4, n=3), (1, 0, 0)) == fc.Subspace.full(F4, 3)
     hyper = sp.annihilator_Au(M, (1, 0, 0))
     assert hyper.key() == ((0, 1, 0), (0, 0, 1))
 

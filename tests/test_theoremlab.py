@@ -1,5 +1,8 @@
 """Checker gating, verdicts, witnesses and replay."""
 
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -250,6 +253,20 @@ def test_witt_census_gated_path():
     assert rep.verdict == tl.NOT_APPLICABLE
 
 
+def test_witt_census_counts_match_per_element_census(catalogue):
+    """A and B read off the line table against witt_census on every element."""
+    checked = 0
+    for req, M, _ in catalogue:
+        rep = tl.check_witt_census_identity(M)
+        if "A" not in rep.details:
+            continue
+        k = sp.rank_spectrum(M).m // 2
+        witt = Counter(fc.witt_census(f).witt_index for _, f in sp.enumerate_nonzero(M))
+        assert (rep.details["A"], rep.details["B"]) == (witt[k], witt[k - 1]), req
+        checked += 1
+    assert checked
+
+
 # --- maximality ------------------------------------------------------------------------------
 
 
@@ -287,6 +304,41 @@ def test_maximality_violation_with_witness():
     assert rep.verdict == tl.VIOLATED
     assert rep.witness["kind"] == "extension"
     assert tl.replay_witness(M, rep.witness)
+
+
+def _maximality_reference(M, candidates):
+    """(candidates tried, first extension) by contains_form and formcore.rank, one candidate at a time."""
+    m = sp.rank_spectrum(M).m
+    elements = [fc.zero_form(M.field, M.n)] + [g for _, g in sp.enumerate_nonzero(M)]
+    for tried, h in enumerate(candidates, 1):
+        if M.contains_form(h):
+            continue
+        if all(fc.rank(fc.GramForm(M.field, M.field.add_arr(h.entries, g.entries))) == m for g in elements):
+            return tried, h
+    return len(candidates), None
+
+
+def test_maximality_matches_per_candidate_reference(constant_rank_catalogue):
+    """Both scan modes against a per-candidate reference on small inputs."""
+    outcomes = set()
+    for req, M, _ in constant_rank_catalogue:
+        q, n = M.field.q, M.n
+        ambient = sp.full_kind_space(M.field, n, M.kind)
+        size = q**ambient.dim * q**M.dim * n * n
+        if q**M.dim > 81 or size > 10**6:
+            continue
+        rng = np.random.default_rng(5)
+        combos = [rng.integers(0, q, size=ambient.dim, dtype=np.int64) for _ in range(30)]
+        sampled = [ambient.form_from_coefficients(c) for c in combos if c.any()]
+        for budget, seed, candidates in ((None, None, [f for _, f in sp.enumerate_nonzero(ambient)]),
+                                         (size - 1, 5, sampled)):
+            rep = tl.check_maximality(M, budget=budget, seed=seed, trials=30)
+            tried, extension = _maximality_reference(M, candidates)
+            got = (rep.details.get("informational") or {}).get("witness")
+            assert rep.details["candidates_tried"] == tried, req
+            assert (got and got["extension_rows"]) == (extension and [list(r) for r in extension.rows()]), req
+            outcomes.add((rep.details["mode"], extension is None))
+    assert outcomes == set(itertools.product(("exhaustive", "sampled"), (True, False)))
 
 
 # --- filtration ---------------------------------------------------------------------------------
@@ -359,6 +411,23 @@ def test_declared_rank_breaking_form_witness():
     w = rep.witness
     assert w["kind"] == "spectrum-mismatch" and w["rank"] not in w["declared"]
     assert tl.replay_witness(corrupted, w)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_spectrum_witness_is_first_stray_element(q):
+    """The witness read off the line table against the first stray element of the full walk."""
+    fld = field_for_order(q)
+    for seed in range(3):
+        M = sp.random_subspace(fld, 3, 2, "general", seed)
+        ranks = [(list(c), fc.rank(f)) for c, f in sp.enumerate_nonzero(M)]
+        for size in range(4):
+            for declared in itertools.combinations(range(1, 4), size):
+                rep = tl.check_declared(M, {"spectrum": list(declared)})
+                first = next(((c, r) for c, r in ranks if r not in declared), (None, None))
+                if rep.verdict == tl.HOLDS:
+                    assert first == (None, None)
+                else:
+                    assert (rep.witness["coefficients"], rep.witness["rank"]) == first, (seed, declared)
 
 
 def test_replay_rejects_unknown_kind():
