@@ -68,40 +68,39 @@ def identity_form(field: Field, n: int) -> GramForm:
 class Subspace:
     """A subspace of V, held as a canonical reduced row-echelon basis.
 
+    The constructor takes canonical RREF rows; `from_rows` reduces any rows first.
     Equal subspaces have identical representations, so `==` and hashing
     are structural.
     """
 
-    __slots__ = ("field", "n", "rows", "pivots")
+    __slots__ = ("field", "n", "rows")
 
-    def __init__(self, field: Field, n: int, rows, pivots):
+    def __init__(self, field: Field, n: int, rows):
         self.field = field
         self.n = n
         arr = np.asarray(rows, dtype=np.int64).reshape(-1, n)
         arr.setflags(write=False)
         self.rows = arr
-        self.pivots = tuple(pivots)
 
     @classmethod
     def from_rows(cls, field: Field, n: int, rows) -> "Subspace":
         arr = np.asarray(rows, dtype=np.int64).reshape(-1, n)
-        red, piv = linalg.rref(field, arr) if len(arr) else (arr, [])
-        return cls(field, n, red, piv)
+        return cls(field, n, linalg.rref(field, arr)[0] if len(arr) else arr)
 
     @classmethod
     def zero(cls, field: Field, n: int) -> "Subspace":
-        return cls(field, n, np.zeros((0, n), dtype=np.int64), ())
+        return cls(field, n, np.zeros((0, n), dtype=np.int64))
 
     @classmethod
     def full(cls, field: Field, n: int) -> "Subspace":
-        return cls(field, n, np.eye(n, dtype=np.int64), range(n))
+        return cls(field, n, np.eye(n, dtype=np.int64))
 
     @property
     def dim(self) -> int:
         return self.rows.shape[0]
 
     def contains(self, vec) -> bool:
-        return linalg.in_row_span(self.field, self.rows, self.pivots, vec)
+        return linalg.rank(self.field, np.vstack([self.rows, vec])) == self.dim
 
     def points(self):
         """All q^dim points as a (q^dim, n) array (the zero vector included)."""
@@ -142,21 +141,14 @@ def rank(f: GramForm) -> int:
     return linalg.rank(f.field, f.entries)
 
 
-def _rref_pivots(rows) -> tuple[int, ...]:
-    # rows are already canonical RREF; each pivot is the first nonzero entry
-    return tuple(int(np.argmax(row != 0)) for row in rows)
-
-
 def left_radical(f: GramForm) -> Subspace:
     """{u : f(u, v) = 0 for all v}, i.e. the left null space of the Gram matrix."""
-    rows = linalg.left_null_space(f.field, f.entries)
-    return Subspace(f.field, f.n, rows, _rref_pivots(rows))
+    return Subspace(f.field, f.n, linalg.left_null_space(f.field, f.entries))
 
 
 def right_radical(f: GramForm) -> Subspace:
     """{v : f(u, v) = 0 for all u}."""
-    rows = linalg.right_null_space(f.field, f.entries)
-    return Subspace(f.field, f.n, rows, _rref_pivots(rows))
+    return Subspace(f.field, f.n, linalg.right_null_space(f.field, f.entries))
 
 
 def radical(f: GramForm) -> Subspace:

@@ -233,7 +233,6 @@ class Field:
             self._inv[a] = exp[(self.q - 1) - log[a]]
         self._inv_np = np.array(self._inv, dtype=np.int64)
         self._neg = [int(v) for v in self._neg_np]
-        self._dig_u8 = self._dig.astype(np.uint8)
 
     # -- construction helpers ------------------------------------------------
 

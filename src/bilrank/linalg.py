@@ -1,11 +1,11 @@
 """Exact row reduction over a finite field.
 
 Single matrices go through plain-Python reduced row echelon form; the
-enumeration hot paths use `batch_rank`, which runs one Gaussian
-elimination across a whole stack of matrices at once with vectorised
-table lookups.  Echelon output is canonical (leading ones, cleared
-pivot columns, zero rows dropped) so equal row spaces have equal
-representations.
+enumeration hot paths use `batch_rref` (one Gauss-Jordan elimination
+across a whole stack, with vectorised table lookups) and the null spaces
+`batch_null_space` reads off it.  Echelon output is canonical (leading
+ones, cleared pivot columns, zero rows dropped or, in a stack, last) so
+equal row spaces have equal representations.
 """
 
 from __future__ import annotations
@@ -75,25 +75,8 @@ def left_null_space(field, mat):
     return right_null_space(field, np.asarray(mat, dtype=np.int64).T)
 
 
-def reduce_vector(field, rows, pivots, vec):
-    """Residual of `vec` after elimination against canonical RREF rows."""
-    v = [int(x) for x in vec]
-    for i, p in enumerate(pivots):
-        if v[p]:
-            f = v[p]
-            row = rows[i]
-            for j in range(p, len(v)):
-                if row[j]:
-                    v[j] = field.sub(v[j], field.mul(f, int(row[j])))
-    return v
-
-
-def in_row_span(field, rows, pivots, vec) -> bool:
-    return not any(reduce_vector(field, rows, pivots, vec))
-
-
-def batch_rank(field, mats):
-    """Ranks of a stack of matrices, shape (B, rows, cols) -> (B,).
+def batch_rref(field, mats):
+    """Canonical RREF of each matrix of a stack (B, rows, cols), zero rows last, and the ranks (B,).
 
     One elimination sweep is shared by the whole batch; per-matrix pivot
     choices are handled with masks, so the cost is O(cols) vectorised
@@ -103,9 +86,9 @@ def batch_rank(field, mats):
     if m.ndim != 3:
         raise ValueError("expected a (batch, rows, cols) stack")
     nb, nrows, ncols = m.shape
-    if nb == 0 or nrows == 0 or ncols == 0:
-        return np.zeros(nb, dtype=np.int64)
     row = np.zeros(nb, dtype=np.int64)
+    if nb == 0 or nrows == 0 or ncols == 0:
+        return m, row
     rows_idx = np.arange(nrows)
     for c in range(ncols):
         colv = m[:, :, c]
@@ -130,7 +113,34 @@ def batch_rank(field, mats):
         row[b] += 1
         if (row == nrows).all():
             break
-    return row
+    return m, row
+
+
+def batch_rank(field, mats):
+    """Ranks of a stack of matrices, shape (B, rows, cols) -> (B,)."""
+    return batch_rref(field, mats)[1]
+
+
+def batch_null_space(field, mats):
+    """Right null spaces of a stack (B, rows, cols): bases (B, cols, cols) and dims (B,).
+
+    bases[b, :dims[b]] are the rows `right_null_space` returns, zero rows
+    follow.  With R reduced and p_i its pivot columns, each free column f
+    gives e_f - sum_i R[i, f] e_{p_i}, and these are reduced once more.
+    """
+    red, ranks = batch_rref(field, mats)
+    nb, nrows, ncols = red.shape
+    if ncols == 0:
+        return np.zeros((nb, 0, 0), dtype=np.int64), np.zeros(nb, dtype=np.int64)
+    b, i = np.nonzero(np.arange(nrows)[None, :] < ranks[:, None])
+    piv = np.argmax(red[b, i] != 0, axis=1)
+    vecs = np.zeros((nb, ncols, ncols), dtype=np.int64)
+    vecs[b, :, piv] = field.neg_arr(red[b, i])  # row f, column p_i: -R[i, f]
+    free = np.ones((nb, ncols), dtype=bool)
+    free[b, piv] = False
+    vecs[~free] = 0  # a pivot column gives no vector
+    vecs[:, np.arange(ncols), np.arange(ncols)] = free
+    return batch_rref(field, vecs)
 
 
 def code_vectors(q: int, n: int, start: int = 0, stop: int | None = None):

@@ -18,6 +18,10 @@ the radical census, the radical spread, the orthogonality checker and
 the kernel-bound incidence `max_rank_incidence`, and the checkers take
 the spectrum witness and the Witt census from it.
 
+Null spaces are solved in bulk: `kernel_matrices` builds the systems
+of M_u for a stack of vectors u, and `null_spaces` solves any stack
+(radicals, M_u, A_u) with one `linalg.batch_null_space` per block.
+
 Operations that walk q^d or q^n objects take an explicit step budget
 and raise BudgetExceeded instead of silently sampling: a theorem check
 is either exhaustive or it did not run.  One step is one enumerated
@@ -32,7 +36,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import linalg
-from .formcore import ALTERNATING, GramForm, Subspace, classify, left_radical, right_radical
+from .formcore import ALTERNATING, GramForm, Subspace, classify
 from .gf import Field
 
 DEFAULT_BUDGET = 10**8
@@ -42,7 +46,7 @@ KIND_SYMMETRIC = "symmetric"
 KIND_ALTERNATING = "alternating"
 KINDS = (KIND_GENERAL, KIND_SYMMETRIC, KIND_ALTERNATING)
 
-_BLOCK = 1 << 13
+_BLOCK = 1 << 10  # rows per block; an elimination's temporaries are a few times its block
 
 
 class BudgetExceeded(RuntimeError):
@@ -128,9 +132,13 @@ class FormSubspace:
             raise ValueError(f"expected {self.dim} coefficients")
         return GramForm(self.field, flat_forms_for(self, [coeffs])[0].reshape(self.n, self.n))
 
+    def subspace_from_coefficients(self, rows) -> "FormSubspace":
+        """The subspace of M whose basis has the given independent coefficient rows."""
+        flats = flat_forms_for(self, np.asarray(rows, dtype=np.int64).reshape(-1, self.dim))
+        return FormSubspace(self.field, self.n, [GramForm(self.field, r.reshape(self.n, self.n)) for r in flats])
+
     def contains_form(self, f: GramForm) -> bool:
-        rows, piv = linalg.rref(self.field, self._flat) if self.dim else (self._flat, [])
-        return linalg.in_row_span(self.field, rows, piv, f.flat())
+        return linalg.rank(self.field, np.vstack([self._flat, f.flat()])) == self.dim
 
     def __eq__(self, other):
         return (
@@ -283,53 +291,58 @@ def lines(M: FormSubspace, budget: Optional[int] = None) -> tuple[Line, ...]:
     """
     coeffs, ranks = line_table(M, budget, "radical census")
     if M._lines is None:
-        forms = (GramForm(M.field, g) for g in flat_forms_for(M, coeffs).reshape(-1, M.n, M.n))
-        M._lines = tuple(Line(tuple(int(c) for c in crow), int(rk), left_radical(f), right_radical(f))
-                         for crow, rk, f in zip(coeffs, ranks, forms))
+        grams = flat_forms_for(M, coeffs).reshape(-1, M.n, M.n)
+        # rad_L G is the null space of G^T, rad_R G that of G
+        lefts, rights = (null_spaces(M.field, g) for g in (grams.transpose(0, 2, 1), grams))
+        M._lines = tuple(Line(tuple(int(c) for c in crow), int(rk), left, right)
+                         for crow, rk, left, right in zip(coeffs, ranks, lefts, rights))
     return M._lines
+
+
+def null_spaces(field: Field, mats) -> list[Subspace]:
+    """The right null space of every matrix of a stack, by `batch_null_space` in blocks of _BLOCK."""
+    out = []
+    for start in range(0, len(mats), _BLOCK):
+        bases, dims = linalg.batch_null_space(field, mats[start:start + _BLOCK])
+        out += [Subspace(field, mats.shape[2], b[:k]) for b, k in zip(bases, dims)]
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Kernels M_u, the sets V(M), I(M), A_u, and radical spreads
 
 
-def _kernel_matrix(M: FormSubspace, u, side: str):
-    """n x d matrix whose right null space is the coefficient space of M_u."""
+def kernel_matrices(M: FormSubspace, vecs, side: str):
+    """(B, n, d) stack whose right null spaces are the coefficient spaces of M_u, u a row of vecs.
+
+    Column k of the matrix for u is u^T G_k (left side) or G_k u (right side).
+    """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    stack = M._flat.reshape(-1, M.n, M.n)
-    u = np.asarray(u, dtype=np.int64)
+    fld, n = M.field, M.n
+    stack = M._flat.reshape(-1, n, n)  # (d, n, n)
+    vecs = np.asarray(vecs, dtype=np.int64).reshape(-1, n)
     if side == "left":
-        return M.field.matmul_arr(u[None, :], stack)[:, 0, :].T
-    return M.field.matmul_arr(stack, u[:, None])[:, :, 0].T
+        mats = fld.matmul_arr(vecs[:, None, None, :], stack[None, :, :, :])[:, :, 0, :]
+    else:
+        mats = fld.matmul_arr(stack[None, :, :, :], vecs[:, None, :, None])[:, :, :, 0]
+    return mats.transpose(0, 2, 1)
 
 
 def kernel_at(M: FormSubspace, u, side: str = "left") -> FormSubspace:
-    """M_u: the forms of M whose chosen radical contains u.
-
-    Solved as a d-unknown linear system over the basis coefficients;
-    no enumeration is involved, which keeps this usable as the inner
-    loop of the counting identity.
-    """
-    coeff_rows = linalg.right_null_space(M.field, _kernel_matrix(M, u, side))
-    flats = flat_forms_for(M, coeff_rows)
-    return FormSubspace(M.field, M.n, [GramForm(M.field, r.reshape(M.n, M.n)) for r in flats])
+    """M_u: the forms of M whose chosen radical contains u, solved for one u."""
+    return M.subspace_from_coefficients(linalg.right_null_space(M.field, kernel_matrices(M, [u], side)[0]))
 
 
 def kernel_dims_all(M: FormSubspace, side: str, budget: Optional[int] = None):
     """dim M_u for every u in V, ordered by vector index: a (q^n,) array."""
     fld, n, d = M.field, M.n, M.dim
     charge(fld.q**n, d * n, budget, "kernel_dims_all")
-    stack = M._flat.reshape(-1, n, n)  # (d, n, n)
     total = fld.q**n
     out = np.empty(total, dtype=np.int64)
     for start in range(0, total, _BLOCK):
         stop = min(start + _BLOCK, total)
-        vecs = linalg.code_vectors(fld.q, n, start, stop)
-        if side == "left":
-            mats = fld.matmul_arr(vecs[:, None, None, :], stack[None, :, :, :])[:, :, 0, :]
-        else:
-            mats = fld.matmul_arr(stack[None, :, :, :], vecs[:, None, :, None])[:, :, :, 0]
+        mats = kernel_matrices(M, linalg.code_vectors(fld.q, n, start, stop), side)
         out[start:stop] = d - linalg.batch_rank(fld, mats)
     return out
 
@@ -392,7 +405,7 @@ def v_set(M: FormSubspace, side: str, budget: Optional[int] = None) -> VSetRepor
 
 def annihilator_Au(M: FormSubspace, u) -> Subspace:
     """A_u = {w : f(u, w) = 0 for all f in M}: the null space of the rows u^T G_i."""
-    return Subspace.from_rows(M.field, M.n, linalg.right_null_space(M.field, _kernel_matrix(M, u, "left").T))
+    return Subspace(M.field, M.n, linalg.right_null_space(M.field, kernel_matrices(M, [u], "left")[0].T))
 
 
 def totally_isotropic(M: FormSubspace, U: Subspace) -> bool:
@@ -486,17 +499,13 @@ def induced_partition(M: FormSubspace, radicals) -> tuple[list[int], bool, bool]
     Returns their dimensions and whether their nonzero elements meet
     pairwise trivially and cover M^x.
     """
-    fld, q, d = M.field, M.field.q, M.dim
-    dims, point_sets = [], []
-    for rad in radicals:
-        mats = [_kernel_matrix(M, u, "left") for u in rad.rows]
-        stacked = np.vstack(mats) if mats else np.zeros((0, d), dtype=np.int64)
-        coeff_rows = linalg.right_null_space(fld, stacked)
-        dims.append(len(coeff_rows))
-        if len(coeff_rows):
-            point_sets.append(fld.matmul_arr(linalg.code_vectors(q, len(coeff_rows)), coeff_rows))
-    pairwise_trivial, union = partition_status(q, point_sets)
-    return dims, pairwise_trivial, len(union) == q**d - 1
+    fld, q, n, d = M.field, M.field.q, M.n, M.dim
+    # one system per radical: its basis vectors' kernel matrices, padded with those of u = 0
+    k = max((rad.dim for rad in radicals), default=0)
+    us = [np.pad(rad.rows, ((0, k - rad.dim), (0, 0))) for rad in radicals]
+    spaces = null_spaces(fld, kernel_matrices(M, us, "left").reshape(len(radicals), k * n, d))
+    pairwise_trivial, union = partition_status(q, (sub.points() for sub in spaces))
+    return [sub.dim for sub in spaces], pairwise_trivial, len(union) == q**d - 1
 
 
 # ---------------------------------------------------------------------------
@@ -548,11 +557,9 @@ def random_subspace(field: Field, n: int, d: int, kind: str, seed: int) -> FormS
     rng = np.random.default_rng(seed)
     flat = np.stack([f.flat() for f in ambient]) if ambient else np.zeros((0, n * n), dtype=np.int64)
     while True:
-        coeffs = rng.integers(0, field.q, size=(d, dim_kind), dtype=np.int64)
-        if d == 0:
-            break
-        rows = field.matmul_arr(coeffs, flat)
-        if linalg.rank(field, rows) == d:
-            break
-    basis = [GramForm(field, r.reshape(n, n)) for r in rows] if d else []
-    return FormSubspace(field, n, basis)
+        rows = field.matmul_arr(rng.integers(0, field.q, size=(d, dim_kind), dtype=np.int64), flat)
+        basis = [GramForm(field, r.reshape(n, n)) for r in rows]
+        try:
+            return FormSubspace(field, n, basis)
+        except ValueError:  # dependent rows: draw again
+            continue

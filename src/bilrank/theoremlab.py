@@ -27,18 +27,19 @@ from .spanspace import (
     KIND_ALTERNATING,
     BudgetExceeded,
     FormSubspace,
-    annihilator_Au,
     charge,
     enumerate_nonzero,
     flat_forms_for,
     full_kind_space,
     induced_partition,
     isotropic_set,
-    kernel_at,
+    kernel_at,  # unused here; perfbench/test_perfbench.py traces it under this name
     kernel_dims_all,
+    kernel_matrices,
     line_table,
     lines,
     max_rank_incidence,
+    null_spaces,
     partition_status,
     radical_census,
     radical_spread,
@@ -329,9 +330,9 @@ def check_dimension_bounds(M: FormSubspace, budget: Optional[int] = None) -> lis
         2 * n,
     )
 
-    # the census walks M as rank_spectrum did, so it fits the same budget
     if alternating and constant and d >= 1:
-        all_equal = len(radical_census(M, budget)[0]) <= 1
+        # every rad_L f has dim n - m and holds the basis' common left radical: all equal iff it has too
+        all_equal = len(linalg.left_null_space(M.field, np.hstack([f.entries for f in M.basis]))) == n - m
         hyps = [nonzero, h_alt, h_const,
                 _hyp("common radical", "all elements of M^x share one radical",
                      f"distinct radicals > 1: {not all_equal}", all_equal)]
@@ -454,23 +455,19 @@ def check_isotropic_partition(M: FormSubspace, budget: Optional[int] = None) -> 
             return _finish(tid, hyps, False, None, {"note": "isotropic set undefined here"})
         iso = isotropic_set(M, budget)
         iso_at = linalg.code_index(q, np.array(iso.vectors, dtype=np.int64).reshape(-1, n))
-        classes: dict[tuple, tuple] = {}
-        dims_of_A_u = []
-        for u in iso.vectors:
-            a_u = annihilator_Au(M, u)
-            classes.setdefault(a_u.key(), (a_u, a_u.dim))
-            dims_of_A_u.append(a_u.dim)
-        class_list = [classes[k] for k in sorted(classes)]
+        # A_u is the null space of the rows u^T G_i: one system per isotropic u
+        a_us = null_spaces(M.field, kernel_matrices(M, iso.vectors, "left").transpose(0, 2, 1))
+        class_list = list({a_u.key(): a_u for a_u in a_us}.values())
         r_classes = len(class_list)
-        pairwise_trivial, union = partition_status(q, (sub.points() for sub, _ in class_list))
+        pairwise_trivial, union = partition_status(q, (sub.points() for sub in class_list))
         partition_ok = pairwise_trivial and np.array_equal(union, iso_at)
-        lhs = sum((q**dim_i - 1) ** 2 for _, dim_i in class_list)
+        lhs = sum((q**sub.dim - 1) ** 2 for sub in class_list)
         rhs = (q**n - 1) * (q ** (n - m) - 1)
         sum_ok = lhs == rhs
         r_ok = r_classes != 1 and (m >= n or r_classes >= 2)
         dim_match = True
         if d == n:
-            dim_match = bool((kernel_dims_all(M, "left", budget)[iso_at] == dims_of_A_u).all())
+            dim_match = bool((kernel_dims_all(M, "left", budget)[iso_at] == [a_u.dim for a_u in a_us]).all())
         ok = partition_ok and sum_ok and r_ok and dim_match
         witness = None
         if not ok:
@@ -485,7 +482,7 @@ def check_isotropic_partition(M: FormSubspace, budget: Optional[int] = None) -> 
         details = {
             "isotropic_nonzero": len(iso.vectors),
             "classes": r_classes,
-            "class_dims": sorted({dim_i for _, dim_i in class_list}),
+            "class_dims": sorted({sub.dim for sub in class_list}),
             "squared_sum_lhs": lhs,
             "squared_sum_rhs": rhs,
         }
@@ -634,29 +631,22 @@ def check_filtration(M: FormSubspace, budget: Optional[int] = None) -> Verificat
         chain = [(M, spec)]
         failed_at = None
         current, cur_spec = M, spec
-        while cur_spec.r > 1 and failed_at is None:
-            target_dim = (cur_spec.r - 1) * n
-            found = None
-            vecs = linalg.code_vectors(q, n)
-            for idx in range(1, q**n):
-                u = vecs[idx]
-                if u[np.argmax(u != 0)] != 1:
-                    continue
-                for side in ("left", "right"):
-                    K = kernel_at(current, u, side)
-                    if K.dim != target_dim:
-                        continue
+        vecs = linalg.code_vectors(q, n)[1:]
+        lead_one = vecs[vecs[np.arange(len(vecs)), np.argmax(vecs != 0, axis=1)] == 1]
+        while cur_spec.r > 1:
+            # M_u of every lead-1 u, left then right for each u, in the proof's order
+            mats = np.stack([kernel_matrices(current, lead_one, side) for side in ("left", "right")], axis=1)
+            for coeffs in null_spaces(M.field, mats.reshape(-1, n, current.dim)):
+                if coeffs.dim == (cur_spec.r - 1) * n:
+                    K = current.subspace_from_coefficients(coeffs.rows)
                     kspec = rank_spectrum(K, budget)
                     if kspec.ranks == cur_spec.ranks[:-1]:
-                        found = (K, kspec)
                         break
-                if found:
-                    break
-            if found is None:
+            else:
                 failed_at = cur_spec.r
                 break
-            chain.append(found)
-            current, cur_spec = found
+            chain.append((K, kspec))
+            current, cur_spec = K, kspec
         chain_ok = failed_at is None and all(
             sub.dim == s.r * n and s.ranks == spec.ranks[: s.r] for sub, s in chain
         )

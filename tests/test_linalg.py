@@ -5,10 +5,13 @@ enumerating every linear combination — no elimination involved, so it
 cannot share a bug with the code under test.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
 from bilrank import linalg
+from bilrank.formcore import Subspace
 from bilrank.gf import field_for_order
 
 
@@ -108,8 +111,39 @@ def test_code_vectors_lexicographic_and_partitionable():
     assert np.vstack(parts).tolist() == vecs.tolist()
 
 
-def test_in_row_span():
+def test_subspace_contains():
     F = field_for_order(3)
-    rows, piv = linalg.rref(F, [[1, 0, 2], [0, 1, 1]])
-    assert linalg.in_row_span(F, rows, piv, [1, 1, 0])  # sum of the two rows
-    assert not linalg.in_row_span(F, rows, piv, [0, 0, 1])
+    U = Subspace.from_rows(F, 3, [[1, 0, 2], [0, 1, 1]])
+    assert U.contains([1, 1, 0])  # sum of the two rows
+    assert not U.contains([0, 0, 1])
+
+
+def _is_canonical_rref(rows) -> bool:
+    """Leading ones at increasing columns, each pivot column zero elsewhere."""
+    pivots = [int(np.argmax(row != 0)) for row in rows]
+    return (
+        all(row.any() for row in rows)
+        and pivots == sorted(set(pivots))
+        and all(rows[i, p] == 1 and np.count_nonzero(rows[:, p]) == 1 for i, p in enumerate(pivots))
+    )
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_batch_null_space_matches_brute_force(q):
+    """Each basis spans exactly {x : mat x = 0}, found by trying all q^c vectors x."""
+    F = field_for_order(q)
+    rng = np.random.default_rng(q + 7)
+    for nrows, ncols in itertools.product(range(5), range(1, 5)):
+        mats = rng.integers(0, q, size=(12, nrows, ncols))
+        mats[::4] = 0
+        mats[1::4, nrows // 2:] = mats[1::4, :1]  # repeated rows: rank deficient
+        bases, dims = linalg.batch_null_space(F, mats)
+        assert bases.shape == (12, ncols, ncols)
+        xs = linalg.code_vectors(q, ncols)
+        images = F.matmul_arr(mats, xs.T)  # (12, nrows, q^c)
+        for b in range(len(mats)):
+            null = {tuple(x) for x in xs[~images[b].any(axis=0)]}
+            basis = bases[b, :dims[b]]
+            spanned = {tuple(v) for v in F.matmul_arr(linalg.code_vectors(q, int(dims[b])), basis)}
+            assert spanned == null and len(null) == q ** int(dims[b]), (nrows, ncols, b)
+            assert _is_canonical_rref(basis) and not bases[b, dims[b]:].any()

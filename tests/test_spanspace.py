@@ -1,5 +1,6 @@
 """Subspace enumeration, spectra and the derived sets of the theory."""
 
+import hashlib
 import itertools
 from collections import Counter
 
@@ -534,6 +535,24 @@ def test_random_subspace_deterministic_and_independent():
 def test_random_subspace_full_kind_space():
     M = sp.random_subspace(F3, 3, 3, "alternating", 1)
     assert M.key() == sp.full_kind_space(F3, 3, "alternating").key()
+
+
+# (q, n, d, kind, seed); 13 of them reject their first draw as dependent
+_PINNED_DRAWS = [
+    (q, n, sp.kind_space_dim(n, kind) if d is None else d, kind, seed)
+    for q, n in ((2, 2), (2, 3), (3, 2), (4, 2), (5, 3), (9, 2))
+    for kind, d in (("general", None), ("symmetric", None), ("alternating", 1))
+    for seed in (0, 1)
+] + [(3, 2, 0, "general", 5)]
+
+
+def test_random_subspace_draws_are_pinned():
+    """The rejection loop draws the same subspaces for the same seeds, redraws included."""
+    h = hashlib.sha256()
+    for q, n, d, kind, seed in _PINNED_DRAWS:
+        M = sp.random_subspace(field_for_order(q), n, d, kind, seed)
+        h.update(repr((q, n, d, kind, seed, M.key())).encode())
+    assert h.hexdigest() == "6e28eb96aeef7af8434478fb17b02eef0fd30dfdb0d9af9243482a20caed187e"
 
 
 def test_random_subspace_dimension_guard():

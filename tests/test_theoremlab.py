@@ -8,6 +8,7 @@ import pytest
 
 from bilrank import constructions as cons
 from bilrank import formcore as fc
+from bilrank import linalg
 from bilrank import spanspace as sp
 from bilrank import theoremlab as tl
 from bilrank.gf import field_for_order
@@ -166,6 +167,26 @@ def test_bounds_fuzz_zero_violations():
         M = sp.random_subspace(field_for_order(q), n, d, kind, int(rng.integers(1 << 30)))
         for rep in tl.check_dimension_bounds(M):
             assert rep.verdict != tl.VIOLATED, (q, n, kind, rep.theorem_id, rep.witness)
+
+
+def test_common_radical_hypothesis_matches_radical_census(constant_rank_catalogue):
+    """The basis' common left radical test against the distinct left radicals of every line."""
+    members = [M for _, M, _ in constant_rank_catalogue if M.kind == sp.KIND_ALTERNATING]
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        q, n = int(rng.choice([2, 3, 5])), int(rng.integers(2, 6))
+        d = int(rng.integers(1, min(sp.kind_space_dim(n, "alternating"), 3) + 1))
+        members.append(sp.random_subspace(field_for_order(q), n, d, "alternating", int(rng.integers(1 << 30))))
+    outcomes = set()
+    for M in members:
+        if not sp.rank_spectrum(M).is_constant_rank:
+            continue
+        rep = report_map(tl.check_dimension_bounds(M))["bound-common-radical-half-m"]
+        hyp = next(h for h in rep.hypotheses if h.name == "common radical")
+        want = len(sp.radical_census(M)[0]) <= 1
+        assert hyp.satisfied == want, M
+        outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 # --- spread ----------------------------------------------------------------------------
@@ -370,6 +391,99 @@ def test_filtration_r1_chain_is_m_itself():
     rep = tl.check_filtration(M2)
     assert rep.verdict == tl.HOLDS
     assert rep.details["chain_dims"] == [2]
+
+
+def _filtration_reference(M):
+    """(chain dims, chain spectra, failed_at) by kernel_at per lead-1 u, left then right."""
+    n = M.n
+    current, cur = M, sp.rank_spectrum(M)
+    dims, spectra = [M.dim], [list(cur.ranks)]
+    while cur.r > 1:
+        found = None
+        for u in linalg.code_vectors(M.field.q, n)[1:]:
+            if u[np.argmax(u != 0)] != 1:
+                continue
+            for side in ("left", "right"):
+                K = sp.kernel_at(current, u, side)
+                if K.dim == (cur.r - 1) * n and sp.rank_spectrum(K).ranks == cur.ranks[:-1]:
+                    found = K
+                    break
+            if found is not None:
+                break
+        if found is None:
+            return dims, spectra, cur.r
+        current, cur = found, sp.rank_spectrum(found)
+        dims.append(current.dim)
+        spectra.append(list(cur.ranks))
+    return dims, spectra, None
+
+
+def test_filtration_chain_matches_per_vector_kernels(catalogue):
+    """The batched M_u search against the kernel_at loop, on catalogue and random inputs."""
+    members = [M for _, M, _ in catalogue if M.field.q**M.n <= 729]
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        q, kind = int(rng.choice([2, 3])), str(rng.choice(list(sp.KINDS)))
+        n = int(rng.integers(2, 4))
+        d = int(rng.integers(1, min(sp.kind_space_dim(n, kind), 4) + 1))
+        members.append(sp.random_subspace(field_for_order(q), n, d, kind, int(rng.integers(1 << 30))))
+    outcomes = set()
+    for M in members:
+        if sp.rank_spectrum(M).r < 2:
+            continue
+        rep = tl.check_filtration(M)
+        dims, spectra, failed_at = _filtration_reference(M)
+        assert (rep.details["chain_dims"], rep.details["chain_spectra"]) == (dims, spectra), M
+        witness = rep.witness or rep.details.get("informational", {}).get("witness")
+        assert (witness or {}).get("failed_at_r") == failed_at, M
+        outcomes.add((len(dims) > 1, failed_at is None))
+    assert {(True, True), (False, False)} <= outcomes
+
+
+def test_isotropic_classes_match_per_vector_annihilators(catalogue):
+    """The batched A_u against annihilator_Au, vector by vector and in the report."""
+    checked = 0
+    for req, M, _ in catalogue:
+        q, n = M.field.q, M.n
+        rep = tl.check_isotropic_partition(M)
+        if "classes" not in rep.details or q**n > 729:
+            continue
+        iso = sp.isotropic_set(M)
+        batched = sp.null_spaces(M.field, sp.kernel_matrices(M, iso.vectors, "left").transpose(0, 2, 1))
+        assert len(batched) == len(iso.vectors)
+        classes = {}
+        for u, a_u in zip(iso.vectors, batched):
+            assert a_u == sp.annihilator_Au(M, u), (req, u)
+            classes[a_u.key()] = a_u.dim
+        assert rep.details["classes"] == len(classes), req
+        assert rep.details["class_dims"] == sorted(set(classes.values())), req
+        assert rep.details["squared_sum_lhs"] == sum((q**k - 1) ** 2 for k in classes.values()), req
+        checked += 1
+    assert checked
+
+
+def test_induced_partition_matches_per_radical_null_spaces(constant_rank_catalogue):
+    """M_i = {g : R_i <= rad_L g} against one right_null_space per radical and a per-element count."""
+    checked = 0
+    for req, M, _ in constant_rank_catalogue:
+        fld, q, n, d = M.field, M.field.q, M.n, M.dim
+        if M.kind != sp.KIND_ALTERNATING or q**n > 729 or q**d > 729:
+            continue
+        radicals = sp.radical_spread(M).radicals
+        dims, pairwise_trivial, covers = sp.induced_partition(M, radicals)
+        want = []
+        for rad in radicals:
+            # row (u, j) of the system: f_k(u, e_j) for every basis form f_k
+            system = [[fc.evaluate(f, u, np.eye(n, dtype=np.int64)[j]) for f in M.basis]
+                      for u in rad.rows for j in range(n)]
+            want.append(len(linalg.right_null_space(fld, np.array(system, dtype=np.int64).reshape(-1, d))))
+        assert dims == want, req
+        # every element of M^x lies in exactly one M_i iff they partition M^x
+        hits = [sum(fc.left_radical(g).meet_dim(rad) == rad.dim for rad in radicals)
+                for _, g in sp.enumerate_nonzero(M)]
+        assert (pairwise_trivial and covers) == all(h == 1 for h in hits), req
+        checked += 1
+    assert checked
 
 
 # --- declared claims and replay -------------------------------------------------------------------
