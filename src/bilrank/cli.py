@@ -11,8 +11,10 @@ reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from .spanspace import (
     BudgetExceeded,
     isotropic_set,
     kind_space_dim,
-    radical_census,
+    lines,
     random_subspace,
     rank_spectrum,
 )
@@ -123,9 +125,9 @@ def cmd_analyze(args) -> int:
         out["constant_rank"] = spec.is_constant_rank
         if M.dim == 0:
             out["note"] = "rank(M)=0 (zero subspace)"
-        lefts, rights = radical_census(M, budget)
-        out["distinct_left_radicals"] = len(lefts)
-        out["distinct_right_radicals"] = len(rights)
+        _, _, left, right = lines(M, budget)
+        out["distinct_left_radicals"] = len(left.spaces)
+        out["distinct_right_radicals"] = len(right.spaces)
         if M.field.p != 2 and M.kind != "general":
             out["isotropic_nonzero"] = len(isotropic_set(M, budget).vectors)
     except BudgetExceeded as exc:
@@ -199,10 +201,10 @@ def _search_rank2_distinct_radicals(args, budget):
             spec = rank_spectrum(M, budget)
             if spec.ranks != (2,):
                 continue
-            lefts, _ = radical_census(M, budget)
+            distinct = len(lines(M, budget)[2].spaces)
         except BudgetExceeded:
             continue
-        if len(lefts) == want_lines:
+        if distinct == want_lines:
             log["found"] = True
             log["trial"] = trial
             declared = {
@@ -277,18 +279,17 @@ def _search_alt_spectrum(args, budget):
     return log
 
 
+_SEARCHES = {
+    "rank2-distinct-radicals": _search_rank2_distinct_radicals,
+    "maximal": _search_maximal,
+    "alt-spectrum": _search_alt_spectrum,
+}
+
+
 def cmd_search(args) -> int:
     budget = args.budget
     try:
-        if args.mode == "rank2-distinct-radicals":
-            log = _search_rank2_distinct_radicals(args, budget)
-        elif args.mode == "maximal":
-            log = _search_maximal(args, budget)
-        elif args.mode == "alt-spectrum":
-            log = _search_alt_spectrum(args, budget)
-        else:
-            print(f"error: unknown search mode {args.mode!r}", file=sys.stderr)
-            return EXIT_ERROR
+        log = _SEARCHES[args.mode](args, budget)
     except (ValueError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -382,10 +383,7 @@ def _campaign_sampler_points(args, budget, selection, qs, ns, kinds, summary) ->
 
 
 def _count_verdicts(reports) -> dict:
-    counts: dict[str, int] = {}
-    for rep in reports:
-        counts[rep.verdict] = counts.get(rep.verdict, 0) + 1
-    return counts
+    return dict(Counter(rep.verdict for rep in reports))
 
 
 def cmd_campaign(args) -> int:
@@ -431,6 +429,7 @@ def cmd_campaign(args) -> int:
 # parser
 
 
+@functools.cache  # built once; each lambda looks its cmd_* up at call time, so a rebinding reaches main
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="bilrank", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -447,14 +446,14 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--out", required=True)
     c.add_argument("--budget", type=int)
     c.add_argument("--json", action="store_true")
-    c.set_defaults(func=cmd_construct)
+    c.set_defaults(func=lambda args: cmd_construct(args))
 
     a = sub.add_parser("analyze", help="dimension, spectrum and radical statistics of a file")
     a.add_argument("file")
     a.add_argument("--budget", type=int)
     a.add_argument("--json", action="store_true")
     a.add_argument("--out")
-    a.set_defaults(func=cmd_analyze)
+    a.set_defaults(func=lambda args: cmd_analyze(args))
 
     v = sub.add_parser("verify", help="run the theorem suite against a subspace file")
     v.add_argument("file")
@@ -463,10 +462,10 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, help="seed for sampled maximality scans")
     v.add_argument("--json", action="store_true")
     v.add_argument("--out", help="write the report file here")
-    v.set_defaults(func=cmd_verify)
+    v.set_defaults(func=lambda args: cmd_verify(args))
 
     s = sub.add_parser("search", help="hunt for asserted-but-unconstructed objects")
-    s.add_argument("mode", choices=("rank2-distinct-radicals", "maximal", "alt-spectrum"))
+    s.add_argument("mode", choices=tuple(_SEARCHES))
     s.add_argument("--q", type=int)
     s.add_argument("--n", type=int)
     s.add_argument("--s", type=int, default=1, help="smallest half-rank for alt-spectrum")
@@ -477,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--log", help="write the search log here")
     s.add_argument("--budget", type=int)
     s.add_argument("--json", action="store_true")
-    s.set_defaults(func=cmd_search)
+    s.set_defaults(func=lambda args: cmd_search(args))
 
     g = sub.add_parser("campaign", help="seeded fuzz grid: construct, verify, report")
     g.add_argument("--q", required=True, help="comma list of field orders")
@@ -495,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True)
     g.add_argument("--budget", type=int)
     g.add_argument("--json", action="store_true")
-    g.set_defaults(func=cmd_campaign)
+    g.set_defaults(func=lambda args: cmd_campaign(args))
     return ap
 
 

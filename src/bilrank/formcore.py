@@ -104,10 +104,7 @@ class Subspace:
 
     def points(self):
         """All q^dim points as a (q^dim, n) array (the zero vector included)."""
-        combos = linalg.code_vectors(self.field.q, self.dim)
-        if self.dim == 0:
-            return np.zeros((1, self.n), dtype=np.int64)
-        return self.field.matmul_arr(combos, self.rows)
+        return self.field.matmul_arr(linalg.code_vectors(self.field.q, self.dim), self.rows)
 
     def meet_dim(self, other: "Subspace") -> int:
         """Dimension of the intersection with another subspace of the same V."""

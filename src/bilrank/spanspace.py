@@ -13,14 +13,16 @@ M is walked once.  Rank, radicals and Witt index are constant on the
 scalar lines of M^x, so `line_table` keeps the lead-1 coefficients and
 the rank of every line (one projective walk, one `batch_rank` per
 block) on M, and everything else reads it: `rank_spectrum` counts its
-ranks q - 1 times each, `lines` adds both radicals of every line for
-the radical census, the radical spread, the orthogonality checker and
-the kernel-bound incidence `max_rank_incidence`, and the checkers take
-the spectrum witness and the Witt census from it.
+ranks q - 1 times each, `lines` adds both radicals of every line, and
+the checkers take the spectrum witness and the Witt census from it.
 
 Null spaces are solved in bulk: `kernel_matrices` builds the systems
 of M_u for a stack of vectors u, and `null_spaces` solves any stack
-(radicals, M_u, A_u) with one `linalg.batch_null_space` per block.
+(radicals, M_u, A_u) with one `linalg.batch_null_space` per block.  It
+keeps each distinct null space once and an id per matrix, so the
+radical census, the radical spread, the orthogonality checker and the
+kernel-bound incidence `max_rank_incidence` work on id arrays and test
+each distinct radical once.
 
 Operations that walk q^d or q^n objects take an explicit step budget
 and raise BudgetExceeded instead of silently sampling: a theorem check
@@ -31,7 +33,7 @@ object times one Gram-matrix cell (n^2 cells per form).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -80,11 +82,7 @@ class FormSubspace:
                 raise ValueError(f"basis entry {i} is not a GramForm")
             if f.field != field or f.n != n:
                 raise ValueError(f"basis entry {i} lives on a different space")
-        flat = (
-            np.stack([f.flat() for f in basis])
-            if basis
-            else np.zeros((0, n * n), dtype=np.int64)
-        )
+        flat = np.stack([f.flat() for f in basis]) if basis else np.zeros((0, n * n), dtype=np.int64)
         if basis and linalg.rank(field, flat) < len(basis):
             # only now look for the first dependent row, to name it in diagnostics
             i = next(i for i in range(len(basis)) if linalg.rank(field, flat[: i + 1]) <= i)
@@ -267,45 +265,52 @@ def rank_spectrum(M: FormSubspace, budget: Optional[int] = None) -> RankSpectrum
     return RankSpectrum(tuple(present), tuple((r, int(counts[r])) for r in present))
 
 
-@dataclass(frozen=True)
-class Line:
-    """One scalar line of M^x: its lead-1 coefficients, rank and radicals."""
-
-    coeffs: tuple[int, ...]
-    rank: int
-    left_radical: Subspace
-    right_radical: Subspace
-
-    def radicals(self, side: str) -> tuple[Subspace, Subspace]:
-        """(the radical on `side`, the radical on the other side)."""
-        if side == "left":
-            return self.left_radical, self.right_radical
-        return self.right_radical, self.left_radical
-
-
-def lines(M: FormSubspace, budget: Optional[int] = None) -> tuple[Line, ...]:
-    """The rows of `line_table` with both radicals of each line.
+def lines(M: FormSubspace, budget: Optional[int] = None):
+    """(coeffs, ranks, left, right): the rows of `line_table` and the `NullSpaces` of their radicals.
 
     The budget is charged on every call; the radicals are computed on the
-    first one only, and later calls return the rows stored on M.
+    first one only, and later calls return the tuple stored on M.
     """
     coeffs, ranks = line_table(M, budget, "radical census")
     if M._lines is None:
         grams = flat_forms_for(M, coeffs).reshape(-1, M.n, M.n)
         # rad_L G is the null space of G^T, rad_R G that of G
-        lefts, rights = (null_spaces(M.field, g) for g in (grams.transpose(0, 2, 1), grams))
-        M._lines = tuple(Line(tuple(int(c) for c in crow), int(rk), left, right)
-                         for crow, rk, left, right in zip(coeffs, ranks, lefts, rights))
+        M._lines = (coeffs, ranks, *(null_spaces(M.field, g) for g in (grams.transpose(0, 2, 1), grams)))
     return M._lines
 
 
-def null_spaces(field: Field, mats) -> list[Subspace]:
-    """The right null space of every matrix of a stack, by `batch_null_space` in blocks of _BLOCK."""
-    out = []
+class NullSpaces(NamedTuple):
+    """The right null spaces of a stack of matrices, each distinct one held once.
+
+    `spaces` are the distinct null spaces in order of first appearance,
+    `ids[i]` indexes the null space of matrix i and `first[j]` is the
+    first matrix whose null space is `spaces[j]`.
+    """
+
+    spaces: tuple[Subspace, ...]
+    ids: np.ndarray
+    first: np.ndarray
+
+
+def null_spaces(field: Field, mats) -> NullSpaces:
+    """The right null spaces of a stack, by `batch_null_space` in blocks of _BLOCK.
+
+    The bases are canonical RREF padded with zero rows, so one `np.unique`
+    per block finds its distinct ones, and a dict on their bytes joins blocks.
+    """
+    cols = mats.shape[2]
+    index: dict[bytes, int] = {}
+    spaces, first, ids = [], [], np.empty(len(mats), dtype=np.int64)
     for start in range(0, len(mats), _BLOCK):
         bases, dims = linalg.batch_null_space(field, mats[start:start + _BLOCK])
-        out += [Subspace(field, mats.shape[2], b[:k]) for b, k in zip(bases, dims)]
-    return out
+        rows, at, inverse = np.unique(bases.reshape(len(bases), -1), axis=0, return_index=True, return_inverse=True)
+        for k in np.argsort(at):  # the block's distinct bases in order of first appearance
+            if index.setdefault(rows[k].tobytes(), len(spaces)) == len(spaces):
+                spaces.append(Subspace(field, cols, bases[at[k], :dims[at[k]]]))
+                first.append(start + at[k])
+        local = np.array([index[r.tobytes()] for r in rows], dtype=np.int64)
+        ids[start:start + len(bases)] = local[inverse.reshape(-1)]  # the inverse's shape varies across numpy 2.0.x
+    return NullSpaces(tuple(spaces), ids, np.array(first, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -356,22 +361,29 @@ def max_rank_incidence(M: FormSubspace, side: str, budget: Optional[int] = None)
     are none).  M_u = {f in M : u in rad f} on the chosen side, so both
     are incidences between V and the radicals of the rank-m lines.
     """
-    q, n = M.field.q, M.n
-    rows = lines(M, budget)
-    m = max((row.rank for row in rows), default=0)
-    other_id = np.full(q**n, -1, dtype=np.int64)  # first other-side radical seen at u
-    shared = np.ones(q**n, dtype=bool)
-    ids: dict[tuple, int] = {}
-    for row in rows:
-        if row.rank != m:
-            continue
-        own, other = row.radicals(side)
-        rid = ids.setdefault(other.key(), len(ids))
-        at = linalg.code_index(q, own.points())
-        seen = other_id[at]
-        shared[at] &= (seen < 0) | (seen == rid)
-        other_id[at] = np.where(seen < 0, rid, seen)
-    return other_id >= 0, shared
+    fld, q, n = M.field, M.field.q, M.n
+    _, ranks, left, right = lines(M, budget)
+    own, other = (left, right) if side == "left" else (right, left)
+    m = int(ranks.max(initial=0))
+    top = ranks == m
+    # least and greatest other-side radical id over the rank-m lines of each own-side radical
+    lo = np.full(len(own.spaces), len(other.spaces), dtype=np.int64)
+    hi = np.full(len(own.spaces), -1, dtype=np.int64)
+    np.minimum.at(lo, own.ids[top], other.ids[top])
+    np.maximum.at(hi, own.ids[top], other.ids[top])
+    # spread them over the points of those radicals, all of dim k = n - m, in blocks of points
+    rads, k = np.flatnonzero(hi >= 0), n - m
+    at_lo = np.full(q**n, len(other.spaces), dtype=np.int64)
+    at_hi = np.full(q**n, -1, dtype=np.int64)
+    per = max(1, _BLOCK // q**k)
+    for start in range(0, len(rads), per):
+        block = rads[start:start + per]
+        points = fld.matmul_arr(linalg.code_vectors(q, k), np.stack([own.spaces[j].rows for j in block]))
+        at = linalg.code_index(q, points.reshape(-1, n)).reshape(len(block), -1)
+        np.minimum.at(at_lo, at, lo[block, None])
+        np.maximum.at(at_hi, at, hi[block, None])
+    holds = at_hi >= 0
+    return holds, ~holds | (at_lo == at_hi)
 
 
 @dataclass(frozen=True)
@@ -456,16 +468,6 @@ class SpreadReport:
     pairwise_trivial: bool
 
 
-def radical_census(M: FormSubspace, budget: Optional[int] = None):
-    """Distinct left/right radical keys over M^x, with example coefficients."""
-    lefts: dict[tuple, tuple] = {}
-    rights: dict[tuple, tuple] = {}
-    for row in lines(M, budget):
-        lefts.setdefault(row.left_radical.key(), row.coeffs)
-        rights.setdefault(row.right_radical.key(), row.coeffs)
-    return lefts, rights
-
-
 def partition_status(q: int, point_sets) -> tuple[bool, np.ndarray]:
     """(pairwise trivial, union) for the nonzero points of some subspaces.
 
@@ -485,10 +487,7 @@ def radical_spread(M: FormSubspace, budget: Optional[int] = None) -> SpreadRepor
     spec = rank_spectrum(M, budget)
     if not spec.is_constant_rank:
         raise ValueError(f"radical_spread requires constant rank, spectrum is {spec.ranks}")
-    seen: dict[tuple, Subspace] = {}
-    for row in lines(M, budget):
-        seen.setdefault(row.right_radical.key(), row.right_radical)
-    radicals = tuple(seen[k] for k in sorted(seen))
+    radicals = tuple(sorted(lines(M, budget)[3].spaces, key=Subspace.key))
     pairwise_trivial, union = partition_status(M.field.q, (rad.points() for rad in radicals))
     return SpreadReport(radicals, len(radicals), len(union) == M.field.q**M.n - 1, pairwise_trivial)
 
@@ -503,7 +502,8 @@ def induced_partition(M: FormSubspace, radicals) -> tuple[list[int], bool, bool]
     # one system per radical: its basis vectors' kernel matrices, padded with those of u = 0
     k = max((rad.dim for rad in radicals), default=0)
     us = [np.pad(rad.rows, ((0, k - rad.dim), (0, 0))) for rad in radicals]
-    spaces = null_spaces(fld, kernel_matrices(M, us, "left").reshape(len(radicals), k * n, d))
+    found = null_spaces(fld, kernel_matrices(M, us, "left").reshape(len(radicals), k * n, d))
+    spaces = [found.spaces[i] for i in found.ids]
     pairwise_trivial, union = partition_status(q, (sub.points() for sub in spaces))
     return [sub.dim for sub in spaces], pairwise_trivial, len(union) == q**d - 1
 
@@ -522,25 +522,23 @@ def kind_space_dim(n: int, kind: str) -> int:
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def kind_basis(field: Field, n: int, kind: str) -> list[GramForm]:
-    """The standard basis of the ambient space of the given kind."""
+def kind_basis(field: Field, n: int, kind: str):
+    """The standard basis of the ambient space of the given kind, flattened row-major: (dim, n^2)."""
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
-    out = []
-    for i in range(n):
-        # general: every cell; symmetric: i <= j; alternating: i < j
-        for j in range(0 if kind == KIND_GENERAL else i + (kind == KIND_ALTERNATING), n):
-            m = np.zeros((n, n), dtype=np.int64)
-            m[i, j] = 1
-            if kind != KIND_GENERAL:
-                m[j, i] = 1 if kind == KIND_SYMMETRIC else field.neg(1)
-            out.append(GramForm(field, m))
-    return out
+    if kind == KIND_GENERAL:
+        return np.eye(n * n, dtype=np.int64)
+    # symmetric: cells i <= j; alternating: i < j; both in row-major order
+    i, j = np.triu_indices(n, 1 if kind == KIND_ALTERNATING else 0)
+    out = np.zeros((len(i), n, n), dtype=np.int64)
+    out[np.arange(len(i)), j, i] = 1 if kind == KIND_SYMMETRIC else field.neg(1)
+    out[np.arange(len(i)), i, j] = 1
+    return out.reshape(len(i), n * n)
 
 
 def full_kind_space(field: Field, n: int, kind: str) -> FormSubspace:
     """Alt(V), Symm(V) or Bil(V) itself."""
-    return FormSubspace(field, n, kind_basis(field, n, kind))
+    return FormSubspace(field, n, [GramForm(field, r.reshape(n, n)) for r in kind_basis(field, n, kind)])
 
 
 def random_subspace(field: Field, n: int, d: int, kind: str, seed: int) -> FormSubspace:
@@ -550,12 +548,11 @@ def random_subspace(field: Field, n: int, d: int, kind: str, seed: int) -> FormS
     are drawn by rejection, and every d-subspace is hit by the same
     number of independent frames, so the span is uniform.
     """
-    ambient = kind_basis(field, n, kind)
-    dim_kind = len(ambient)
+    flat = kind_basis(field, n, kind)
+    dim_kind = len(flat)
     if d > dim_kind:
         raise ValueError(f"d={d} exceeds dim of the {kind} space ({dim_kind})")
     rng = np.random.default_rng(seed)
-    flat = np.stack([f.flat() for f in ambient]) if ambient else np.zeros((0, n * n), dtype=np.int64)
     while True:
         rows = field.matmul_arr(rng.integers(0, field.q, size=(d, dim_kind), dtype=np.int64), flat)
         basis = [GramForm(field, r.reshape(n, n)) for r in rows]

@@ -24,6 +24,7 @@ from . import linalg
 from .formcore import GramForm, evaluate, left_radical, rank, right_radical, witt_census
 from .spanspace import (
     DEFAULT_BUDGET,
+    _BLOCK,
     KIND_ALTERNATING,
     BudgetExceeded,
     FormSubspace,
@@ -41,7 +42,6 @@ from .spanspace import (
     max_rank_incidence,
     null_spaces,
     partition_status,
-    radical_census,
     radical_spread,
     rank_spectrum,
     scan_blocks,
@@ -129,42 +129,43 @@ def check_orthogonality(M: FormSubspace, budget: Optional[int] = None) -> Verifi
         m = spec.m
         fld = M.field
         hyps = [_hyp("field size", f"q >= m+1 = {m + 1}", f"q = {fld.q}", fld.q >= m + 1)]
-        seen_pairs = set()
-        violation = None
-        checked_elements = 0
-        pair_points = 0
+        keys = np.zeros(0, dtype=np.int64)  # the (rad_L, rad_R) id pair of each rank-m line
+        if m:  # the zero subspace has no lines
+            coeffs, ranks, left, right = lines(M, budget)
+            at = np.flatnonzero(ranks == m)
+            keys = left.ids[at] * len(right.spaces) + right.ids[at]
+        checked_elements, violation = len(keys), None
+        firsts = np.sort(np.unique(keys, return_index=True)[1])
+        pairs = keys[firsts]  # the distinct pairs, in order of first appearance
+        k = M.n - m  # both radicals of a rank-m form have dim n - m
         basis = M.basis_flat().reshape(-1, M.n, M.n)
-        for row in lines(M, budget) if m else ():  # the zero subspace has no lines
-            if row.rank != m:
-                continue
-            checked_elements += 1
-            radl, radr = row.left_radical, row.right_radical
-            key = (radl.key(), radr.key())
-            if key in seen_pairs:
-                continue
-            seen_pairs.add(key)
-            pair_points += (fld.q**radl.dim) * (fld.q**radr.dim)
-            if radl.dim == 0 or radr.dim == 0:
-                continue
-            # U G W^T for every basis form G at once: (d, dim rad_L, dim rad_R)
-            vals = fld.matmul_arr(fld.matmul_arr(radl.rows, basis), radr.rows.T)
-            nz = np.argwhere(vals != 0)
-            if len(nz):
-                gi, i, j = (int(v) for v in nz[0])
+        per = max(1, _BLOCK // max(1, M.dim * k * M.n))
+        for start in range(0, len(pairs) if k else 0, per):
+            block = pairs[start:start + per]
+            us = np.stack([left.spaces[i].rows for i in block // len(right.spaces)])
+            ws = np.stack([right.spaces[i].rows for i in block % len(right.spaces)])
+            # U G W^T for every pair and every basis form G at once: (pairs, d, k, k)
+            vals = fld.matmul_arr(fld.matmul_arr(us[:, None], basis[None]), ws.transpose(0, 2, 1)[:, None])
+            bad = np.flatnonzero(vals.reshape(len(block), -1).any(axis=1))
+            if len(bad):
+                b = int(bad[0])
+                gi, i, j = (int(v) for v in np.argwhere(vals[b] != 0)[0])
                 violation = {
                     "kind": "orthogonality",
-                    "f_coefficients": list(row.coeffs),
-                    "u": [int(v) for v in radl.rows[i]],
-                    "w": [int(v) for v in radr.rows[j]],
+                    "f_coefficients": [int(c) for c in coeffs[at[firsts[start + b]]]],
+                    "u": [int(v) for v in us[b, i]],
+                    "w": [int(v) for v in ws[b, j]],
                     "g_index": gi,
-                    "value": int(vals[gi, i, j]),
+                    "value": int(vals[b, gi, i, j]),
                 }
+                # stop at the first violating pair, as a line-by-line scan would
+                pairs, checked_elements = pairs[:start + b + 1], int(firsts[start + b]) + 1
                 break
         details = {
             "max_rank": m,
             "max_rank_lines_checked": checked_elements,
-            "distinct_radical_pairs": len(seen_pairs),
-            "radical_pair_points_covered": pair_points,
+            "distinct_radical_pairs": len(pairs),
+            "radical_pair_points_covered": len(pairs) * fld.q ** (2 * k),
         }
         return _finish(tid, hyps, violation is None, violation, details)
     except BudgetExceeded as exc:
@@ -249,8 +250,10 @@ def check_kernel_bounds(M: FormSubspace, budget: Optional[int] = None) -> Verifi
 
 def _distinct_radicals(M: FormSubspace, u, side: str, m: int, budget) -> int:
     """Distinct other-side radicals over the rank-m elements of M_u."""
-    pairs = (row.radicals(side) for row in lines(M, budget) if row.rank == m)
-    return len({other.key() for own, other in pairs if own.contains(u)})
+    _, ranks, left, right = lines(M, budget)
+    own, other = (left, right) if side == "left" else (right, left)
+    holds_u = np.array([rad.contains(u) for rad in own.spaces], dtype=bool)  # one test per distinct radical
+    return len(np.unique(other.ids[(ranks == m) & holds_u[own.ids]]))
 
 
 # ---------------------------------------------------------------------------
@@ -418,19 +421,17 @@ def check_radical_equality(M: FormSubspace, budget: Optional[int] = None) -> Ver
         ]
         if d == 0:
             return _finish(tid, hyps, True, None, {"note": "zero subspace"})
-        lefts, rights = radical_census(M, budget)
-        ok = len(lefts) == 1 or len(rights) == 1
+        coeffs, _, left, right = lines(M, budget)
+        ok = len(left.spaces) == 1 or len(right.spaces) == 1
         witness = None
         if not ok:
-            (lk1, lc1), (lk2, lc2) = list(lefts.items())[:2]
-            (rk1, rc1), (rk2, rc2) = list(rights.items())[:2]
             witness = {
                 "kind": "radical-equality",
-                "left_pair": [list(lc1), list(lc2)],
-                "right_pair": [list(rc1), list(rc2)],
+                "left_pair": coeffs[left.first[:2]].tolist(),
+                "right_pair": coeffs[right.first[:2]].tolist(),
             }
         return _finish(tid, hyps, ok, witness,
-                       {"distinct_left_radicals": len(lefts), "distinct_right_radicals": len(rights)})
+                       {"distinct_left_radicals": len(left.spaces), "distinct_right_radicals": len(right.spaces)})
     except BudgetExceeded as exc:
         return _budget_report(tid, exc)
 
@@ -456,18 +457,18 @@ def check_isotropic_partition(M: FormSubspace, budget: Optional[int] = None) -> 
         iso = isotropic_set(M, budget)
         iso_at = linalg.code_index(q, np.array(iso.vectors, dtype=np.int64).reshape(-1, n))
         # A_u is the null space of the rows u^T G_i: one system per isotropic u
-        a_us = null_spaces(M.field, kernel_matrices(M, iso.vectors, "left").transpose(0, 2, 1))
-        class_list = list({a_u.key(): a_u for a_u in a_us}.values())
-        r_classes = len(class_list)
-        pairwise_trivial, union = partition_status(q, (sub.points() for sub in class_list))
+        classes = null_spaces(M.field, kernel_matrices(M, iso.vectors, "left").transpose(0, 2, 1))
+        r_classes = len(classes.spaces)
+        pairwise_trivial, union = partition_status(q, (sub.points() for sub in classes.spaces))
         partition_ok = pairwise_trivial and np.array_equal(union, iso_at)
-        lhs = sum((q**sub.dim - 1) ** 2 for sub in class_list)
+        lhs = sum((q**sub.dim - 1) ** 2 for sub in classes.spaces)
         rhs = (q**n - 1) * (q ** (n - m) - 1)
         sum_ok = lhs == rhs
         r_ok = r_classes != 1 and (m >= n or r_classes >= 2)
         dim_match = True
         if d == n:
-            dim_match = bool((kernel_dims_all(M, "left", budget)[iso_at] == [a_u.dim for a_u in a_us]).all())
+            class_dims = np.array([sub.dim for sub in classes.spaces], dtype=np.int64)
+            dim_match = bool((kernel_dims_all(M, "left", budget)[iso_at] == class_dims[classes.ids]).all())
         ok = partition_ok and sum_ok and r_ok and dim_match
         witness = None
         if not ok:
@@ -482,7 +483,7 @@ def check_isotropic_partition(M: FormSubspace, budget: Optional[int] = None) -> 
         details = {
             "isotropic_nonzero": len(iso.vectors),
             "classes": r_classes,
-            "class_dims": sorted({sub.dim for sub in class_list}),
+            "class_dims": sorted({sub.dim for sub in classes.spaces}),
             "squared_sum_lhs": lhs,
             "squared_sum_rhs": rhs,
         }
@@ -636,7 +637,8 @@ def check_filtration(M: FormSubspace, budget: Optional[int] = None) -> Verificat
         while cur_spec.r > 1:
             # M_u of every lead-1 u, left then right for each u, in the proof's order
             mats = np.stack([kernel_matrices(current, lead_one, side) for side in ("left", "right")], axis=1)
-            for coeffs in null_spaces(M.field, mats.reshape(-1, n, current.dim)):
+            # distinct M_u in order of first appearance: the first to pass is the first u's that passes
+            for coeffs in null_spaces(M.field, mats.reshape(-1, n, current.dim)).spaces:
                 if coeffs.dim == (cur_spec.r - 1) * n:
                     K = current.subspace_from_coefficients(coeffs.rows)
                     kspec = rank_spectrum(K, budget)

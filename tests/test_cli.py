@@ -7,9 +7,11 @@ import os
 
 import pytest
 
+from bilrank import cli, fileio
 from bilrank import constructions as cons
-from bilrank import fileio
 from bilrank.cli import main
+from bilrank.gf import field_for_order
+from bilrank.spanspace import random_subspace
 
 
 def run(args):
@@ -363,3 +365,32 @@ def test_verify_report_bytes_are_pinned(tmp_path, capsys):
         text = f"{code}\n{capsys.readouterr().out}"
         got[key] = hashlib.sha256(text.encode()).hexdigest()
     assert got == PINNED_REPORT_SHA256
+
+
+# sha256 of "<exit code>\n<stdout>" of `bilrank verify FILE --json` on random GF(2) subspaces
+# (n, d, kind, seed) whose orthogonality scan stops at a violating radical pair
+PINNED_DRAW_SHA256 = {
+    (4, 4, "general", 3): "f3ad8ee586497023c1eb54b00361d0ec6b1d8bb2aff7978a06764b5719d8a178",
+    (4, 3, "general", 0): "7d96ae2716470d91fed933481426648f05ba3e191853816938431945559d069b",
+    (5, 3, "symmetric", 23): "460c37dd9fbd82893f19009645cffa12086b449dfde90f018640ec7a7c937675",
+    (4, 2, "symmetric", 5): "25c7f610042a13a7e7a108d670566076a54508ec5db5fd066f4245b1566fba46",
+}
+
+
+def test_orthogonality_draw_reports_are_pinned(tmp_path, capsys):
+    got = {}
+    for n, d, kind, seed in PINNED_DRAW_SHA256:
+        path = str(tmp_path / f"draw-n{n}-d{d}-{kind}-s{seed}.json")
+        fileio.write_subspace(path, random_subspace(field_for_order(2), n, d, kind, seed))
+        code = run(["verify", path, "--json"])
+        got[n, d, kind, seed] = hashlib.sha256(f"{code}\n{capsys.readouterr().out}".encode()).hexdigest()
+    assert got == PINNED_DRAW_SHA256
+
+
+def test_main_reaches_a_rebound_command(trace_fixture, monkeypatch):
+    """The parser is built once, and its subcommands still look cmd_* up at call time."""
+    assert run(["verify", trace_fixture, "--suite", "declared"]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.append(args.file) or 7)
+    assert run(["verify", trace_fixture, "--suite", "declared"]) == 7
+    assert seen == [trace_fixture]

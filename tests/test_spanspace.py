@@ -309,18 +309,49 @@ def test_line_table_rows_match_formcore(make):
     M = make()
     q, d = M.field.q, M.dim
     table = sp.lines(M)
+    coeffs, ranks, left, right = table
     lead_one = [
         c for c in itertools.product(range(q), repeat=d) if any(c) and c[next(i for i, v in enumerate(c) if v)] == 1
     ]
-    assert len(table) == (q**d - 1) // (q - 1)
-    assert [row.coeffs for row in table] == lead_one
-    for row in table:
-        f = _scalar_form(M, row.coeffs)
-        assert f == M.form_from_coefficients(row.coeffs)
-        assert row.rank == fc.rank(f)
-        assert row.left_radical == fc.left_radical(f)
-        assert row.right_radical == fc.right_radical(f)
+    assert len(coeffs) == len(ranks) == len(left.ids) == len(right.ids) == (q**d - 1) // (q - 1)
+    assert [tuple(c) for c in coeffs.tolist()] == lead_one
+    for c, rk, li, ri in zip(coeffs.tolist(), ranks, left.ids, right.ids):
+        f = _scalar_form(M, c)
+        assert f == M.form_from_coefficients(c)
+        assert rk == fc.rank(f)
+        assert left.spaces[li] == fc.left_radical(f)
+        assert right.spaces[ri] == fc.right_radical(f)
     assert sp.lines(M) is table
+
+
+@pytest.mark.parametrize("block", [3, sp._BLOCK])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_null_spaces_match_per_matrix_null_spaces(q, block, monkeypatch):
+    """Distinct null spaces and their ids against one right_null_space per matrix and Subspace equality."""
+    monkeypatch.setattr(sp, "_BLOCK", block)  # 3 makes every stack below span several blocks
+    F = field_for_order(q)
+    rng = np.random.default_rng(q)
+    for rows, cols in itertools.product(range(5), range(1, 5)):
+        distinct = rng.integers(0, q, size=(3, rows, cols))
+        distinct[0] = 0
+        if rows:
+            distinct[1, -1] = distinct[1, 0]  # a rank-deficient one
+        picks = rng.integers(0, 3, size=10)
+        mats = distinct[picks]
+        # scaling a matrix by a nonzero scalar keeps its null space
+        scales = rng.integers(1, q, size=10)
+        mats = np.stack([F.mul_arr(np.full_like(m, c), m) for m, c in zip(mats, scales)])
+        for stack in (mats, mats[:0]):
+            got = sp.null_spaces(F, stack)
+            assert len(got.ids) == len(stack)
+            for i, mat in enumerate(stack):
+                assert got.spaces[got.ids[i]] == fc.Subspace(F, cols, linalg.right_null_space(F, mat))
+            assert all(a != b for a, b in itertools.combinations(got.spaces, 2))
+            assert len(got.first) == len(got.spaces)
+            assert all(a < b for a, b in zip(got.first.tolist(), got.first.tolist()[1:]))
+            assert got.ids[got.first].tolist() == list(range(len(got.spaces)))
+            for j, at in enumerate(got.first.tolist()):
+                assert j not in got.ids[:at].tolist()
 
 
 def _brute_incidence(M, side, m):
@@ -355,13 +386,27 @@ def _catalogue_up_to(points):
     ids=lambda r: r.name + "".join(f"-{k}{v}" for k, v in sorted(r.params.items())),
 )
 def test_max_rank_incidence_matches_brute_force(req):
-    M, _ = cons.build(req)
+    _assert_incidence_matches_brute_force(cons.build(req)[0])
+
+
+def _assert_incidence_matches_brute_force(M):
     m = sp.rank_spectrum(M).m
     for side in ("left", "right"):
         dims = sp.kernel_dims_all(M, side)
         holds, shared = sp.max_rank_incidence(M, side)
         got = list(zip(dims.tolist(), holds.tolist(), shared.tolist()))
         assert got == _brute_incidence(M, side, m)
+
+
+# (n, d, kind, seed) of random GF(2) subspaces whose orthogonality scan stops early
+ORTHOGONALITY_DRAWS = [(4, 4, "general", 3), (4, 3, "general", 0), (5, 3, "symmetric", 23), (4, 2, "symmetric", 5)]
+
+
+@pytest.mark.parametrize("block", [2, sp._BLOCK])
+@pytest.mark.parametrize("draw", ORTHOGONALITY_DRAWS)
+def test_max_rank_incidence_matches_brute_force_on_draws(draw, block, monkeypatch):
+    monkeypatch.setattr(sp, "_BLOCK", block)  # 2 spreads one radical per block
+    _assert_incidence_matches_brute_force(sp.random_subspace(F2, *draw))
 
 
 # --- V(M) --------------------------------------------------------------------------

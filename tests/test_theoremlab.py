@@ -63,6 +63,44 @@ def test_orthogonality_covers_all_radical_pairs():
                     assert fc.evaluate(g, u, w) == 0
 
 
+# (n, d, kind, seed) of random GF(2) subspaces, and the orthogonality counts at the first
+# violating radical pair: (rank-m lines checked, distinct pairs, pair points) of all rank-m lines
+ORTHOGONALITY_STOPS = {
+    (4, 4, "general", 3): (5, 5, 20, 11),
+    (4, 3, "general", 0): (2, 2, 8, 5),
+    (5, 3, "symmetric", 23): (3, 3, 12, 7),
+    (4, 2, "symmetric", 5): (2, 2, 8, 3),
+}
+
+
+@pytest.mark.parametrize("block", [1, sp._BLOCK])
+@pytest.mark.parametrize("draw", list(ORTHOGONALITY_STOPS))
+def test_orthogonality_stops_at_first_violating_pair(draw, block, monkeypatch):
+    """The counts stop at the first violating pair; the witness replays and comes from that pair."""
+    monkeypatch.setattr(tl, "_BLOCK", block)  # 1 checks one radical pair per block
+    n, d, kind, seed = draw
+    M = sp.random_subspace(F2, n, d, kind, seed)
+    rep = tl.check_orthogonality(M)
+    checked, pairs, points, total = ORTHOGONALITY_STOPS[draw]
+    m = rep.details["max_rank"]
+    assert (rep.details["max_rank_lines_checked"], rep.details["distinct_radical_pairs"],
+            rep.details["radical_pair_points_covered"]) == (checked, pairs, points)
+    # the line-by-line reference: the checked lines and their radical pairs, in table order
+    coeffs, ranks, _, _ = sp.lines(M)
+    top = [c for c, rk in zip(coeffs.tolist(), ranks.tolist()) if rk == m]
+    assert len(top) == total
+    info = rep.details["informational"]
+    assert not info["conclusion_holds"]
+    witness = info["witness"]
+    assert witness["f_coefficients"] == top[checked - 1]
+    f = M.form_from_coefficients(witness["f_coefficients"])
+    seen = {(fc.left_radical(M.form_from_coefficients(c)).key(), fc.right_radical(M.form_from_coefficients(c)).key())
+            for c in top[:checked]}
+    assert len(seen) == pairs
+    assert fc.left_radical(f).contains(witness["u"]) and fc.right_radical(f).contains(witness["w"])
+    assert tl.replay_witness(M, witness)
+
+
 # --- counting identity ----------------------------------------------------------
 
 
@@ -183,7 +221,7 @@ def test_common_radical_hypothesis_matches_radical_census(constant_rank_catalogu
             continue
         rep = report_map(tl.check_dimension_bounds(M))["bound-common-radical-half-m"]
         hyp = next(h for h in rep.hypotheses if h.name == "common radical")
-        want = len(sp.radical_census(M)[0]) <= 1
+        want = len(sp.lines(M)[2].spaces) <= 1
         assert hyp.satisfied == want, M
         outcomes.add(want)
     assert outcomes == {True, False}
@@ -450,9 +488,10 @@ def test_isotropic_classes_match_per_vector_annihilators(catalogue):
             continue
         iso = sp.isotropic_set(M)
         batched = sp.null_spaces(M.field, sp.kernel_matrices(M, iso.vectors, "left").transpose(0, 2, 1))
-        assert len(batched) == len(iso.vectors)
+        assert len(batched.ids) == len(iso.vectors)
         classes = {}
-        for u, a_u in zip(iso.vectors, batched):
+        for u, i in zip(iso.vectors, batched.ids):
+            a_u = batched.spaces[i]
             assert a_u == sp.annihilator_Au(M, u), (req, u)
             classes[a_u.key()] = a_u.dim
         assert rep.details["classes"] == len(classes), req
