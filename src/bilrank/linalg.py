@@ -2,10 +2,13 @@
 
 Single matrices go through plain-Python reduced row echelon form; the
 enumeration hot paths use `batch_rref` (one Gauss-Jordan elimination
-across a whole stack, with vectorised table lookups) and the null spaces
-`batch_null_space` reads off it.  Echelon output is canonical (leading
-ones, cleared pivot columns, zero rows dropped or, in a stack, last) so
-equal row spaces have equal representations.
+across a whole stack, with vectorised table lookups).  Null spaces take
+two steps: `null_vectors` reads spanning vectors off the reduced stack,
+and they are equal exactly when the null spaces are, so a caller can
+drop repeats before the second `batch_rref` makes them canonical
+(`batch_null_space` does both on every matrix).  Echelon output is
+canonical (leading ones, cleared pivot columns, zero rows dropped or, in
+a stack, last) so equal row spaces have equal representations.
 """
 
 from __future__ import annotations
@@ -121,17 +124,20 @@ def batch_rank(field, mats):
     return batch_rref(field, mats)[1]
 
 
-def batch_null_space(field, mats):
-    """Right null spaces of a stack (B, rows, cols): bases (B, cols, cols) and dims (B,).
+def null_vectors(field, mats):
+    """Spanning vectors of the right null spaces of a stack (B, rows, cols): a (B, cols, cols) stack.
 
-    bases[b, :dims[b]] are the rows `right_null_space` returns, zero rows
-    follow.  With R reduced and p_i its pivot columns, each free column f
-    gives e_f - sum_i R[i, f] e_{p_i}, and these are reduced once more.
+    With R the reduced form and p_i its pivot columns, row f is
+    e_f - sum_i R[i, f] e_{p_i} for each free column f, and zero for each
+    pivot column.  R depends only on the row space, which is the null
+    space's orthogonal complement, so equal null spaces give equal
+    stacks: the vectors are an exact key for deduplication before the
+    `batch_rref` that makes them canonical.
     """
     red, ranks = batch_rref(field, mats)
     nb, nrows, ncols = red.shape
     if ncols == 0:
-        return np.zeros((nb, 0, 0), dtype=np.int64), np.zeros(nb, dtype=np.int64)
+        return np.zeros((nb, 0, 0), dtype=np.int64)
     b, i = np.nonzero(np.arange(nrows)[None, :] < ranks[:, None])
     piv = np.argmax(red[b, i] != 0, axis=1)
     vecs = np.zeros((nb, ncols, ncols), dtype=np.int64)
@@ -140,7 +146,16 @@ def batch_null_space(field, mats):
     free[b, piv] = False
     vecs[~free] = 0  # a pivot column gives no vector
     vecs[:, np.arange(ncols), np.arange(ncols)] = free
-    return batch_rref(field, vecs)
+    return vecs
+
+
+def batch_null_space(field, mats):
+    """Right null spaces of a stack (B, rows, cols): bases (B, cols, cols) and dims (B,).
+
+    bases[b, :dims[b]] are the rows `right_null_space` returns, zero rows
+    follow: the `null_vectors` of each matrix, reduced once more.
+    """
+    return batch_rref(field, null_vectors(field, mats))
 
 
 def code_vectors(q: int, n: int, start: int = 0, stop: int | None = None):

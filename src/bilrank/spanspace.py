@@ -16,13 +16,21 @@ block) on M, and everything else reads it: `rank_spectrum` counts its
 ranks q - 1 times each, `lines` adds both radicals of every line, and
 the checkers take the spectrum witness and the Witt census from it.
 
+V is treated the same way.  M_{cu} = M_u, so `kernel_dims_all` solves
+dim M_u only at the lead-1 representative of each line of V
+(`line_representatives`), spreads it over the line and keeps the array
+on M, one per side, for every checker that reads it.
+
 Null spaces are solved in bulk: `kernel_matrices` builds the systems
 of M_u for a stack of vectors u, and `null_spaces` solves any stack
-(radicals, M_u, A_u) with one `linalg.batch_null_space` per block.  It
-keeps each distinct null space once and an id per matrix, so the
-radical census, the radical spread, the orthogonality checker and the
-kernel-bound incidence `max_rank_incidence` work on id arrays and test
-each distinct radical once.
+(radicals, M_u, A_u) in blocks.  The `linalg.null_vectors` of a block
+are equal exactly when the null spaces are, so only its distinct null
+spaces get the final `batch_rref`.  It keeps each distinct null space
+once and an id per matrix, so the radical census, the radical spread,
+the orthogonality checker and the kernel-bound incidence
+`max_rank_incidence` work on id arrays and test each distinct radical
+once; `partition_status` takes the points of all the spaces of one
+dimension from one stacked product.
 
 Operations that walk q^d or q^n objects take an explicit step budget
 and raise BudgetExceeded instead of silently sampling: a theorem check
@@ -73,7 +81,7 @@ def _kind_of_basis(forms) -> str:
 class FormSubspace:
     """A subspace of Bil(V) given by a linearly independent basis of forms."""
 
-    __slots__ = ("field", "n", "basis", "kind", "_flat", "_table", "_lines")
+    __slots__ = ("field", "n", "basis", "kind", "_flat", "_table", "_lines", "_kernel_dims")
 
     def __init__(self, field: Field, n: int, basis):
         basis = tuple(basis)
@@ -94,6 +102,7 @@ class FormSubspace:
         self._flat = flat
         self._table = None  # filled by the first line_table call
         self._lines = None  # filled by the first lines call
+        self._kernel_dims = {}  # side -> dims, filled by the first kernel_dims_all call on that side
 
     @property
     def dim(self) -> int:
@@ -132,7 +141,7 @@ class FormSubspace:
 
     def subspace_from_coefficients(self, rows) -> "FormSubspace":
         """The subspace of M whose basis has the given independent coefficient rows."""
-        flats = flat_forms_for(self, np.asarray(rows, dtype=np.int64).reshape(-1, self.dim))
+        flats = flat_forms_for(self, np.asarray(rows, dtype=np.int64).reshape(len(rows), self.dim))
         return FormSubspace(self.field, self.n, [GramForm(self.field, r.reshape(self.n, self.n)) for r in flats])
 
     def contains_form(self, f: GramForm) -> bool:
@@ -293,23 +302,29 @@ class NullSpaces(NamedTuple):
 
 
 def null_spaces(field: Field, mats) -> NullSpaces:
-    """The right null spaces of a stack, by `batch_null_space` in blocks of _BLOCK.
+    """The right null spaces of a stack, in blocks of _BLOCK matrices.
 
-    The bases are canonical RREF padded with zero rows, so one `np.unique`
-    per block finds its distinct ones, and a dict on their bytes joins blocks.
+    Each block's `linalg.null_vectors` are equal exactly when the null
+    spaces are, so one `np.unique` over their bytes finds the block's
+    distinct spaces, a dict on those bytes joins blocks, and only the
+    spaces not seen before are reduced by the second `batch_rref`.
     """
     cols = mats.shape[2]
     index: dict[bytes, int] = {}
     spaces, first, ids = [], [], np.empty(len(mats), dtype=np.int64)
     for start in range(0, len(mats), _BLOCK):
-        bases, dims = linalg.batch_null_space(field, mats[start:start + _BLOCK])
-        rows, at, inverse = np.unique(bases.reshape(len(bases), -1), axis=0, return_index=True, return_inverse=True)
-        for k in np.argsort(at):  # the block's distinct bases in order of first appearance
-            if index.setdefault(rows[k].tobytes(), len(spaces)) == len(spaces):
-                spaces.append(Subspace(field, cols, bases[at[k], :dims[at[k]]]))
-                first.append(start + at[k])
-        local = np.array([index[r.tobytes()] for r in rows], dtype=np.int64)
-        ids[start:start + len(bases)] = local[inverse.reshape(-1)]  # the inverse's shape varies across numpy 2.0.x
+        vecs = linalg.null_vectors(field, mats[start:start + _BLOCK])
+        flat = vecs.reshape(len(vecs), -1)  # a view: vecs is a fresh contiguous stack
+        keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).reshape(len(vecs))
+        _, at, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        # the block's distinct spaces not seen before, in order of first appearance
+        new = [a for a in np.sort(at) if keys[a].tobytes() not in index]
+        bases, dims = linalg.batch_rref(field, vecs[new])
+        for a, basis, dim in zip(new, bases, dims):
+            index[keys[a].tobytes()] = len(spaces)
+            spaces.append(Subspace(field, cols, basis[:dim]))
+            first.append(start + a)
+        ids[start:start + len(vecs)] = np.array([index[keys[a].tobytes()] for a in at], dtype=np.int64)[inverse]
     return NullSpaces(tuple(spaces), ids, np.array(first, dtype=np.int64))
 
 
@@ -339,17 +354,43 @@ def kernel_at(M: FormSubspace, u, side: str = "left") -> FormSubspace:
     return M.subspace_from_coefficients(linalg.right_null_space(M.field, kernel_matrices(M, [u], side)[0]))
 
 
+def line_representatives(q: int, n: int):
+    """(q^n,) mask over the vectors of V in code order: True where the leading nonzero entry is 1.
+
+    These are one representative per line of V, and the zero vector is
+    not one.  With its lead at position n - 1 - k, such a vector has code
+    q^k + t for some t < q^k.
+    """
+    mask = np.zeros(q**n, dtype=bool)
+    for k in range(n):
+        mask[q**k:2 * q**k] = True
+    return mask
+
+
 def kernel_dims_all(M: FormSubspace, side: str, budget: Optional[int] = None):
-    """dim M_u for every u in V, ordered by vector index: a (q^n,) array."""
-    fld, n, d = M.field, M.n, M.dim
-    charge(fld.q**n, d * n, budget, "kernel_dims_all")
-    total = fld.q**n
-    out = np.empty(total, dtype=np.int64)
-    for start in range(0, total, _BLOCK):
-        stop = min(start + _BLOCK, total)
-        mats = kernel_matrices(M, linalg.code_vectors(fld.q, n, start, stop), side)
-        out[start:stop] = d - linalg.batch_rank(fld, mats)
-    return out
+    """dim M_u for every u in V, ordered by vector index: a read-only (q^n,) array.
+
+    M_{cu} = M_u, so only the representative of each line is solved and
+    every other u reads its line's value.  The budget is charged on every
+    call; the solve runs on the first call per side only, and later calls
+    return the array stored on M.
+    """
+    fld, q, n, d = M.field, M.field.q, M.n, M.dim
+    charge(q**n, d * n, budget, "kernel_dims_all")
+    if side not in M._kernel_dims:
+        vecs = linalg.code_vectors(q, n)
+        reps = np.flatnonzero(line_representatives(q, n))
+        out = np.empty(q**n, dtype=np.int64)
+        out[0] = d
+        for start in range(0, len(reps), _BLOCK):
+            at = reps[start:start + _BLOCK]
+            out[at] = d - linalg.batch_rank(fld, kernel_matrices(M, vecs[at], side))
+        # u = c v for v its line's representative, c its leading entry (u = 0 maps to itself)
+        lead = vecs[np.arange(q**n), np.argmax(vecs != 0, axis=1)]
+        out = out[linalg.code_index(q, fld.mul_arr(fld._inv_np[lead][:, None], vecs))]
+        out.setflags(write=False)
+        M._kernel_dims[side] = out
+    return M._kernel_dims[side]
 
 
 def max_rank_incidence(M: FormSubspace, side: str, budget: Optional[int] = None):
@@ -468,13 +509,22 @@ class SpreadReport:
     pairwise_trivial: bool
 
 
-def partition_status(q: int, point_sets) -> tuple[bool, np.ndarray]:
-    """(pairwise trivial, union) for the nonzero points of some subspaces.
+def partition_status(field: Field, spaces) -> tuple[bool, np.ndarray]:
+    """(pairwise trivial, union) for the nonzero points of some subspaces of one V.
 
     The union is given as the ascending `code_index` of its points.  The
-    nonzero point sets meet pairwise trivially iff no point is hit twice.
+    nonzero point sets meet pairwise trivially iff no point is hit twice,
+    so a space listed twice counts twice.  The points of all the spaces
+    of one dimension come from one product per block of _BLOCK points.
     """
-    at = [np.zeros(1, dtype=np.int64)] + [linalg.code_index(q, pts) for pts in point_sets]
+    q, spaces = field.q, list(spaces)
+    at = [np.zeros(1, dtype=np.int64)]
+    for k in sorted({sub.dim for sub in spaces}):
+        rows = np.stack([sub.rows for sub in spaces if sub.dim == k])  # (S, k, n)
+        coeffs, per = linalg.code_vectors(q, k), max(1, _BLOCK // q**k)
+        for start in range(0, len(rows), per):
+            points = field.matmul_arr(coeffs, rows[start:start + per])
+            at.append(linalg.code_index(q, points.reshape(-1, rows.shape[2])))
     hits = np.bincount(np.concatenate(at))
     hits[0] = 0  # index 0 is the zero vector
     return bool((hits <= 1).all()), np.flatnonzero(hits)
@@ -488,7 +538,7 @@ def radical_spread(M: FormSubspace, budget: Optional[int] = None) -> SpreadRepor
     if not spec.is_constant_rank:
         raise ValueError(f"radical_spread requires constant rank, spectrum is {spec.ranks}")
     radicals = tuple(sorted(lines(M, budget)[3].spaces, key=Subspace.key))
-    pairwise_trivial, union = partition_status(M.field.q, (rad.points() for rad in radicals))
+    pairwise_trivial, union = partition_status(M.field, radicals)
     return SpreadReport(radicals, len(radicals), len(union) == M.field.q**M.n - 1, pairwise_trivial)
 
 
@@ -501,10 +551,12 @@ def induced_partition(M: FormSubspace, radicals) -> tuple[list[int], bool, bool]
     fld, q, n, d = M.field, M.field.q, M.n, M.dim
     # one system per radical: its basis vectors' kernel matrices, padded with those of u = 0
     k = max((rad.dim for rad in radicals), default=0)
-    us = [np.pad(rad.rows, ((0, k - rad.dim), (0, 0))) for rad in radicals]
+    us = np.zeros((len(radicals), k, n), dtype=np.int64)
+    for u, rad in zip(us, radicals):
+        u[:rad.dim] = rad.rows
     found = null_spaces(fld, kernel_matrices(M, us, "left").reshape(len(radicals), k * n, d))
     spaces = [found.spaces[i] for i in found.ids]
-    pairwise_trivial, union = partition_status(q, (sub.points() for sub in spaces))
+    pairwise_trivial, union = partition_status(fld, spaces)
     return [sub.dim for sub in spaces], pairwise_trivial, len(union) == q**d - 1
 
 

@@ -37,6 +37,7 @@ from .spanspace import (
     kernel_at,  # unused here; perfbench/test_perfbench.py traces it under this name
     kernel_dims_all,
     kernel_matrices,
+    line_representatives,
     line_table,
     lines,
     max_rank_incidence,
@@ -230,9 +231,8 @@ def check_kernel_bounds(M: FormSubspace, budget: Optional[int] = None) -> Verifi
             ("equality case: shared radical", None, holds & (dims == d - m) & ~shared),
         )
         vecs = linalg.code_vectors(q, n)
-        # M_{cu} = M_u, so one representative per line (lead entry 1) is exhaustive
-        lead_one = vecs[np.arange(q**n), np.argmax(vecs != 0, axis=1)] == 1
-        failing = np.argwhere(lead_one[:, None] & np.logical_or.reduce([f for _, _, f in lemmas]))
+        # M_{cu} = M_u, so one representative per line is exhaustive
+        failing = np.argwhere(line_representatives(q, n)[:, None] & np.logical_or.reduce([f for _, _, f in lemmas]))
         violation = None
         if len(failing):
             idx, s = (int(v) for v in failing[0])
@@ -459,7 +459,7 @@ def check_isotropic_partition(M: FormSubspace, budget: Optional[int] = None) -> 
         # A_u is the null space of the rows u^T G_i: one system per isotropic u
         classes = null_spaces(M.field, kernel_matrices(M, iso.vectors, "left").transpose(0, 2, 1))
         r_classes = len(classes.spaces)
-        pairwise_trivial, union = partition_status(q, (sub.points() for sub in classes.spaces))
+        pairwise_trivial, union = partition_status(M.field, classes.spaces)
         partition_ok = pairwise_trivial and np.array_equal(union, iso_at)
         lhs = sum((q**sub.dim - 1) ** 2 for sub in classes.spaces)
         rhs = (q**n - 1) * (q ** (n - m) - 1)
@@ -632,8 +632,7 @@ def check_filtration(M: FormSubspace, budget: Optional[int] = None) -> Verificat
         chain = [(M, spec)]
         failed_at = None
         current, cur_spec = M, spec
-        vecs = linalg.code_vectors(q, n)[1:]
-        lead_one = vecs[vecs[np.arange(len(vecs)), np.argmax(vecs != 0, axis=1)] == 1]
+        lead_one = linalg.code_vectors(q, n)[line_representatives(q, n)]
         while cur_spec.r > 1:
             # M_u of every lead-1 u, left then right for each u, in the proof's order
             mats = np.stack([kernel_matrices(current, lead_one, side) for side in ("left", "right")], axis=1)

@@ -239,6 +239,27 @@ def test_kernel_dims_all_agrees_with_kernel_at():
         assert dims[idx] == sp.kernel_at(M, vecs[idx], "left").dim
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_kernel_dims_all_matches_kernel_at_everywhere(q):
+    """Every u and both sides against one kernel_at solve each: the line scatter must not matter."""
+    F = field_for_order(q)
+    n = 3
+    rng = np.random.default_rng(100 + q)
+    draws = [sp.span([], field=F, n=n)] + [
+        sp.random_subspace(F, n, int(rng.integers(1, 4)), kind, int(rng.integers(1 << 30))) for kind in sp.KINDS
+    ]
+    vecs = linalg.code_vectors(q, n)
+    for M in draws:
+        for side in ("left", "right"):
+            dims = sp.kernel_dims_all(M, side)
+            assert dims.shape == (q**n,) and not dims.flags.writeable
+            assert dims.tolist() == [sp.kernel_at(M, u, side).dim for u in vecs]
+            assert sp.kernel_dims_all(M, side) is dims
+        if M.dim:
+            with pytest.raises(sp.BudgetExceeded):  # the stored array does not skip the charge
+                sp.kernel_dims_all(M, "left", budget=q**n * M.dim * n - 1)
+
+
 def test_kernel_lower_bounds_lemmas():
     # dim M_u >= dim M - n always; >= dim M - m with a max-rank element
     # in M_u and q >= m+1; alternating refinement uses n-1.
@@ -352,6 +373,26 @@ def test_null_spaces_match_per_matrix_null_spaces(q, block, monkeypatch):
             assert got.ids[got.first].tolist() == list(range(len(got.spaces)))
             for j, at in enumerate(got.first.tolist()):
                 assert j not in got.ids[:at].tolist()
+        # row-equivalent matrices that are not scalar multiples share one id: E A with E invertible,
+        # and C X with X the reduced rows of A and C of full column rank (extra dependent rows)
+        if rows:
+            base = distinct[1]
+            X = linalg.rref(F, base)[0]
+            E = _random_of_rank(F, rng, rows, rows)
+            C = _random_of_rank(F, rng, rows, len(X))
+            equivalent = [base, F.matmul_arr(E, base), F.matmul_arr(C, X)]
+            stack = np.stack([m for eq in equivalent for m in (eq, distinct[2])])  # 2 apart: across blocks of 3
+            got = sp.null_spaces(F, stack)
+            assert len(set(got.ids[::2].tolist())) == 1
+            assert got.spaces[got.ids[0]] == fc.Subspace(F, cols, linalg.right_null_space(F, base))
+
+
+def _random_of_rank(F, rng, rows, rank):
+    """A random rows x rank matrix of full column rank."""
+    while True:
+        mat = rng.integers(0, F.q, size=(rows, rank))
+        if linalg.rank(F, mat) == rank:
+            return mat
 
 
 def _brute_incidence(M, side, m):
@@ -512,6 +553,32 @@ def test_totally_isotropic():
 
 
 # --- radical spreads ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("block", [4, sp._BLOCK])
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_partition_status_matches_point_by_point_containment(q, block, monkeypatch):
+    """Hits per vector counted with Subspace.contains over all of V, against the stacked products."""
+    monkeypatch.setattr(sp, "_BLOCK", block)  # 4 splits every dimension's stack into blocks
+    F = field_for_order(q)
+    n = 3
+    rng = np.random.default_rng(q + 31)
+    drawn = [fc.Subspace(F, n, linalg.rref(F, _random_of_rank(F, rng, n, k).T)[0]) for k in (1, 1, 1, 2, 2, 3)]
+    cases = [
+        [],
+        [fc.Subspace.zero(F, n)],
+        drawn,  # mixed dimensions
+        drawn[:3] + drawn[:1],  # a repeated space
+        [fc.Subspace.zero(F, n)] + drawn[3:5] * 2,
+        [fc.Subspace.from_rows(F, n, [e]) for e in np.eye(n, dtype=np.int64)],  # the coordinate axes
+    ]
+    vecs = linalg.code_vectors(q, n)
+    for spaces in cases:
+        hits = np.array([sum(sub.contains(v) for sub in spaces) for v in vecs[1:]])
+        pairwise_trivial, union = sp.partition_status(F, spaces)
+        assert pairwise_trivial == bool((hits <= 1).all())
+        assert union.tolist() == (np.flatnonzero(hits) + 1).tolist()
+    assert not sp.partition_status(F, drawn[:3] + drawn[:1])[0]
 
 
 def test_radical_spread_alt_n3_q3():
