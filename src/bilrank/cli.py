@@ -169,11 +169,8 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    if args.json:
-        _emit(fileio.reports_to_json(reports), True, args.out)
-    else:
-        if args.out:
-            fileio.write_reports(args.out, reports)
+    _emit(fileio.reports_to_json(reports), args.json, args.out)
+    if not args.json:
         for r in reports:
             info = r.details.get("informational")
             note = ""
@@ -303,9 +300,12 @@ def cmd_search(args) -> int:
 # campaign
 
 
-def _campaign_dmax(q: int, n: int, kind: str, step_cap: int = 1 << 16) -> int:
+CAMPAIGN_STEP_CAP = 1 << 16  # the sampler draws only d with q^d * n^2 within this many steps
+
+
+def _campaign_dmax(q: int, n: int, kind: str) -> int:
     dmax = 0
-    while q ** (dmax + 1) * n * n <= step_cap:
+    while q ** (dmax + 1) * n * n <= CAMPAIGN_STEP_CAP:
         dmax += 1
     return max(1, min(dmax, kind_space_dim(n, kind)))
 
@@ -339,8 +339,7 @@ def _campaign_construction_points(args, budget, selection, qs, ns, summary) -> N
                 point["error"] = str(exc)
                 point["violations"] = []
                 summary["budget_errors"] += 1
-            with open(os.path.join(args.out, name + ".json"), "w") as fh:
-                fh.write(fileio.dumps(point))
+            _emit(point, False, os.path.join(args.out, name + ".json"))
             summary["points"].append({"file": name + ".json",
                                       "violations": len(point["violations"])})
 
@@ -375,8 +374,7 @@ def _campaign_sampler_points(args, budget, selection, qs, ns, kinds, summary) ->
                     "violations": violations,
                 }
                 name = f"q{q}-n{n}-{kind}.json"
-                with open(os.path.join(args.out, name), "w") as fh:
-                    fh.write(fileio.dumps(point))
+                _emit(point, False, os.path.join(args.out, name))
                 summary["points"].append({"file": name, "violations": len(violations)})
                 summary["violated_total"] += len(violations)
                 summary["budget_errors"] += counts.get(BUDGET_EXCEEDED, 0)
@@ -393,6 +391,8 @@ def cmd_campaign(args) -> int:
         ns = [int(v) for v in args.n.split(",")]
         for q in qs:
             field_for_order(q)  # raises on an order that is not a prime power
+        if min(ns) < 1:
+            raise ValueError(f"dimensions must be >= 1, got {min(ns)}")
     except ValueError as exc:
         print(f"error: --q/--n: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -411,11 +411,8 @@ def cmd_campaign(args) -> int:
         selection = args.suite.split(",") if args.suite else ["bounds"]
         _campaign_sampler_points(args, budget, selection, qs, ns, kinds, summary)
     path = os.path.join(args.out, "summary.json")
-    with open(path, "w") as fh:
-        fh.write(fileio.dumps(summary))
-    if args.json:
-        _emit(summary, True)
-    else:
+    _emit(summary, args.json, path)
+    if not args.json:
         print(f"campaign: {len(summary['points'])} grid points, "
               f"{summary['violated_total']} violations, summary in {path}")
     if summary["violated_total"]:
@@ -514,7 +511,11 @@ def main(argv=None) -> int:
         except ValueError:
             print(f"error: BILRANK_BUDGET must be an integer, got {env!r}", file=sys.stderr)
             return EXIT_ERROR
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # an unreadable input or an unwritable output is a file error
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -4,7 +4,9 @@ One text format serves fields, subspaces and verification reports:
 JSON with sorted keys and two-space indentation, so identical inputs
 produce identical bytes.  Subspace files store the canonical echelon
 basis, which makes write-read-write a fixed point.  Element literals
-are the integer codes defined by the field encoding.
+are the integer codes defined by the field encoding, and only JSON
+integers are read as codes or sizes: a float or a bool is an error,
+never truncated.
 """
 
 from __future__ import annotations
@@ -30,11 +32,37 @@ def field_to_json(field: Field) -> dict:
     return {"p": field.p, "k": field.k, "modulus": list(field.spec.modulus)}
 
 
+def _int(value, what: str) -> int:
+    if type(value) is not int:  # a JSON true is an int to Python, but no code or size
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(value).__name__}")
+    return value
+
+
+def _codes(value, what: str):
+    """Nested lists of element codes, every leaf a JSON integer."""
+    if not isinstance(value, list):
+        return _int(value, what)
+    for i, v in enumerate(value):
+        if type(v) is not int:  # name only what is not a plain code: the rows, or the bad entry
+            _codes(v, f"{what}[{i}]")
+    return value
+
+
 def field_from_json(obj) -> Field:
+    _object(obj, "the field section")
     for key in ("p", "k", "modulus"):
         if key not in obj:
             raise ValueError(f"field section is missing {key!r}")
-    return make_field(FieldSpec(int(obj["p"]), int(obj["k"]), tuple(int(c) for c in obj["modulus"])))
+    if not isinstance(obj["modulus"], list):
+        raise ValueError(f"field modulus must be a list of coefficients, got {obj['modulus']!r}")
+    modulus = tuple(_int(c, f"field modulus[{i}]") for i, c in enumerate(obj["modulus"]))
+    return make_field(FieldSpec(_int(obj["p"], "field p"), _int(obj["k"], "field k"), modulus))
 
 
 def gram_to_json(f: GramForm) -> dict:
@@ -77,19 +105,22 @@ def write_subspace(path, M: FormSubspace, declared=None, self_verification=None)
 
 
 def subspace_from_json(obj) -> SubspaceFile:
+    _object(obj, "the top level")
     if obj.get("format") != FORMAT_SUBSPACE:
         raise ValueError(f"not a subspace file (format = {obj.get('format')!r})")
     for key in ("field", "n", "basis"):
         if key not in obj:
             raise ValueError(f"subspace file is missing {key!r}")
     field = field_from_json(obj["field"])
-    n = int(obj["n"])
+    n = _int(obj["n"], "n")
+    if not isinstance(obj["basis"], list):
+        raise ValueError(f"basis must be a list of forms, not {type(obj['basis']).__name__}")
     forms = []
     for i, g in enumerate(obj["basis"]):
-        if "rows" not in g:
+        if "rows" not in _object(g, f"basis entry {i}"):
             raise ValueError(f"basis entry {i} is missing 'rows'")
         try:
-            forms.append(GramForm(field, g["rows"]))
+            forms.append(GramForm(field, _codes(g["rows"], "rows")))
         except ValueError as exc:
             raise ValueError(f"basis entry {i}: {exc}") from exc
     M = FormSubspace(field, n, forms)  # raises naming any dependent row
@@ -117,8 +148,3 @@ def reports_to_json(reports) -> dict:
         "version": VERSION,
         "reports": [r.to_json() for r in reports],
     }
-
-
-def write_reports(path, reports) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps(reports_to_json(reports)))

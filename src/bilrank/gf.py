@@ -6,10 +6,10 @@ sum(c_i * p**i).  Code 0 is the additive identity, code 1 the
 multiplicative identity, and for k >= 2 the code p is the class of x.
 
 Multiplication, inversion and powers run on log/antilog tables built
-over a multiplicative generator; addition is digit-wise mod p.  Every
-operation has a scalar form (plain ints) and a vectorised form acting
-elementwise on numpy arrays of codes, which is what the enumeration
-hot loops use.
+over the smallest generating code, found by the one primitivity test
+that also picks the canonical modulus; addition is digit-wise mod p.
+Every operation has a scalar form (plain ints) and a vectorised form on
+numpy arrays of codes, which is what the enumeration hot loops use.
 
 Field orders are capped at 2**16; the toolkit's experiments never need
 more, and the cap keeps every table dense and cheap.
@@ -26,17 +26,6 @@ import numpy as np
 MAX_ORDER = 1 << 16
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n, ascending."""
     out = []
@@ -50,6 +39,10 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def is_prime(n: int) -> bool:
+    return prime_factors(n) == [n]
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +125,10 @@ def is_irreducible(modulus, p: int) -> bool:
     return True
 
 
-def _x_is_primitive(modulus, p: int) -> bool:
+def _is_primitive(a, modulus, p: int) -> bool:
+    """Does the class of the polynomial a generate the multiplicative group mod `modulus`?"""
     q = p ** (len(modulus) - 1)
-    x = (0, 1)
-    return all(_poly_powmod(x, (q - 1) // ell, modulus, p) != (1,) for ell in prime_factors(q - 1))
+    return all(_poly_powmod(a, (q - 1) // ell, modulus, p) != (1,) for ell in prime_factors(q - 1))
 
 
 @lru_cache(maxsize=None)
@@ -159,7 +152,7 @@ def default_modulus(p: int, k: int) -> tuple[int, ...]:
         candidate = tuple(coeffs) + (1,)
         if candidate[0] == 0:
             continue  # divisible by x
-        if is_irreducible(candidate, p) and _x_is_primitive(candidate, p):
+        if is_irreducible(candidate, p) and _is_primitive((0, 1), candidate, p):
             return candidate
     raise RuntimeError(f"no primitive polynomial found for GF({p}^{k})")
 
@@ -251,26 +244,8 @@ class Field:
         return self._poly_to_code(prod)
 
     def _find_generator(self) -> int:
-        if self.q == 2:
-            return 1
-        target = self.q - 1
-        factors = prime_factors(target)
-        for g in range(2, self.q):
-            ok = True
-            for ell in factors:
-                e = target // ell
-                acc, base = 1, g
-                while e:
-                    if e & 1:
-                        acc = self._mul_poly(acc, base)
-                    base = self._mul_poly(base, base)
-                    e >>= 1
-                if acc == 1:
-                    ok = False
-                    break
-            if ok:
-                return g
-        raise RuntimeError("no generator found (impossible for a field)")
+        """The smallest code that generates the multiplicative group."""
+        return next(g for g in range(1, self.q) if _is_primitive(self._code_to_poly(g), self.spec.modulus, self.p))
 
     # -- scalar operations ---------------------------------------------------
 

@@ -127,12 +127,7 @@ class FormSubspace:
         return tuple(tuple(int(v) for v in row) for row in self.canonical_rows())
 
     def canonical(self) -> "FormSubspace":
-        rows = self.canonical_rows()
-        return FormSubspace(
-            self.field,
-            self.n,
-            [GramForm(self.field, r.reshape(self.n, self.n)) for r in rows],
-        )
+        return span(self.basis, self.field, self.n)
 
     def form_from_coefficients(self, coeffs) -> GramForm:
         if len(coeffs) != self.dim:

@@ -96,12 +96,29 @@ def _hyp(name: str, required: str, actual, satisfied: bool) -> Hypothesis:
     return Hypothesis(name, required, str(actual), bool(satisfied))
 
 
+def _shared(M: FormSubspace, spec, *names: str) -> list[Hypothesis]:
+    """The hypotheses several theorems share, by name, in the order asked for."""
+    q, d, n, m = M.field.q, M.dim, M.n, spec.m
+    table = {
+        "constant rank": ("|rank(M)| = 1", f"rank(M) = {list(spec.ranks)}", spec.is_constant_rank),
+        "field size": (f"q >= m+1 = {m + 1}", f"q = {q}", q >= m + 1),
+        "full dimension": (f"dim M = n = {n}", f"dim M = {d}", d == n),
+        "alternating": ("M <= Alt(V)", M.kind, M.kind == KIND_ALTERNATING),
+        "symmetric": ("M <= Symm(V)", M.kind, M.symmetric),
+        "odd characteristic": ("q odd", f"q = {q}", q % 2 == 1),
+    }
+    return [_hyp(name, *table[name]) for name in names]
+
+
 def _finish(theorem_id, hyps, conclusion_ok, witness=None, details=None) -> VerificationReport:
-    """Gate the verdict: assert the conclusion only under satisfied hypotheses."""
+    """Gate the verdict: assert the conclusion only under satisfied hypotheses.
+
+    The witness is kept only when the conclusion fails, in either branch.
+    """
     details = dict(details or {})
+    witness = None if conclusion_ok else witness
     if all(h.satisfied for h in hyps):
-        verdict = HOLDS if conclusion_ok else VIOLATED
-        return VerificationReport(theorem_id, tuple(hyps), verdict, witness if not conclusion_ok else None, details)
+        return VerificationReport(theorem_id, tuple(hyps), HOLDS if conclusion_ok else VIOLATED, witness, details)
     info = {"conclusion_holds": bool(conclusion_ok)}
     if witness is not None:
         info["witness"] = witness
@@ -129,7 +146,7 @@ def check_orthogonality(M: FormSubspace, budget: Optional[int] = None) -> Verifi
         spec = rank_spectrum(M, budget)
         m = spec.m
         fld = M.field
-        hyps = [_hyp("field size", f"q >= m+1 = {m + 1}", f"q = {fld.q}", fld.q >= m + 1)]
+        hyps = _shared(M, spec, "field size")
         keys = np.zeros(0, dtype=np.int64)  # the (rad_L, rad_R) id pair of each rank-m line
         if m:  # the zero subspace has no lines
             coeffs, ranks, left, right = lines(M, budget)
@@ -181,22 +198,18 @@ def check_counting_identity(M: FormSubspace, budget: Optional[int] = None) -> Ve
     tid = "counting-identity"
     try:
         spec = rank_spectrum(M, budget)
-        hyps = [
-            _hyp("constant rank", "|rank(M)| = 1", f"rank(M) = {list(spec.ranks)}", spec.is_constant_rank)
-        ]
+        hyps = _shared(M, spec, "constant rank")
         q, d, n, m = M.field.q, M.dim, M.n, spec.m
         dims = kernel_dims_all(M, "left", budget)
         hist = np.bincount(dims[1:], minlength=d + 1) if q**n > 1 else np.zeros(d + 1, dtype=np.int64)
         rhs = sum(int(c) * (q**k - 1) for k, c in enumerate(hist))
         lhs = (q**d - 1) * (q ** (n - m) - 1)
-        witness = None
-        if lhs != rhs:
-            witness = {
-                "kind": "counting-identity",
-                "lhs": lhs,
-                "rhs": rhs,
-                "kernel_dim_histogram": {str(k): int(c) for k, c in enumerate(hist) if c},
-            }
+        witness = {
+            "kind": "counting-identity",
+            "lhs": lhs,
+            "rhs": rhs,
+            "kernel_dim_histogram": {str(k): int(c) for k, c in enumerate(hist) if c},
+        }
         return _finish(tid, hyps, lhs == rhs, witness, {"lhs": lhs, "rhs": rhs})
     except BudgetExceeded as exc:
         return _budget_report(tid, exc)
@@ -275,17 +288,12 @@ def check_dimension_bounds(M: FormSubspace, budget: Optional[int] = None) -> lis
 
     def bound(tid, hyps, limit, strict=False):
         ok = d < limit if strict else d <= limit
-        wit = None
-        if not ok:
-            wit = {"kind": "dimension-bound", "dim": d, "limit": limit, "strict": strict,
-                   "spectrum": list(spec.ranks)}
+        wit = {"kind": "dimension-bound", "dim": d, "limit": limit, "strict": strict, "spectrum": list(spec.ranks)}
         out.append(_finish(tid, hyps, ok, wit, {"dim": d, "limit": limit, "spectrum": list(spec.ranks)}))
 
     nonzero = _hyp("nonzero subspace", "dim M >= 1", f"dim M = {d}", d >= 1)
-    h_const = _hyp("constant rank", "|rank(M)| = 1", f"rank(M) = {list(spec.ranks)}", constant)
-    h_qm = _hyp("field size", f"q >= m+1 = {m + 1}", f"q = {q}", q >= m + 1)
-    h_alt = _hyp("alternating", "M <= Alt(V)", M.kind, alternating)
-    h_sym = _hyp("symmetric", "M <= Symm(V)", M.kind, M.symmetric)
+    h_const, h_qm, h_alt, h_sym, h_odd = _shared(
+        M, spec, "constant rank", "field size", "alternating", "symmetric", "odd characteristic")
 
     bound("bound-constant-rank-n", [nonzero, h_const, h_qm], n)
     bound(
@@ -303,9 +311,7 @@ def check_dimension_bounds(M: FormSubspace, budget: Optional[int] = None) -> lis
     )
     bound(
         "bound-symmetric-two-thirds",
-        [nonzero, h_sym, h_const,
-         _hyp("odd characteristic", "q odd", f"q = {q}", q % 2 == 1),
-         h_qm,
+        [nonzero, h_sym, h_const, h_odd, h_qm,
          _hyp("rank range", "m <= 2n/3", f"m = {m}, n = {n}", 3 * m <= 2 * n)],
         n,
         strict=True,
@@ -339,10 +345,8 @@ def check_dimension_bounds(M: FormSubspace, budget: Optional[int] = None) -> lis
         hyps = [nonzero, h_alt, h_const,
                 _hyp("common radical", "all elements of M^x share one radical",
                      f"distinct radicals > 1: {not all_equal}", all_equal)]
-        ok = d <= m // 2
-        wit = None if ok else {"kind": "dimension-bound", "dim": d, "limit": m // 2,
-                               "strict": False, "spectrum": list(spec.ranks)}
-        out.append(_finish("bound-common-radical-half-m", hyps, ok, wit, {"dim": d, "limit": m // 2}))
+        wit = {"kind": "dimension-bound", "dim": d, "limit": m // 2, "strict": False, "spectrum": list(spec.ranks)}
+        out.append(_finish("bound-common-radical-half-m", hyps, d <= m // 2, wit, {"dim": d, "limit": m // 2}))
     else:
         hyps = [nonzero, h_alt, h_const,
                 _hyp("common radical", "all elements of M^x share one radical",
@@ -359,13 +363,8 @@ def check_spread(M: FormSubspace, budget: Optional[int] = None) -> VerificationR
     tid = "spread"
     try:
         spec = rank_spectrum(M, budget)
-        q, n, d, m = M.field.q, M.n, M.dim, spec.m
-        hyps = [
-            _hyp("alternating", "M <= Alt(V)", M.kind, M.kind == KIND_ALTERNATING),
-            _hyp("constant rank", "|rank(M)| = 1", f"rank(M) = {list(spec.ranks)}", spec.is_constant_rank),
-            _hyp("full dimension", f"dim M = n = {n}", f"dim M = {d}", d == n),
-            _hyp("field size", f"q >= m+1 = {m + 1}", f"q = {q}", q >= m + 1),
-        ]
+        q, n, m = M.field.q, M.n, spec.m
+        hyps = _shared(M, spec, "alternating", "constant rank", "full dimension", "field size")
         if M.kind != KIND_ALTERNATING or not spec.is_constant_rank:
             return _finish(tid, hyps, False, None,
                            {"note": "radical census undefined without alternating constant rank"})
@@ -382,17 +381,15 @@ def check_spread(M: FormSubspace, budget: Optional[int] = None) -> VerificationR
             and induced_trivial
             and induced_covers
         )
-        witness = None
-        if not ok:
-            witness = {
-                "kind": "spread",
-                "t": report.t,
-                "expected_t": expected_t,
-                "covers": report.covers,
-                "pairwise_trivial": report.pairwise_trivial,
-                "induced_covers": induced_covers,
-                "induced_trivial": induced_trivial,
-            }
+        witness = {
+            "kind": "spread",
+            "t": report.t,
+            "expected_t": expected_t,
+            "covers": report.covers,
+            "pairwise_trivial": report.pairwise_trivial,
+            "induced_covers": induced_covers,
+            "induced_trivial": induced_trivial,
+        }
         details = {
             "t": report.t,
             "expected_t": expected_t,
@@ -412,24 +409,19 @@ def check_radical_equality(M: FormSubspace, budget: Optional[int] = None) -> Ver
     tid = "radical-equality"
     try:
         spec = rank_spectrum(M, budget)
-        q, n, d, m = M.field.q, M.n, M.dim, spec.m
-        hyps = [
-            _hyp("full dimension", f"dim M = n = {n}", f"dim M = {d}", d == n),
-            _hyp("constant rank", "|rank(M)| = 1", f"rank(M) = {list(spec.ranks)}", spec.is_constant_rank),
-            _hyp("field size", f"q >= m+1 = {m + 1}", f"q = {q}", q >= m + 1),
-            _hyp("dimension gap", f"n >= 2m+1 = {2 * m + 1}", f"n = {n}", n >= 2 * m + 1),
+        n, m = M.n, spec.m
+        hyps = _shared(M, spec, "full dimension", "constant rank", "field size") + [
+            _hyp("dimension gap", f"n >= 2m+1 = {2 * m + 1}", f"n = {n}", n >= 2 * m + 1)
         ]
-        if d == 0:
+        if M.dim == 0:
             return _finish(tid, hyps, True, None, {"note": "zero subspace"})
         coeffs, _, left, right = lines(M, budget)
         ok = len(left.spaces) == 1 or len(right.spaces) == 1
-        witness = None
-        if not ok:
-            witness = {
-                "kind": "radical-equality",
-                "left_pair": coeffs[left.first[:2]].tolist(),
-                "right_pair": coeffs[right.first[:2]].tolist(),
-            }
+        witness = {
+            "kind": "radical-equality",
+            "left_pair": coeffs[left.first[:2]].tolist(),
+            "right_pair": coeffs[right.first[:2]].tolist(),
+        }
         return _finish(tid, hyps, ok, witness,
                        {"distinct_left_radicals": len(left.spaces), "distinct_right_radicals": len(right.spaces)})
     except BudgetExceeded as exc:
@@ -445,13 +437,7 @@ def check_isotropic_partition(M: FormSubspace, budget: Optional[int] = None) -> 
     try:
         spec = rank_spectrum(M, budget)
         q, n, d, m = M.field.q, M.n, M.dim, spec.m
-        hyps = [
-            _hyp("symmetric", "M <= Symm(V)", M.kind, M.symmetric),
-            _hyp("odd characteristic", "q odd", f"q = {q}", q % 2 == 1),
-            _hyp("constant rank", "|rank(M)| = 1", f"rank(M) = {list(spec.ranks)}", spec.is_constant_rank),
-            _hyp("full dimension", f"dim M = n = {n}", f"dim M = {d}", d == n),
-            _hyp("field size", f"q >= m+1 = {m + 1}", f"q = {q}", q >= m + 1),
-        ]
+        hyps = _shared(M, spec, "symmetric", "odd characteristic", "constant rank", "full dimension", "field size")
         if not M.symmetric or q % 2 == 0:
             return _finish(tid, hyps, False, None, {"note": "isotropic set undefined here"})
         iso = isotropic_set(M, budget)
@@ -470,16 +456,14 @@ def check_isotropic_partition(M: FormSubspace, budget: Optional[int] = None) -> 
             class_dims = np.array([sub.dim for sub in classes.spaces], dtype=np.int64)
             dim_match = bool((kernel_dims_all(M, "left", budget)[iso_at] == class_dims[classes.ids]).all())
         ok = partition_ok and sum_ok and r_ok and dim_match
-        witness = None
-        if not ok:
-            witness = {
-                "kind": "isotropic-partition",
-                "classes": r_classes,
-                "squared_sum_lhs": lhs,
-                "squared_sum_rhs": rhs,
-                "partition_ok": partition_ok,
-                "dim_A_u_equals_dim_M_u": dim_match,
-            }
+        witness = {
+            "kind": "isotropic-partition",
+            "classes": r_classes,
+            "squared_sum_lhs": lhs,
+            "squared_sum_rhs": rhs,
+            "partition_ok": partition_ok,
+            "dim_A_u_equals_dim_M_u": dim_match,
+        }
         details = {
             "isotropic_nonzero": len(iso.vectors),
             "classes": r_classes,
@@ -498,13 +482,9 @@ def check_witt_census_identity(M: FormSubspace, budget: Optional[int] = None) ->
     try:
         spec = rank_spectrum(M, budget)
         q, n, d, m = M.field.q, M.n, M.dim, spec.m
-        hyps = [
-            _hyp("symmetric", "M <= Symm(V)", M.kind, M.symmetric),
-            _hyp("odd characteristic", "q odd", f"q = {q}", q % 2 == 1),
-            _hyp("constant even rank", "rank(M) = {2k}", f"rank(M) = {list(spec.ranks)}",
-                 spec.is_constant_rank and m % 2 == 0),
-            _hyp("full dimension", f"dim M = n = {n}", f"dim M = {d}", d == n),
-        ]
+        sym, odd, full = _shared(M, spec, "symmetric", "odd characteristic", "full dimension")
+        hyps = [sym, odd, _hyp("constant even rank", "rank(M) = {2k}", f"rank(M) = {list(spec.ranks)}",
+                               spec.is_constant_rank and m % 2 == 0), full]
         if not M.symmetric or q % 2 == 0 or not spec.is_constant_rank or m % 2:
             return _finish(tid, hyps, False, None, {"note": "census undefined here"})
         k = m // 2
@@ -517,13 +497,8 @@ def check_witt_census_identity(M: FormSubspace, budget: Optional[int] = None) ->
         total_ok = a_count + b_count == q**d - 1
         diff = a_count - b_count
         identity_ok = diff % (q**k) == 0 and diff // (q**k) == len(iso.vectors)
-        ok = total_ok and identity_ok
-        witness = None
-        if not ok:
-            witness = {"kind": "witt-census", "A": a_count, "B": b_count,
-                       "isotropic_nonzero": len(iso.vectors), "q^k": q**k}
-        return _finish(tid, hyps, ok, witness,
-                       {"A": a_count, "B": b_count, "isotropic_nonzero": len(iso.vectors)})
+        details = {"A": a_count, "B": b_count, "isotropic_nonzero": len(iso.vectors)}
+        return _finish(tid, hyps, total_ok and identity_ok, {"kind": "witt-census", **details, "q^k": q**k}, details)
     except BudgetExceeded as exc:
         return _budget_report(tid, exc)
 
@@ -555,8 +530,7 @@ def check_maximality(
         ambient = full_kind_space(fld, n, M.kind)
         dk = ambient.dim
         exhaustive = (q**dk) * (q**d) * n * n <= (DEFAULT_BUDGET if budget is None else budget)
-        hyps = [
-            _hyp("constant rank", "|rank(M)| = 1", f"rank(M) = {list(spec.ranks)}", spec.is_constant_rank),
+        hyps = _shared(M, spec, "constant rank") + [
             _hyp("declared maximal", "fixture claims maximality", str(claims), claims),
             _hyp("scan mode", "ambient kind space within budget", "exhaustive" if exhaustive else "sampled",
                  exhaustive),
@@ -627,8 +601,7 @@ def check_filtration(M: FormSubspace, budget: Optional[int] = None) -> Verificat
         hyps = [
             _hyp("dimension", f"dim M = rn = {r * n}", f"dim M = {d}", d == r * n),
             _hyp("rank range", f"m <= ceil(n/2) = {(n + 1) // 2}", f"m = {m}", m <= (n + 1) // 2),
-            _hyp("field size", f"q >= m+1 = {m + 1}", f"q = {q}", q >= m + 1),
-        ]
+        ] + _shared(M, spec, "field size")
         chain = [(M, spec)]
         failed_at = None
         current, cur_spec = M, spec
@@ -651,19 +624,11 @@ def check_filtration(M: FormSubspace, budget: Optional[int] = None) -> Verificat
         chain_ok = failed_at is None and all(
             sub.dim == s.r * n and s.ranks == spec.ranks[: s.r] for sub, s in chain
         )
-        witness = None
-        if not chain_ok:
-            witness = {
-                "kind": "filtration",
-                "failed_at_r": failed_at,
-                "chain_dims": [sub.dim for sub, _ in chain],
-                "chain_spectra": [list(s.ranks) for _, s in chain],
-            }
         details = {
             "chain_dims": [sub.dim for sub, _ in chain],
             "chain_spectra": [list(s.ranks) for _, s in chain],
         }
-        return _finish(tid, hyps, chain_ok, witness, details)
+        return _finish(tid, hyps, chain_ok, {"kind": "filtration", "failed_at_r": failed_at, **details}, details)
     except BudgetExceeded as exc:
         return _budget_report(tid, exc)
 

@@ -4,6 +4,8 @@ import glob
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -125,6 +127,70 @@ def test_analyze_malformed_json_diagnostic(tmp_path, capsys):
         fh.write('{"format": "bilrank-subspace",\n  "n": }')
     assert run(["analyze", path]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+def test_missing_input_file_exit_2(tmp_path, capsys):
+    assert run(["verify", str(tmp_path / "missing.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_directory_as_input_exit_2(tmp_path, capsys):
+    assert run(["analyze", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_unwritable_report_path_exit_2(trace_fixture, tmp_path, capsys):
+    assert run(["verify", trace_fixture, "--suite", "counting", "--out", str(tmp_path / "no" / "r.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (None, "the top level must be a JSON object, not list"),
+        ({"field": 3}, "the field section must be a JSON object, not int"),
+        ({"basis": 5}, "basis must be a list of forms, not int"),
+        ({"basis": [7]}, "basis entry 0 must be a JSON object, not int"),
+    ],
+    ids=["top-level", "field", "basis", "basis-entry"],
+)
+def test_wrong_json_shape_exit_2(tmp_path, capsys, fields, message):
+    obj = [] if fields is None else dict(read_json(_one_form_file(tmp_path / "ok.json")), **fields)
+    path = tmp_path / "bad.json"
+    path.write_text(fileio.dumps(obj))
+    assert run(["analyze", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def _one_form_file(path, n=2, entry=0, p=3):
+    obj = {
+        "format": "bilrank-subspace",
+        "version": 1,
+        "field": {"p": p, "k": 1, "modulus": [0, 1]},
+        "n": n,
+        "basis": [{"n": 2, "rows": [[1, entry], [0, 1]]}],
+    }
+    with open(path, "w") as fh:
+        fh.write(fileio.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"entry": 1.5}, "rows[0][1] must be an integer, got 1.5"),
+        ({"entry": True}, "rows[0][1] must be an integer, got True"),
+        ({"n": 2.0}, "n must be an integer, got 2.0"),
+        ({"p": 3.0}, "field p must be an integer, got 3.0"),
+    ],
+    ids=["float-entry", "bool-entry", "float-n", "float-p"],
+)
+def test_non_integer_values_are_rejected(tmp_path, capsys, fields, message):
+    path = _one_form_file(tmp_path / "m.json", **fields)
+    assert run(["analyze", path]) == 2
+    assert message in capsys.readouterr().err
+    # the same file with integers reads fine
+    assert run(["analyze", _one_form_file(tmp_path / "ok.json")]) == 0
 
 
 def test_verify_suite_selection_single_report(trace_fixture, tmp_path):
@@ -256,6 +322,21 @@ def test_campaign_bad_grid_is_a_usage_error(tmp_path, capsys, grid, message):
     assert run(["campaign", *grid, "--trials", "1", "--seed", "1", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --q/--n: ") and message in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_campaign_rejects_dimension_below_one(tmp_path, n):
+    # in a subprocess with a timeout: --n 0 once looped forever looking for the largest d
+    out = tmp_path / "c"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bilrank.cli", "campaign", "--q", "3", "--n", n,
+         "--trials", "1", "--seed", "1", "--out", str(out)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: --q/--n: ") and ">= 1" in proc.stderr
     assert not out.exists()
 
 

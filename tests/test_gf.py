@@ -207,14 +207,29 @@ def test_default_modulus_is_deterministic_and_irreducible():
         assert F.generator == p
 
 
+def _oracle_order(code, modulus, p):
+    """Multiplicative order of a nonzero code, by repeated oracle multiplication."""
+    k = len(modulus) - 1
+    one, g = code_digits(1, p, k), code_digits(code, p, k)
+    acc, order = g, 1
+    while acc != one:
+        acc, order = poly_mul_mod(acc, g, modulus, p), order + 1
+    return order
+
+
 def test_user_supplied_modulus_accepted():
-    # x^2 + 1 is irreducible over GF(3) but x is not primitive there
-    F = make_field(FieldSpec(3, 2, (1, 0, 1)))
-    assert F.q == 9
-    for a in range(9):
-        for b in range(9):
-            oracle = digits_code(poly_mul_mod(code_digits(a, 3, 2), code_digits(b, 3, 2), (1, 0, 1), 3), 3)
-            assert F.mul(a, b) == oracle
+    for p, k, modulus in [
+        (3, 2, (1, 0, 1)),  # x^2 + 1 is irreducible over GF(3), but x has order 4, not 8
+        (2, 4, (1, 1, 1, 1, 1)),  # x^4 + x^3 + x^2 + x + 1 is irreducible over GF(2), but x has order 5
+    ]:
+        F = make_field(FieldSpec(p, k, modulus))
+        assert F.q == p**k
+        assert _oracle_order(p, modulus, p) < F.q - 1  # x is no generator here
+        assert _oracle_order(F.generator, modulus, p) == F.q - 1
+        for a in range(F.q):
+            for b in range(F.q):
+                oracle = digits_code(poly_mul_mod(code_digits(a, p, k), code_digits(b, p, k), modulus, p), p)
+                assert F.mul(a, b) == oracle
 
 
 def test_vectorised_ops_agree_with_scalar():
