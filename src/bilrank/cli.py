@@ -2,10 +2,13 @@
 
 Exit codes follow one contract everywhere: 0 means every applicable
 check held, 1 means a violation was witnessed, 2 means a usage, file or
-budget error.  Budgets are counted in enumeration steps, not seconds,
-so CI behaviour does not depend on the machine.  Every randomized path
-requires an explicit seed; there are no implicit defaults to stay
-reproducible.
+budget error.  `main` is the one exit for errors: an OSError, ValueError
+or BudgetExceeded out of any subcommand prints `error: ...` and exits 2.
+Budgets are counted in enumeration steps, not seconds, so CI behaviour
+does not depend on the machine.  Every randomized path requires an
+explicit seed; there are no implicit defaults to stay reproducible.
+Both seeded searches draw through one `_hunt` loop, and a campaign's
+grid points come from one generator per mode, tallied by one loop.
 """
 
 from __future__ import annotations
@@ -61,20 +64,20 @@ def _exit_code_for(reports) -> int:
 # construct
 
 
+def _construction_params(args, **grid) -> dict:
+    """The grid's own parameters and whichever of --k/--ext/--m/--r were given."""
+    params = dict(grid, k=args.k, ext=args.ext, m=args.m, r=args.r)
+    return {key: val for key, val in params.items() if val is not None}
+
+
 def cmd_construct(args) -> int:
-    budget = args.budget
-    params = {
-        key: getattr(args, key)
-        for key in ("q", "n", "k", "ext", "m", "r")
-        if getattr(args, key, None) is not None
-    }
-    request = cons.ConstructionRequest(args.name, params, args.seed)
+    request = cons.ConstructionRequest(args.name, _construction_params(args, q=args.q, n=args.n))
     try:
-        M, declared = cons.build(request, budget)
+        M, declared = cons.build(request, args.budget)
     except (cons.ConstructionError, ValueError, BudgetExceeded) as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    report = theoremlab.check_declared(M, declared, budget)
+    report = theoremlab.check_declared(M, declared, args.budget)
     log = {
         "checker": report.theorem_id,
         "verdict": report.verdict,
@@ -103,21 +106,9 @@ def cmd_construct(args) -> int:
 # analyze
 
 
-def cmd_analyze(args) -> int:
-    budget = args.budget
-    try:
-        loaded = fileio.read_subspace(args.file)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    M = loaded.subspace
-    out = {
-        "file": args.file,
-        "q": M.field.q,
-        "n": M.n,
-        "dim": M.dim,
-        "kind": M.kind,
-    }
+def _statistics(M, budget) -> dict:
+    """What `analyze` reports on M, up to a `budget_error` if the budget runs out."""
+    out = {"q": M.field.q, "n": M.n, "dim": M.dim, "kind": M.kind}
     try:
         spec = rank_spectrum(M, budget)
         out["spectrum"] = list(spec.ranks)
@@ -132,11 +123,16 @@ def cmd_analyze(args) -> int:
             out["isotropic_nonzero"] = len(isotropic_set(M, budget).vectors)
     except BudgetExceeded as exc:
         out["budget_error"] = str(exc)
-        _emit(out, args.json, args.out)
-        if not args.json:
-            print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    return out
+
+
+def cmd_analyze(args) -> int:
+    out = {"file": args.file, **_statistics(fileio.read_subspace(args.file).subspace, args.budget)}
     _emit(out, args.json, args.out)
+    if "budget_error" in out:
+        if not args.json:
+            print(f"budget exceeded: {out['budget_error']}", file=sys.stderr)
+        return EXIT_ERROR
     if not args.json:
         print(f"{args.file}: GF({out['q']}), n={out['n']}, dim={out['dim']}, kind={out['kind']}")
         print(f"  spectrum {out['spectrum']} counts {out['rank_counts']}")
@@ -151,24 +147,14 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    budget = args.budget
-    try:
-        loaded = fileio.read_subspace(args.file)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    selection = args.suite.split(",") if args.suite else None
-    try:
-        reports = run_suite(
-            loaded.subspace,
-            selection=selection,
-            budget=budget,
-            declared=loaded.declared,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    loaded = fileio.read_subspace(args.file)
+    reports = run_suite(
+        loaded.subspace,
+        selection=args.suite.split(",") if args.suite else None,
+        budget=args.budget,
+        declared=loaded.declared,
+        seed=args.seed,
+    )
     _emit(fileio.reports_to_json(reports), args.json, args.out)
     if not args.json:
         for r in reports:
@@ -184,39 +170,41 @@ def cmd_verify(args) -> int:
 # search
 
 
-def _search_rank2_distinct_radicals(args, budget):
-    field = field_for_order(args.q)
-    n = args.n
-    d = n - 1
-    want_lines = (field.q**d - 1) // (field.q - 1)
-    root = np.random.SeedSequence([args.seed, field.q, n])
-    log = {"mode": args.mode, "q": field.q, "n": n, "seed": args.seed, "trials_run": 0, "found": False}
-    for trial, child in enumerate(root.spawn(args.trials)):
-        M = random_subspace(field, n, d, "symmetric", child)
+def _hunt(args, field, log, entropy, d, kind, accept, claims) -> dict:
+    """Draw ``args.trials`` seeded random subspaces until ``accept`` holds; a budget overrun is a miss.
+
+    ``--out`` gets a find with its ``claims`` and, as parameters, the q, n, s and seed in ``log``.
+    """
+    for trial, child in enumerate(np.random.SeedSequence(entropy).spawn(args.trials)):
+        M = random_subspace(field, args.n, d, kind, child)
         log["trials_run"] = trial + 1
         try:
-            spec = rank_spectrum(M, budget)
-            if spec.ranks != (2,):
+            if not accept(M):
                 continue
-            distinct = len(lines(M, budget)[2].spaces)
         except BudgetExceeded:
             continue
-        if distinct == want_lines:
-            log["found"] = True
-            log["trial"] = trial
-            declared = {
-                "construction": "search:rank2-distinct-radicals",
-                "params": {"q": field.q, "n": n, "seed": args.seed, "trial": trial},
-                "dim": d,
-                "kind": M.kind,
-                "spectrum": [2],
-                "distinct_radicals": want_lines,
-            }
-            if args.out:
-                fileio.write_subspace(args.out, M, declared)
-                log["fixture"] = args.out
-            return log
+        log["found"] = True
+        log["trial"] = trial
+        if args.out:
+            params = {key: log[key] for key in ("q", "n", "s", "seed") if key in log}
+            declared = {"construction": "search:" + args.mode, "params": dict(params, trial=trial),
+                        "dim": d, "kind": M.kind, **claims}
+            fileio.write_subspace(args.out, M, declared)
+            log["fixture"] = args.out
+        break
     return log
+
+
+def _search_rank2_distinct_radicals(args, budget):
+    field = field_for_order(args.q)
+    d = args.n - 1
+    want_lines = (field.q**d - 1) // (field.q - 1)
+    log = {"mode": args.mode, "q": field.q, "n": args.n, "seed": args.seed, "trials_run": 0, "found": False}
+    return _hunt(
+        args, field, log, [args.seed, field.q, args.n], d, "symmetric",
+        lambda M: rank_spectrum(M, budget).ranks == (2,) and len(lines(M, budget)[2].spaces) == want_lines,
+        {"spectrum": [2], "distinct_radicals": want_lines},
+    )
 
 
 def _search_maximal(args, budget):
@@ -242,38 +230,13 @@ def _search_alt_spectrum(args, budget):
     s = args.s
     if not 1 <= s <= k:
         raise ValueError(f"need 1 <= s <= k = {k}")
-    target_dim = (k - s + 1) * n
+    target_dim = (k - s + 1) * n  # at most k * n = dim Alt(V)
     want = tuple(range(2 * s, 2 * k + 1, 2))
-    ambient = kind_space_dim(n, "alternating")
     log = {"mode": args.mode, "q": field.q, "n": n, "s": s, "seed": args.seed,
            "target_dim": target_dim, "target_spectrum": list(want),
            "trials_run": 0, "found": False}
-    if target_dim > ambient:
-        log["note"] = "target dimension exceeds dim Alt(V)"
-        return log
-    root = np.random.SeedSequence([args.seed, field.q, n, s])
-    for trial, child in enumerate(root.spawn(args.trials)):
-        M = random_subspace(field, n, target_dim, "alternating", child)
-        log["trials_run"] = trial + 1
-        try:
-            spec = rank_spectrum(M, budget)
-        except BudgetExceeded:
-            continue
-        if spec.ranks == want:
-            log["found"] = True
-            log["trial"] = trial
-            if args.out:
-                declared = {
-                    "construction": "search:alt-spectrum",
-                    "params": {"q": field.q, "n": n, "s": s, "seed": args.seed, "trial": trial},
-                    "dim": target_dim,
-                    "kind": M.kind,
-                    "spectrum": list(want),
-                }
-                fileio.write_subspace(args.out, M, declared)
-                log["fixture"] = args.out
-            return log
-    return log
+    return _hunt(args, field, log, [args.seed, field.q, n, s], target_dim, "alternating",
+                 lambda M: rank_spectrum(M, budget).ranks == want, {"spectrum": list(want)})
 
 
 _SEARCHES = {
@@ -284,12 +247,7 @@ _SEARCHES = {
 
 
 def cmd_search(args) -> int:
-    budget = args.budget
-    try:
-        log = _SEARCHES[args.mode](args, budget)
-    except (ValueError, BudgetExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    log = _SEARCHES[args.mode](args, args.budget)
     _emit(log, args.json, args.log)
     if not args.json:
         print(log)
@@ -310,42 +268,35 @@ def _campaign_dmax(q: int, n: int, kind: str) -> int:
     return max(1, min(dmax, kind_space_dim(n, kind)))
 
 
-def _campaign_construction_points(args, budget, selection, qs, ns, summary) -> None:
-    """Grid points driven by a named construction instead of the sampler."""
+def _construction_points(args, budget, selection, qs, ns):
+    """Grid points driven by a named construction instead of the sampler: (file name, point, budget errors).
+
+    A point whose construction or suite fails records the error and counts as one budget error.
+    """
     for q in qs:
         for n in ns:
-            params = {"q": q, "n": n}
-            for key in ("k", "ext", "m", "r"):
-                val = getattr(args, key, None)
-                if val is not None:
-                    params[key] = val
             name = f"q{q}-n{n}-{args.construction}"
             point = {"grid_point": {"q": q, "n": n, "construction": args.construction}}
             try:
-                M, declared = cons.build(cons.ConstructionRequest(args.construction, params), budget)
+                request = cons.ConstructionRequest(args.construction, _construction_params(args, q=q, n=n))
+                M, declared = cons.build(request, budget)
                 fileio.write_subspace(os.path.join(args.out, name + ".sub"), M, declared)
                 reports = run_suite(M, selection=selection, budget=budget,
                                     declared=declared, seed=args.seed)
-                point["verdict_counts"] = _count_verdicts(reports)
-                violations = [
-                    {"theorem_id": r.theorem_id, "witness": r.witness}
-                    for r in reports
-                    if r.verdict == VIOLATED
-                ]
-                point["violations"] = violations
-                summary["violated_total"] += len(violations)
-                summary["budget_errors"] += sum(r.verdict == BUDGET_EXCEEDED for r in reports)
             except (cons.ConstructionError, ValueError, BudgetExceeded) as exc:
-                point["error"] = str(exc)
-                point["violations"] = []
-                summary["budget_errors"] += 1
-            _emit(point, False, os.path.join(args.out, name + ".json"))
-            summary["points"].append({"file": name + ".json",
-                                      "violations": len(point["violations"])})
+                yield name + ".json", dict(point, error=str(exc), violations=[]), 1
+                continue
+            point["verdict_counts"] = _count_verdicts(reports)
+            point["violations"] = [
+                {"theorem_id": r.theorem_id, "witness": r.witness}
+                for r in reports
+                if r.verdict == VIOLATED
+            ]
+            yield name + ".json", point, point["verdict_counts"].get(BUDGET_EXCEEDED, 0)
 
 
-def _campaign_sampler_points(args, budget, selection, qs, ns, kinds, summary) -> None:
-    """Grid points of seeded random subspaces, ``args.trials`` per point."""
+def _sampler_points(args, budget, selection, qs, ns, kinds):
+    """Grid points of seeded random subspaces, ``args.trials`` per point: (file name, point, budget errors)."""
     for q in qs:
         field = field_for_order(q)
         for n in ns:
@@ -373,11 +324,7 @@ def _campaign_sampler_points(args, budget, selection, qs, ns, kinds, summary) ->
                     "verdict_counts": counts,
                     "violations": violations,
                 }
-                name = f"q{q}-n{n}-{kind}.json"
-                _emit(point, False, os.path.join(args.out, name))
-                summary["points"].append({"file": name, "violations": len(violations)})
-                summary["violated_total"] += len(violations)
-                summary["budget_errors"] += counts.get(BUDGET_EXCEEDED, 0)
+                yield f"q{q}-n{n}-{kind}.json", point, counts.get(BUDGET_EXCEEDED, 0)
 
 
 def _count_verdicts(reports) -> dict:
@@ -385,7 +332,6 @@ def _count_verdicts(reports) -> dict:
 
 
 def cmd_campaign(args) -> int:
-    budget = args.budget
     try:
         qs = [int(v) for v in args.q.split(",")]
         ns = [int(v) for v in args.n.split(",")]
@@ -399,17 +345,21 @@ def cmd_campaign(args) -> int:
     kinds = args.kind.split(",") if args.kind else list(KINDS)
     for kind in kinds:
         if kind not in KINDS:
-            print(f"error: unknown kind {kind!r}", file=sys.stderr)
-            return EXIT_ERROR
+            raise ValueError(f"unknown kind {kind!r}")
+    # constructions get the full suite by default, samplers just the bounds
+    default = None if args.construction else ["bounds"]
+    selection = theoremlab.select_suite(args.suite.split(",") if args.suite else default)
     os.makedirs(args.out, exist_ok=True)
-    summary = {"points": [], "violated_total": 0, "budget_errors": 0, "seed": args.seed}
     if args.construction:
-        # constructions get the full suite by default, samplers just the bounds
-        selection = args.suite.split(",") if args.suite else None
-        _campaign_construction_points(args, budget, selection, qs, ns, summary)
+        points = _construction_points(args, args.budget, selection, qs, ns)
     else:
-        selection = args.suite.split(",") if args.suite else ["bounds"]
-        _campaign_sampler_points(args, budget, selection, qs, ns, kinds, summary)
+        points = _sampler_points(args, args.budget, selection, qs, ns, kinds)
+    summary = {"points": [], "violated_total": 0, "budget_errors": 0, "seed": args.seed}
+    for name, point, budget_errors in points:
+        _emit(point, False, os.path.join(args.out, name))
+        summary["points"].append({"file": name, "violations": len(point["violations"])})
+        summary["violated_total"] += len(point["violations"])
+        summary["budget_errors"] += budget_errors
     path = os.path.join(args.out, "summary.json")
     _emit(summary, args.json, path)
     if not args.json:
@@ -429,9 +379,12 @@ def cmd_campaign(args) -> int:
 @functools.cache  # built once; each lambda looks its cmd_* up at call time, so a rebinding reaches main
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="bilrank", description=__doc__)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--budget", type=int)
+    common.add_argument("--json", action="store_true")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("construct", help="materialise a named construction to a subspace file")
+    c = sub.add_parser("construct", parents=[common], help="materialise a named construction to a subspace file")
     c.add_argument("--name", required=True, choices=cons.CATALOGUE)
     c.add_argument("--q", type=int, required=True, help="base field order")
     c.add_argument("--n", type=int, help="ambient dimension (where applicable)")
@@ -439,29 +392,22 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--ext", type=int, help="extension degree (trace constructions)")
     c.add_argument("--m", type=int, help="matrix size for the column family")
     c.add_argument("--r", type=int, help="rank parameter")
-    c.add_argument("--seed", type=int)
     c.add_argument("--out", required=True)
-    c.add_argument("--budget", type=int)
-    c.add_argument("--json", action="store_true")
     c.set_defaults(func=lambda args: cmd_construct(args))
 
-    a = sub.add_parser("analyze", help="dimension, spectrum and radical statistics of a file")
+    a = sub.add_parser("analyze", parents=[common], help="dimension, spectrum and radical statistics of a file")
     a.add_argument("file")
-    a.add_argument("--budget", type=int)
-    a.add_argument("--json", action="store_true")
     a.add_argument("--out")
     a.set_defaults(func=lambda args: cmd_analyze(args))
 
-    v = sub.add_parser("verify", help="run the theorem suite against a subspace file")
+    v = sub.add_parser("verify", parents=[common], help="run the theorem suite against a subspace file")
     v.add_argument("file")
     v.add_argument("--suite", help=f"comma list from {','.join(theoremlab.SUITE_NAMES)}")
-    v.add_argument("--budget", type=int)
     v.add_argument("--seed", type=int, help="seed for sampled maximality scans")
-    v.add_argument("--json", action="store_true")
     v.add_argument("--out", help="write the report file here")
     v.set_defaults(func=lambda args: cmd_verify(args))
 
-    s = sub.add_parser("search", help="hunt for asserted-but-unconstructed objects")
+    s = sub.add_parser("search", parents=[common], help="hunt for asserted-but-unconstructed objects")
     s.add_argument("mode", choices=tuple(_SEARCHES))
     s.add_argument("--q", type=int)
     s.add_argument("--n", type=int)
@@ -471,11 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--trials", type=int, default=0)
     s.add_argument("--out", help="write any found fixture here")
     s.add_argument("--log", help="write the search log here")
-    s.add_argument("--budget", type=int)
-    s.add_argument("--json", action="store_true")
     s.set_defaults(func=lambda args: cmd_search(args))
 
-    g = sub.add_parser("campaign", help="seeded fuzz grid: construct, verify, report")
+    g = sub.add_parser("campaign", parents=[common], help="seeded fuzz grid: construct, verify, report")
     g.add_argument("--q", required=True, help="comma list of field orders")
     g.add_argument("--n", required=True, help="comma list of dimensions")
     g.add_argument("--kind", help=f"comma list from {','.join(KINDS)}")
@@ -489,8 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int, required=True)
     g.add_argument("--suite", help="checker selection per trial (default: bounds)")
     g.add_argument("--out", required=True)
-    g.add_argument("--budget", type=int)
-    g.add_argument("--json", action="store_true")
     g.set_defaults(func=lambda args: cmd_campaign(args))
     return ap
 
@@ -513,7 +455,7 @@ def main(argv=None) -> int:
             return EXIT_ERROR
     try:
         return args.func(args)
-    except OSError as exc:  # an unreadable input or an unwritable output is a file error
+    except (OSError, ValueError, BudgetExceeded) as exc:  # the one exit for file, usage and budget errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -2,8 +2,10 @@
 
 Each constructor returns a FormSubspace together with nothing hidden:
 claims about dimension, spectrum or spread structure live in the
-`build` dispatcher's declared-claims dict, which the file writer
-persists and the verification suite re-derives from scratch.
+declared-claims dict of `build`, which the file writer persists and the
+verification suite re-derives from scratch.  `build` looks the name up
+in the one `_BUILDERS` table, whose builders return the subspace and
+its claims, and adds the name, parameters, dimension and kind.
 
 The odd-dimensional full-rank alternating family is a candidate formula
 only: it is brute-force verified (constant rank, spread census) at
@@ -37,7 +39,6 @@ class ConstructionError(RuntimeError):
 class ConstructionRequest:
     name: str
     params: dict = dc_field(default_factory=dict)
-    seed: Optional[int] = None
 
 
 def symmetric_trace(K: Field, m: int) -> FormSubspace:
@@ -221,88 +222,70 @@ def _require(params: dict, *names: str) -> list[int]:
     return out
 
 
+def _trace_symmetric(p: dict, budget):
+    q, m = _require(p, "q", "ext")
+    n = int(p.get("n") or m)
+    M = embed_with_radical(symmetric_trace(field_for_order(q), m), n)
+    return M, {"spectrum": [m], "maximal": bool(q >= m + 1 and m <= n)}
+
+
+def _block_symmetric(p: dict, budget):
+    q, n, r = _require(p, "q", "n", "r")
+    return block_symmetric(field_for_order(q), n, r), {"spectrum": [2 * s for s in range(1, r + 1)]}
+
+
+def _alt_pencil(p: dict, budget):
+    q, n = _require(p, "q", "n")
+    return alternating_pencil(field_for_order(q), n), {"spectrum": [2]}
+
+
+def _alt_full(p: dict, budget):
+    q, n = _require(p, "q", "n")
+    M = full_kind_space(field_for_order(q), n, KIND_ALTERNATING)
+    return M, {"spectrum": [2 * s for s in range(1, n // 2 + 1)]}
+
+
+def _alt_odd(p: dict, budget):
+    q, k = _require(p, "q", "k")
+    t = int(p.get("ext") or 1)
+    base = field_for_order(q)
+    M = alternating_odd_full(k, field_for_order(q**t), budget)
+    if t >= 2:
+        M = trace_compress(M, make_tower(base, t))
+    return M, {"spectrum": [(k - 1) * t], "spread_t": (q ** (k * t) - 1) // (q**t - 1)}
+
+
+def _column_family(p: dict, budget):
+    q, m, r = _require(p, "q", "m", "r")
+    s = int(p.get("ext") or 1)
+    M = bilinear_column_family(field_for_order(q**s), m, r)
+    if s >= 2:
+        M = trace_compress(M, make_tower(field_for_order(q), s))
+    return M, {"spectrum": [u * s for u in range(1, r + 1)]}
+
+
+_BUILDERS = {
+    "trace-symmetric": _trace_symmetric,
+    "block-symmetric": _block_symmetric,
+    "alt-pencil": _alt_pencil,
+    "alt-full": _alt_full,
+    "alt-odd": _alt_odd,
+    "column-family": _column_family,
+}
+CATALOGUE = tuple(_BUILDERS)
+
+
 def build(request: ConstructionRequest, budget: Optional[int] = None) -> tuple[FormSubspace, dict]:
     """Materialise a named construction and the claims it is sold with.
 
     Returns (subspace, declared) where `declared` holds the
     theory-level expectations (dimension, kind, spectrum, spread size,
-    maximality) for downstream re-verification.
+    maximality) for downstream re-verification.  The declared dimension
+    is the size of the built basis, which FormSubspace has checked to
+    be independent.
     """
-    name = request.name
-    p = request.params
-    declared: dict = {"construction": name, "params": {k: v for k, v in sorted(p.items()) if v is not None}}
-
-    if name == "trace-symmetric":
-        q, m = _require(p, "q", "ext")
-        K = field_for_order(q)
-        n = int(p.get("n") or m)
-        M = embed_with_radical(symmetric_trace(K, m), n)
-        declared.update(
-            dim=m,
-            kind=M.kind,
-            spectrum=[m],
-            maximal=bool(q >= m + 1 and m <= n),
-        )
-        return M, declared
-
-    if name == "block-symmetric":
-        q, n, r = _require(p, "q", "n", "r")
-        M = block_symmetric(field_for_order(q), n, r)
-        declared.update(dim=r * (n - r), kind=M.kind, spectrum=[2 * s for s in range(1, r + 1)])
-        return M, declared
-
-    if name == "alt-pencil":
-        q, n = _require(p, "q", "n")
-        M = alternating_pencil(field_for_order(q), n)
-        declared.update(dim=n - 1, kind=M.kind, spectrum=[2])
-        return M, declared
-
-    if name == "alt-full":
-        q, n = _require(p, "q", "n")
-        M = full_kind_space(field_for_order(q), n, KIND_ALTERNATING)
-        declared.update(
-            dim=n * (n - 1) // 2,
-            kind=M.kind,
-            spectrum=[2 * s for s in range(1, n // 2 + 1)],
-        )
-        return M, declared
-
-    if name == "alt-odd":
-        q, k = _require(p, "q", "k")
-        t = int(p.get("ext") or 1)
-        base = field_for_order(q)
-        M = alternating_odd_full(k, field_for_order(q**t), budget)
-        if t >= 2:
-            M = trace_compress(M, make_tower(base, t))
-        declared.update(
-            dim=k * t,
-            kind=M.kind,
-            spectrum=[(k - 1) * t],
-            spread_t=(q ** (k * t) - 1) // (q**t - 1),
-        )
-        return M, declared
-
-    if name == "column-family":
-        q, m, r = _require(p, "q", "m", "r")
-        s = int(p.get("ext") or 1)
-        M = bilinear_column_family(field_for_order(q**s), m, r)
-        if s >= 2:
-            M = trace_compress(M, make_tower(field_for_order(q), s))
-        declared.update(
-            dim=r * m * s,
-            kind=M.kind,
-            spectrum=[u * s for u in range(1, r + 1)],
-        )
-        return M, declared
-
-    raise ValueError(f"unknown construction {request.name!r}")
-
-
-CATALOGUE = (
-    "trace-symmetric",
-    "block-symmetric",
-    "alt-pencil",
-    "alt-full",
-    "alt-odd",
-    "column-family",
-)
+    if request.name not in _BUILDERS:
+        raise ValueError(f"unknown construction {request.name!r}")
+    M, claims = _BUILDERS[request.name](request.params, budget)
+    params = {k: v for k, v in sorted(request.params.items()) if v is not None}
+    return M, {"construction": request.name, "params": params, "dim": M.dim, "kind": M.kind, **claims}

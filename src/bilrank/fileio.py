@@ -113,6 +113,8 @@ def subspace_from_json(obj) -> SubspaceFile:
             raise ValueError(f"subspace file is missing {key!r}")
     field = field_from_json(obj["field"])
     n = _int(obj["n"], "n")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if not isinstance(obj["basis"], list):
         raise ValueError(f"basis must be a list of forms, not {type(obj['basis']).__name__}")
     forms = []

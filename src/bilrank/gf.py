@@ -166,6 +166,8 @@ class FieldSpec:
     modulus: tuple[int, ...]
 
     def validate(self) -> None:
+        if self.p > MAX_ORDER or (self.k > 16 and self.p > 1):  # over the cap: spare the costly tests below
+            raise ValueError(f"field order {self.p}^{self.k} exceeds the supported cap {MAX_ORDER}")
         if not is_prime(self.p):
             raise ValueError(f"characteristic {self.p} is not prime")
         if self.k < 1:
@@ -368,6 +370,8 @@ def field_for_order(q: int) -> Field:
     """GF(q) with the canonical modulus."""
     if q < 2:
         raise ValueError(f"field order must be >= 2, got {q}")
+    if q > MAX_ORDER:  # before the trial division, which takes sqrt(q) steps
+        raise ValueError(f"field order {q} exceeds the supported cap {MAX_ORDER}")
     fs = prime_factors(q)
     if len(fs) != 1:
         raise ValueError(f"{q} is not a prime power")

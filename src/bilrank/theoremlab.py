@@ -340,8 +340,8 @@ def check_dimension_bounds(M: FormSubspace, budget: Optional[int] = None) -> lis
     )
 
     if alternating and constant and d >= 1:
-        # every rad_L f has dim n - m and holds the basis' common left radical: all equal iff it has too
-        all_equal = len(linalg.left_null_space(M.field, np.hstack([f.entries for f in M.basis]))) == n - m
+        # every rad_L f (dim n - m) holds the basis' common left radical: all equal iff the stacked basis has rank m
+        all_equal = linalg.rank(M.field, np.hstack([f.entries for f in M.basis])) == m
         hyps = [nonzero, h_alt, h_const,
                 _hyp("common radical", "all elements of M^x share one radical",
                      f"distinct radicals > 1: {not all_equal}", all_equal)]
@@ -789,6 +789,15 @@ _CHECKERS = {
 SUITE_NAMES = tuple(_CHECKERS)
 
 
+def select_suite(selection=None) -> tuple:
+    """The checker names a selection asks for (all by default); an unknown name is a ValueError."""
+    selected = tuple(selection) if selection is not None else SUITE_NAMES
+    unknown = set(selected) - set(SUITE_NAMES)
+    if unknown:
+        raise ValueError(f"unknown suite selection: {sorted(unknown)}")
+    return selected
+
+
 def run_suite(
     M: FormSubspace,
     selection=None,
@@ -797,10 +806,7 @@ def run_suite(
     seed: Optional[int] = None,
 ) -> list[VerificationReport]:
     """Dispatch the selected checkers (all by default) and collect reports."""
-    selected = tuple(selection) if selection is not None else SUITE_NAMES
-    unknown = set(selected) - set(SUITE_NAMES)
-    if unknown:
-        raise ValueError(f"unknown suite selection: {sorted(unknown)}")
+    selected = select_suite(selection)
     out: list[VerificationReport] = []
     for name in SUITE_NAMES:
         if name in selected:

@@ -162,11 +162,11 @@ def test_wrong_json_shape_exit_2(tmp_path, capsys, fields, message):
     assert message in capsys.readouterr().err
 
 
-def _one_form_file(path, n=2, entry=0, p=3):
+def _one_form_file(path, n=2, entry=0, p=3, k=1):
     obj = {
         "format": "bilrank-subspace",
         "version": 1,
-        "field": {"p": p, "k": 1, "modulus": [0, 1]},
+        "field": {"p": p, "k": k, "modulus": [0, 1]},
         "n": n,
         "basis": [{"n": 2, "rows": [[1, entry], [0, 1]]}],
     }
@@ -325,18 +325,63 @@ def test_campaign_bad_grid_is_a_usage_error(tmp_path, capsys, grid, message):
     assert not out.exists()
 
 
+def _run_cli(*argv):
+    """bilrank in a subprocess, with a timeout so that a stall fails instead of hanging."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    return subprocess.run([sys.executable, "-m", "bilrank.cli", *argv],
+                          capture_output=True, text=True, timeout=60, env=env)
+
+
 @pytest.mark.parametrize("n", ["0", "-1"])
 def test_campaign_rejects_dimension_below_one(tmp_path, n):
     # in a subprocess with a timeout: --n 0 once looped forever looking for the largest d
     out = tmp_path / "c"
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "bilrank.cli", "campaign", "--q", "3", "--n", n,
-         "--trials", "1", "--seed", "1", "--out", str(out)],
-        capture_output=True, text=True, timeout=60, env=env,
-    )
+    proc = _run_cli("campaign", "--q", "3", "--n", n, "--trials", "1", "--seed", "1", "--out", str(out))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: --q/--n: ") and ">= 1" in proc.stderr
+    assert not out.exists()
+
+
+def test_campaign_rejects_unknown_suite(tmp_path, capsys):
+    out = tmp_path / "c"
+    assert run(["campaign", "--q", "3", "--n", "3", "--trials", "1", "--seed", "1",
+                "--suite", "bounds,weird", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: unknown suite selection: ['weird']\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("p, k", [(3, 10**8), (2**61 - 1, 1)], ids=["huge-k", "huge-p"])
+def test_file_field_over_the_cap_is_rejected_first(tmp_path, p, k):
+    # p^k is over 2^16: rejected before the primality test and the power are computed
+    proc = _run_cli("analyze", _one_form_file(tmp_path / "m.json", p=p, k=k))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "exceeds the supported cap 65536" in proc.stderr
+
+
+def test_construct_order_over_the_cap_is_rejected_first(tmp_path):
+    proc = _run_cli("construct", "--name", "alt-pencil", "--q", str(2**61 - 1), "--n", "3",
+                    "--out", str(tmp_path / "m.sub"))
+    assert proc.returncode == 2
+    assert proc.stderr == f"construction failed: field order {2**61 - 1} exceeds the supported cap 65536\n"
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_file_dimension_below_one_is_rejected(tmp_path, capsys, command, n):
+    # an empty basis: the n check is all that stands before the numpy reshape
+    path = tmp_path / "m.json"
+    path.write_text(fileio.dumps({"format": "bilrank-subspace", "version": 1, "n": n, "basis": [],
+                                  "field": {"p": 3, "k": 1, "modulus": [0, 1]}}))
+    assert run([command, str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: n must be >= 1, got {n}\n"
+
+
+def test_construct_rejects_seed(tmp_path, capsys):
+    out = tmp_path / "m.sub"
+    with pytest.raises(SystemExit) as exc:
+        run(["construct", "--name", "alt-pencil", "--q", "3", "--n", "3", "--seed", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -475,3 +520,127 @@ def test_main_reaches_a_rebound_command(trace_fixture, monkeypatch):
     monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.append(args.file) or 7)
     assert run(["verify", trace_fixture, "--suite", "declared"]) == 7
     assert seen == [trace_fixture]
+
+
+# --- pinned front end ------------------------------------------------------------
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _call_digest(argv, capsys):
+    """sha256 of "<exit code>\n<stdout>" of one in-process CLI call."""
+    code = run(argv)
+    return _sha256(f"{code}\n{capsys.readouterr().out}")
+
+
+def _tree_digests(root):
+    """sha256 of every file under root, keyed by its path relative to root."""
+    out = {}
+    for folder, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(folder, name)
+            with open(path) as fh:
+                out[os.path.relpath(path, root)] = _sha256(fh.read())
+    return out
+
+
+# `bilrank search MODE ... --out KEY.sub --json`, run in an empty working directory
+PINNED_HUNT_ARGS = {
+    "rank2-found": ["rank2-distinct-radicals", "--q", "3", "--n", "3", "--seed", "11", "--trials", "400"],
+    "rank2-missed": ["rank2-distinct-radicals", "--q", "3", "--n", "3", "--seed", "1", "--trials", "3"],
+    "rank2-over-budget": ["rank2-distinct-radicals", "--q", "3", "--n", "3", "--seed", "11", "--trials", "5",
+                          "--budget", "5"],
+    "alt-found": ["alt-spectrum", "--q", "3", "--n", "3", "--s", "1", "--seed", "2", "--trials", "5"],
+    "alt-missed": ["alt-spectrum", "--q", "2", "--n", "5", "--s", "2", "--seed", "1", "--trials", "3"],
+}
+PINNED_HUNT_SHA256 = {
+    "alt-found": "00912aa9d699cb03a9f714923192c2b5186b74f2347fe2a4f228574c0c081205",
+    "alt-found.sub": "283e89443161c3a07252154e51402fa04b5d4fb79ebc4e75b91f1136ed7f893d",
+    "alt-missed": "fdd97ecba9fb50aa3c92dde04ebd3a2d0672fc833076f7388680dc67f85f3309",
+    "rank2-found": "043d9943145a68c9dc5929eab2e1bfb6c44e82b7371fb5c875a5e512e0d531cc",
+    "rank2-found.sub": "9e8ae3f82f9c5dd742209355d05bdbb742297e78e2406d4f393283d47fe7eb76",
+    "rank2-missed": "18cd9d02262aa646c3bc6b0bdd731f678ed37628563477ee1ea84d499aee562a",
+    "rank2-over-budget": "0532ec0961140601d5c8d9fcd8cf2b8273dd6fad1ce976c1ba0aae5150330722",
+}
+
+
+def test_search_output_is_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    got = {key: _call_digest(["search", *args, "--out", key + ".sub", "--json"], capsys)
+           for key, args in PINNED_HUNT_ARGS.items()}
+    got.update(_tree_digests("."))
+    assert got == PINNED_HUNT_SHA256
+
+
+# `bilrank campaign ... --out KEY --json`, run in an empty working directory
+PINNED_CAMPAIGN_ARGS = {
+    "sampler": ["--q", "3,5", "--n", "3,4", "--trials", "30", "--seed", "7"],
+    # the n = 2 point fails: block-symmetric needs r <= n/2
+    "construction": ["--q", "3", "--n", "2,4", "--construction", "block-symmetric", "--r", "2",
+                     "--trials", "1", "--seed", "3"],
+}
+PINNED_CAMPAIGN_SHA256 = {
+    "construction": "ab8dea4383fff90b164856d39003524053cdcd4bf3f1df6664d6d045371ed3a2",
+    "construction/q3-n2-block-symmetric.json": "6b822d110d50f70586123d23f75a888ef5678f5e0f774a6b5f9033cecaddebbe",
+    "construction/q3-n4-block-symmetric.json": "3be6ec2ae1ff4a0daa4a7a45d2c1241ae5b58941ca5340d958bdcf1281ce5d0f",
+    "construction/q3-n4-block-symmetric.sub": "11c02db2542c84670764ee76640592d39421ba32b4953f2b22e2f93aaa505c67",
+    "construction/summary.json": "fb7f36367b076253e92e76103adf04aee5e919fdfaad3a7fbccaa44555ae7498",
+    "sampler": "7568ebc49bbf4671d68582b8f40fa1884bf7114c3f7f84633d16a6aeec1f1979",
+    "sampler/q3-n3-alternating.json": "2cecf2f24c8b7dcb68443daa7cf638b770a537f9d29fb3a2a369b072e39f3255",
+    "sampler/q3-n3-general.json": "5db7d4a89e6f9a316f003b28614f4fe66056b2d6f57f9e1eee3ce9dc2528fc13",
+    "sampler/q3-n3-symmetric.json": "cb526f452b739021d78d306f7360e364896462c3ff5e010e7de9813adb4b1111",
+    "sampler/q3-n4-alternating.json": "699b68e81caab929d995213be1b4a29c2d10a53811856a2b068aed09d7f17bc7",
+    "sampler/q3-n4-general.json": "5bd1bc1acd1add4f7d87ec6d0d12adcf7ba982b94633b458433d65405a8c352b",
+    "sampler/q3-n4-symmetric.json": "4418d70cec0d395bfb7f6e758c0408432c42ac781656f2cde00ad0bae5a8e9ba",
+    "sampler/q5-n3-alternating.json": "a3d0f47b3dabe42823720b65d9d758396eb62907d48abb93bfcc8bf74029b8ea",
+    "sampler/q5-n3-general.json": "cf1a74d1d255297b564bc17b396485a69c4b50e8bee0811297acf0a609e722d1",
+    "sampler/q5-n3-symmetric.json": "49f4e51ef9754052726d7430f7ea8e0a5bd36be46f4a2065c04b3bc557bd38a0",
+    "sampler/q5-n4-alternating.json": "794157b4d4d4c195baf025f345522a9bbdf7ed2eb7ead318003a07d14d6580c4",
+    "sampler/q5-n4-general.json": "ea4d5d6e7b77ff15d9eb8b7e030f94fded4f3d50a0a283ee5ee32fd85504f46a",
+    "sampler/q5-n4-symmetric.json": "bd3b5d66af80458f8e03822c91c3139e33773c1a9368d3bdcafb94c732b5c2da",
+    "sampler/summary.json": "bf20c0ac806e15ba8ab40df31e0fe867cfc92528c53d50195f0c9b700c2cf671",
+}
+
+
+def test_campaign_files_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    got = {key: _call_digest(["campaign", *args, "--out", key, "--json"], capsys)
+           for key, args in PINNED_CAMPAIGN_ARGS.items()}
+    got.update(_tree_digests("."))
+    assert got == PINNED_CAMPAIGN_SHA256
+
+
+# `bilrank construct --name NAME ... --out NAME.sub --json`, one member per catalogue name
+PINNED_CONSTRUCT_ARGS = {
+    "trace-symmetric": ["--q", "3", "--ext", "2", "--n", "3"],
+    "block-symmetric": ["--q", "3", "--n", "4", "--r", "2"],
+    "alt-pencil": ["--q", "5", "--n", "4"],
+    "alt-full": ["--q", "2", "--n", "3"],
+    "alt-odd": ["--q", "2", "--k", "3", "--ext", "2"],
+    "column-family": ["--q", "3", "--ext", "2", "--m", "2", "--r", "1"],
+}
+PINNED_CONSTRUCT_SHA256 = {
+    "alt-full": "13e131c11192dbe9035695a6ef189168a99acde53fd540edf66b07ed121378ab",
+    "alt-full.sub": "ced96c4598d83270bc0e9e8d81880ed03c5d7665626e86aee58d61ff1f4bb162",
+    "alt-odd": "1b9f8a94dc2828c6de5983b57c19333482085c5d5b9517922e163cdc43e415d2",
+    "alt-odd.sub": "86c0e1cbf087cfe183220b8e37e4330d9088083cc12574b3c565c7a8c330e077",
+    "alt-pencil": "80cfa20704edd51823463ec18ac8da9a16a6aeeec038af76b73d441c4c90f2e5",
+    "alt-pencil.sub": "ca5cd19b15e13c3452c05cae5e51c56201bd57c48d6aeba77881bcdb973f37ff",
+    "block-symmetric": "3a621cd899a71ee04f1a25f1fbaaf6830261ac8c044109a0a662659109e3b8f4",
+    "block-symmetric.sub": "50ce9116a0be533a9c7f7beccaad98327cc8119aa524f77a7abb54d040f35c0d",
+    "column-family": "be0f03aebe0a4c41c3df20561b99f6746be45dbfdf0b6bab41ba8f6384f18f00",
+    "column-family.sub": "460282e6d2b9e6cc54fee2e7841a6d220f0a109857652fd22fefa7de0216f2f1",
+    "trace-symmetric": "dd4be324d2306056bc5490d3518fc8a3aba9501f2604b8f7dfeac2819c9643a2",
+    "trace-symmetric.sub": "0fa643a973111ff18b73cf5034f11045da49821373dc73cfe29faeaa6927552d",
+}
+
+
+def test_construct_output_is_pinned(tmp_path, monkeypatch, capsys):
+    assert tuple(PINNED_CONSTRUCT_ARGS) == cons.CATALOGUE
+    monkeypatch.chdir(tmp_path)
+    got = {name: _call_digest(["construct", "--name", name, *args, "--out", name + ".sub", "--json"], capsys)
+           for name, args in PINNED_CONSTRUCT_ARGS.items()}
+    got.update(_tree_digests("."))
+    assert got == PINNED_CONSTRUCT_SHA256

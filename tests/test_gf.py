@@ -197,6 +197,17 @@ def test_field_spec_validation_errors():
         field_for_order(12)
 
 
+def test_over_the_cap_is_checked_before_primality_and_the_order():
+    # p > 2^16 or k > 16 is refused before the trial division of p and the power p^k
+    for spec in (FieldSpec(3, 4_000_000, (0, 1)), FieldSpec(4, 17, (0, 1)), FieldSpec(2**16 + 1, 1, (0, 1))):
+        with pytest.raises(ValueError, match=rf"field order {spec.p}\^{spec.k} exceeds the supported cap 65536"):
+            make_field(spec)
+    with pytest.raises(ValueError, match=f"field order {10**14 + 31} exceeds the supported cap 65536"):
+        field_for_order(10**14 + 31)
+    with pytest.raises(ValueError, match="characteristic 1 is not prime"):
+        make_field(FieldSpec(1, 17, (0, 1)))
+
+
 def test_default_modulus_is_deterministic_and_irreducible():
     for p, k in [(2, 2), (2, 8), (3, 2), (3, 4), (5, 2), (7, 2)]:
         mod = default_modulus(p, k)
