@@ -437,12 +437,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# the least value of each integer flag whose range argparse does not check, per command
+_AT_LEAST = {
+    "search": (("trials", 0), ("n", 1), ("seed", 0)),
+    "campaign": (("trials", 0), ("seed", 0)),
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    for flag, least in _AT_LEAST.get(args.command, ()):
+        value = getattr(args, flag)
+        if value is not None and value < least:
+            print(f"error: --{flag} must be >= {least}", file=sys.stderr)
+            return EXIT_ERROR
     if args.command in ("search",) and args.mode != "maximal" and args.seed is None:
         print("error: randomized searches require --seed", file=sys.stderr)
         return EXIT_ERROR
-    if args.command == "search" and args.mode != "maximal" and args.q is None:
+    if args.command == "search" and args.mode != "maximal" and (args.q is None or args.n is None):
         print("error: this search mode requires --q and --n", file=sys.stderr)
         return EXIT_ERROR
     if args.budget is None:

@@ -3,10 +3,12 @@
 Single matrices go through plain-Python reduced row echelon form; the
 enumeration hot paths use `batch_rref` (one Gauss-Jordan elimination
 across a whole stack, with vectorised table lookups).  Null spaces take
-two steps: `null_vectors` reads spanning vectors off the reduced stack,
-and they are equal exactly when the null spaces are, so a caller can
-drop repeats before the second `batch_rref` makes them canonical
-(`batch_null_space` does both on every matrix).  Echelon output is
+two steps: `null_vectors` reads spanning vectors off a stack that
+`batch_rref` has already reduced, so a caller that kept a reduced stack
+does not eliminate it again, and the vectors are equal exactly when the
+null spaces are, so a caller can drop repeats before the second
+`batch_rref` makes them canonical (`batch_null_space` does all three on
+every matrix).  Echelon output is
 canonical (leading ones, cleared pivot columns, zero rows dropped or, in
 a stack, last) so equal row spaces have equal representations.
 """
@@ -124,17 +126,16 @@ def batch_rank(field, mats):
     return batch_rref(field, mats)[1]
 
 
-def null_vectors(field, mats):
-    """Spanning vectors of the right null spaces of a stack (B, rows, cols): a (B, cols, cols) stack.
+def null_vectors(field, red, ranks):
+    """Spanning vectors of the right null spaces of a stack, read off its `batch_rref` (red, ranks).
 
-    With R the reduced form and p_i its pivot columns, row f is
-    e_f - sum_i R[i, f] e_{p_i} for each free column f, and zero for each
-    pivot column.  R depends only on the row space, which is the null
-    space's orthogonal complement, so equal null spaces give equal
-    stacks: the vectors are an exact key for deduplication before the
-    `batch_rref` that makes them canonical.
+    Returns a (B, cols, cols) stack.  With R the reduced form and p_i its
+    pivot columns, row f is e_f - sum_i R[i, f] e_{p_i} for each free
+    column f, and zero for each pivot column.  R depends only on the row
+    space, which is the null space's orthogonal complement, so equal null
+    spaces give equal stacks: the vectors are an exact key for
+    deduplication before the `batch_rref` that makes them canonical.
     """
-    red, ranks = batch_rref(field, mats)
     nb, nrows, ncols = red.shape
     if ncols == 0:
         return np.zeros((nb, 0, 0), dtype=np.int64)
@@ -153,9 +154,9 @@ def batch_null_space(field, mats):
     """Right null spaces of a stack (B, rows, cols): bases (B, cols, cols) and dims (B,).
 
     bases[b, :dims[b]] are the rows `right_null_space` returns, zero rows
-    follow: the `null_vectors` of each matrix, reduced once more.
+    follow: the `null_vectors` of each reduced matrix, reduced once more.
     """
-    return batch_rref(field, null_vectors(field, mats))
+    return batch_rref(field, null_vectors(field, *batch_rref(field, mats)))
 
 
 def code_vectors(q: int, n: int, start: int = 0, stop: int | None = None):

@@ -11,19 +11,29 @@ depends only on ranks or radicals.
 
 M is walked once.  Rank, radicals and Witt index are constant on the
 scalar lines of M^x, so `line_table` keeps the lead-1 coefficients and
-the rank of every line (one projective walk, one `batch_rank` per
+the rank of every line (one projective walk, one `batch_rref` per
 block) on M, and everything else reads it: `rank_spectrum` counts its
-ranks q - 1 times each, `lines` adds both radicals of every line, and
+ranks q - 1 times each, `lines` adds both radicals of every line, the
+right ones read off the reduced Gram matrices `line_table` kept, and
 the checkers take the spectrum witness and the Witt census from it.
 
 V is treated the same way.  M_{cu} = M_u, so `kernel_dims_all` solves
 dim M_u only at the lead-1 representative of each line of V
 (`line_representatives`), spreads it over the line and keeps the array
-on M, one per side, for every checker that reads it.
+on M for every checker that reads it.
+
+One side stands for both where it can.  A symmetric or alternating M
+has G^T = +-G for every form, so rad_L G = rad_R G and the left and
+right M_u agree: for such M (`M.two_sided` false) `lines`,
+`kernel_dims_all` and `max_rank_incidence` solve one side and return it
+for the other (`_solved_side`), and the filtration checker stacks only
+the left systems.  The isotropic set is kept on M as well.
 
 Null spaces are solved in bulk: `kernel_matrices` builds the systems
 of M_u for a stack of vectors u, and `null_spaces` solves any stack
-(radicals, M_u, A_u) in blocks.  The `linalg.null_vectors` of a block
+(radicals, M_u, A_u) in blocks; `reduced_null_spaces` does the same for
+a stack already reduced, such as the Gram matrices `line_table` kept,
+without eliminating it again.  The `linalg.null_vectors` of a block
 are equal exactly when the null spaces are, so only its distinct null
 spaces get the final `batch_rref`.  It keeps each distinct null space
 once and an id per matrix, so the radical census, the radical spread,
@@ -35,7 +45,9 @@ dimension from one stacked product.
 Operations that walk q^d or q^n objects take an explicit step budget
 and raise BudgetExceeded instead of silently sampling: a theorem check
 is either exhaustive or it did not run.  One step is one enumerated
-object times one Gram-matrix cell (n^2 cells per form).
+object times one Gram-matrix cell (n^2 cells per form).  A call that
+returns a result stored on M is charged the same as the call that
+computed it.
 """
 
 from __future__ import annotations
@@ -81,7 +93,10 @@ def _kind_of_basis(forms) -> str:
 class FormSubspace:
     """A subspace of Bil(V) given by a linearly independent basis of forms."""
 
-    __slots__ = ("field", "n", "basis", "kind", "_flat", "_table", "_lines", "_kernel_dims")
+    __slots__ = (
+        "field", "n", "basis", "kind", "_flat", "_table", "_reduced", "_lines", "_kernel_dims", "_incidence",
+        "_isotropic",
+    )
 
     def __init__(self, field: Field, n: int, basis):
         basis = tuple(basis)
@@ -101,8 +116,12 @@ class FormSubspace:
         self.kind = _kind_of_basis(basis)
         self._flat = flat
         self._table = None  # filled by the first line_table call
+        self._reduced = None  # line_table's reduced Gram blocks, until the first lines call reads them
         self._lines = None  # filled by the first lines call
-        self._kernel_dims = {}  # side -> dims, filled by the first kernel_dims_all call on that side
+        # solved side -> result, filled by the first call that solves that side
+        self._kernel_dims = {}
+        self._incidence = {}
+        self._isotropic = None  # filled by the first isotropic_set call
 
     @property
     def dim(self) -> int:
@@ -114,6 +133,11 @@ class FormSubspace:
         if self.kind == KIND_ALTERNATING:
             return self.field.p == 2 or not self.basis
         return self.kind == KIND_SYMMETRIC
+
+    @property
+    def two_sided(self) -> bool:
+        """Can left and right differ?  Not where G^T = +-G for every form, i.e. M symmetric or alternating."""
+        return self.kind == KIND_GENERAL
 
     def basis_flat(self):
         """Basis forms flattened row-major to a (dim, n^2) array."""
@@ -247,15 +271,18 @@ def line_table(M: FormSubspace, budget: Optional[int], what: str):
     `coeffs` is the (L, d) array of lead-1 coefficient vectors and `ranks`
     the (L,) array of their ranks, L = (q^d - 1)/(q - 1).  The budget is
     charged under `what` on every call; the walk runs on the first one
-    only, and later calls return the table stored on M.
+    only, and later calls return the table stored on M.  The walk also
+    keeps each block's `linalg.batch_rref` of the line Gram matrices on
+    M, for `lines` to read the right radicals off.
     """
     charge(M.field.q**M.dim, M.n * M.n, budget, what)
     if M._table is None:
-        coeffs, ranks = [np.zeros((0, M.dim), dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        coeffs, reduced = [np.zeros((0, M.dim), dtype=np.int64)], []
         for block, flats in scan_blocks(M, budget, projective=True, what=what):
             coeffs.append(block)
-            ranks.append(linalg.batch_rank(M.field, flats.reshape(-1, M.n, M.n)))
-        M._table = (np.concatenate(coeffs), np.concatenate(ranks))
+            reduced.append(linalg.batch_rref(M.field, flats.reshape(-1, M.n, M.n)))
+        ranks = [np.zeros(0, dtype=np.int64)] + [rk for _, rk in reduced]
+        M._table, M._reduced = (np.concatenate(coeffs), np.concatenate(ranks)), reduced
     return M._table
 
 
@@ -273,13 +300,17 @@ def lines(M: FormSubspace, budget: Optional[int] = None):
     """(coeffs, ranks, left, right): the rows of `line_table` and the `NullSpaces` of their radicals.
 
     The budget is charged on every call; the radicals are computed on the
-    first one only, and later calls return the tuple stored on M.
+    first one only, and later calls return the tuple stored on M.  Where
+    G^T = +-G, `left` is `right`.
     """
     coeffs, ranks = line_table(M, budget, "radical census")
     if M._lines is None:
-        grams = flat_forms_for(M, coeffs).reshape(-1, M.n, M.n)
-        # rad_L G is the null space of G^T, rad_R G that of G
-        M._lines = (coeffs, ranks, *(null_spaces(M.field, g) for g in (grams.transpose(0, 2, 1), grams)))
+        # rad_R G is the null space of G, whose reduced form line_table kept
+        right = reduced_null_spaces(M.field, M._reduced)
+        left = right
+        if M.two_sided:  # rad_L G is the null space of G^T
+            left = null_spaces(M.field, flat_forms_for(M, coeffs).reshape(-1, M.n, M.n).transpose(0, 2, 1))
+        M._lines, M._reduced = (coeffs, ranks, left, right), None
     return M._lines
 
 
@@ -297,18 +328,24 @@ class NullSpaces(NamedTuple):
 
 
 def null_spaces(field: Field, mats) -> NullSpaces:
-    """The right null spaces of a stack, in blocks of _BLOCK matrices.
+    """The right null spaces of a stack, eliminated in blocks of _BLOCK matrices."""
+    blocks = (linalg.batch_rref(field, mats[start:start + _BLOCK]) for start in range(0, len(mats), _BLOCK))
+    return reduced_null_spaces(field, blocks)
+
+
+def reduced_null_spaces(field: Field, blocks) -> NullSpaces:
+    """The right null spaces of a stack given as its `linalg.batch_rref` (reduced, ranks) blocks, in order.
 
     Each block's `linalg.null_vectors` are equal exactly when the null
     spaces are, so one `np.unique` over their bytes finds the block's
     distinct spaces, a dict on those bytes joins blocks, and only the
     spaces not seen before are reduced by the second `batch_rref`.
     """
-    cols = mats.shape[2]
     index: dict[bytes, int] = {}
-    spaces, first, ids = [], [], np.empty(len(mats), dtype=np.int64)
-    for start in range(0, len(mats), _BLOCK):
-        vecs = linalg.null_vectors(field, mats[start:start + _BLOCK])
+    spaces, first, ids, start = [], [], [np.zeros(0, dtype=np.int64)], 0
+    for red, ranks in blocks:
+        cols = red.shape[2]
+        vecs = linalg.null_vectors(field, red, ranks)
         flat = vecs.reshape(len(vecs), -1)  # a view: vecs is a fresh contiguous stack
         keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).reshape(len(vecs))
         _, at, inverse = np.unique(keys, return_index=True, return_inverse=True)
@@ -319,12 +356,20 @@ def null_spaces(field: Field, mats) -> NullSpaces:
             index[keys[a].tobytes()] = len(spaces)
             spaces.append(Subspace(field, cols, basis[:dim]))
             first.append(start + a)
-        ids[start:start + len(vecs)] = np.array([index[keys[a].tobytes()] for a in at], dtype=np.int64)[inverse]
-    return NullSpaces(tuple(spaces), ids, np.array(first, dtype=np.int64))
+        ids.append(np.array([index[keys[a].tobytes()] for a in at], dtype=np.int64)[inverse])
+        start += len(vecs)
+    return NullSpaces(tuple(spaces), np.concatenate(ids), np.array(first, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
 # Kernels M_u, the sets V(M), I(M), A_u, and radical spreads
+
+
+def _solved_side(M: FormSubspace, side: str) -> str:
+    """The side solved for `side`: itself where M is two-sided, else the left, which stands for both."""
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    return side if M.two_sided else "left"
 
 
 def kernel_matrices(M: FormSubspace, vecs, side: str):
@@ -332,8 +377,7 @@ def kernel_matrices(M: FormSubspace, vecs, side: str):
 
     Column k of the matrix for u is u^T G_k (left side) or G_k u (right side).
     """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    _solved_side(M, side)  # raises on an unknown side
     fld, n = M.field, M.n
     stack = M._flat.reshape(-1, n, n)  # (d, n, n)
     vecs = np.asarray(vecs, dtype=np.int64).reshape(-1, n)
@@ -367,11 +411,12 @@ def kernel_dims_all(M: FormSubspace, side: str, budget: Optional[int] = None):
 
     M_{cu} = M_u, so only the representative of each line is solved and
     every other u reads its line's value.  The budget is charged on every
-    call; the solve runs on the first call per side only, and later calls
-    return the array stored on M.
+    call; the solve runs on the first call per solved side only
+    (`_solved_side`), and later calls return the array stored on M.
     """
     fld, q, n, d = M.field, M.field.q, M.n, M.dim
     charge(q**n, d * n, budget, "kernel_dims_all")
+    side = _solved_side(M, side)
     if side not in M._kernel_dims:
         vecs = linalg.code_vectors(q, n)
         reps = np.flatnonzero(line_representatives(q, n))
@@ -395,11 +440,20 @@ def max_rank_incidence(M: FormSubspace, side: str, budget: Optional[int] = None)
     M_u holds a rank-m element, and whether all rank-m elements of M_u
     have the same radical on the other side (vacuously true when there
     are none).  M_u = {f in M : u in rad f} on the chosen side, so both
-    are incidences between V and the radicals of the rank-m lines.
+    are incidences between V and the radicals of the rank-m lines.  The
+    budget is charged on every call (by `lines`); the arrays are computed
+    on the first call per solved side only and stored on M, read-only.
     """
-    fld, q, n = M.field, M.field.q, M.n
     _, ranks, left, right = lines(M, budget)
-    own, other = (left, right) if side == "left" else (right, left)
+    side = _solved_side(M, side)
+    if side not in M._incidence:
+        own, other = (left, right) if side == "left" else (right, left)
+        M._incidence[side] = _max_rank_incidence(M, ranks, own, other)
+    return M._incidence[side]
+
+
+def _max_rank_incidence(M: FormSubspace, ranks, own: NullSpaces, other: NullSpaces):
+    fld, q, n = M.field, M.field.q, M.n
     m = int(ranks.max(initial=0))
     top = ranks == m
     # least and greatest other-side radical id over the rank-m lines of each own-side radical
@@ -419,7 +473,10 @@ def max_rank_incidence(M: FormSubspace, side: str, budget: Optional[int] = None)
         np.minimum.at(at_lo, at, lo[block, None])
         np.maximum.at(at_hi, at, hi[block, None])
     holds = at_hi >= 0
-    return holds, ~holds | (at_lo == at_hi)
+    shared = ~holds | (at_lo == at_hi)
+    holds.setflags(write=False)
+    shared.setflags(write=False)
+    return holds, shared
 
 
 @dataclass(frozen=True)
@@ -476,7 +533,11 @@ class IsotropicSet:
 
 
 def isotropic_set(M: FormSubspace, budget: Optional[int] = None) -> IsotropicSet:
-    """All nonzero w with f(w, w) = 0 for every f in M."""
+    """All nonzero w with f(w, w) = 0 for every f in M.
+
+    The budget is charged on every call; the set is computed on the first
+    one only, and later calls return the set stored on M.
+    """
     fld = M.field
     if fld.p == 2:
         raise ValueError("isotropic_set requires odd characteristic")
@@ -484,14 +545,16 @@ def isotropic_set(M: FormSubspace, budget: Optional[int] = None) -> IsotropicSet
         raise ValueError("isotropic_set requires a symmetric (or alternating) subspace")
     q, n = fld.q, M.n
     charge(q**n, M.dim * n, budget, "isotropic_set")
-    vecs = linalg.code_vectors(q, n)
-    mask = np.ones(len(vecs), dtype=bool)
-    for f in M.basis:
-        tv = fld.matmul_arr(vecs, f.entries)
-        quad = fld.sum_arr(fld.mul_arr(tv, vecs), axis=1)
-        mask &= quad == 0
-    mask[0] = False
-    return IsotropicSet(tuple(tuple(int(v) for v in p) for p in vecs[mask]))
+    if M._isotropic is None:
+        vecs = linalg.code_vectors(q, n)
+        mask = np.ones(len(vecs), dtype=bool)
+        for f in M.basis:
+            tv = fld.matmul_arr(vecs, f.entries)
+            quad = fld.sum_arr(fld.mul_arr(tv, vecs), axis=1)
+            mask &= quad == 0
+        mask[0] = False
+        M._isotropic = IsotropicSet(tuple(tuple(int(v) for v in p) for p in vecs[mask]))
+    return M._isotropic
 
 
 @dataclass(frozen=True)

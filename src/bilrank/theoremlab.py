@@ -607,8 +607,10 @@ def check_filtration(M: FormSubspace, budget: Optional[int] = None) -> Verificat
         current, cur_spec = M, spec
         lead_one = linalg.code_vectors(q, n)[line_representatives(q, n)]
         while cur_spec.r > 1:
-            # M_u of every lead-1 u, left then right for each u, in the proof's order
-            mats = np.stack([kernel_matrices(current, lead_one, side) for side in ("left", "right")], axis=1)
+            # M_u of every lead-1 u, left then right for each u, in the proof's order; where
+            # G^T = +-G each right system has the null space of the left one just before it
+            sides = ("left", "right") if current.two_sided else ("left",)
+            mats = np.stack([kernel_matrices(current, lead_one, side) for side in sides], axis=1)
             # distinct M_u in order of first appearance: the first to pass is the first u's that passes
             for coeffs in null_spaces(M.field, mats.reshape(-1, n, current.dim)).spaces:
                 if coeffs.dim == (cur_spec.r - 1) * n:

@@ -350,6 +350,29 @@ def test_campaign_rejects_unknown_suite(tmp_path, capsys):
     assert not out.exists()
 
 
+_HUNT = ["search", "rank2-distinct-radicals", "--q", "3"]
+_GRID = ["campaign", "--q", "3", "--n", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (_HUNT + ["--n", "3", "--seed", "1", "--trials", "-1"], "--trials must be >= 0"),
+        (_GRID + ["--seed", "1", "--trials", "-2"], "--trials must be >= 0"),
+        (_HUNT + ["--n", "0", "--seed", "1", "--trials", "1"], "--n must be >= 1"),
+        (_HUNT + ["--n", "3", "--seed", "-1", "--trials", "1"], "--seed must be >= 0"),
+        (_GRID + ["--seed", "-1", "--trials", "1"], "--seed must be >= 0"),
+        (_HUNT + ["--seed", "1", "--trials", "1"], "this search mode requires --q and --n"),
+    ],
+    ids=["search-trials", "campaign-trials", "search-n", "search-seed", "campaign-seed", "search-no-n"],
+)
+def test_out_of_range_flag_is_named_before_any_draw(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("p, k", [(3, 10**8), (2**61 - 1, 1)], ids=["huge-k", "huge-p"])
 def test_file_field_over_the_cap_is_rejected_first(tmp_path, p, k):
     # p^k is over 2^16: rejected before the primality test and the power are computed
@@ -418,6 +441,11 @@ PINNED_MEMBERS = (
     ("column-family", {"q": 3, "m": 2, "r": 1}),
     ("column-family", {"q": 3, "m": 3, "r": 1, "ext": 2}),  # radical equality
     ("block-symmetric", {"q": 3, "n": 4, "r": 2}),
+    # characteristic 2, where alternating forms are symmetric too
+    ("alt-pencil", {"q": 2, "n": 4}),
+    ("alt-full", {"q": 4, "n": 3}),
+    ("block-symmetric", {"q": 2, "n": 4, "r": 1}),
+    ("trace-symmetric", {"q": 2, "ext": 2, "n": 3}),
 )
 
 # members verified under small budgets: their budget_errors name rank_spectrum,
@@ -449,6 +477,10 @@ PINNED_REPORT_SHA256 = {
     "column-family-m2-q3-r1": "f93c86b9a809eaa9ae3d9e3f259fdf16bd0650a106a54f78babcf19065c3e20e",
     "column-family-ext2-m3-q3-r1": "cb1256d9071ff120cda84036ccb6485f61344c1c5be97d6ad3070a144e21628b",
     "block-symmetric-n4-q3-r2": "f50256f4cfb1cde9dca881a201829f0333397bcb407d335c47d724fa20e95943",
+    "alt-pencil-n4-q2": "050ef91c359199f5206911c49f0233bd81e30b5fb6dc9598386d7a9afa6d5e17",
+    "alt-full-n3-q4": "8395e4dedc471dc306bdcff3dd7bd0365b5ed6a2b3b1cee39a26bbba82cae3e8",
+    "block-symmetric-n4-q2-r1": "050ef91c359199f5206911c49f0233bd81e30b5fb6dc9598386d7a9afa6d5e17",
+    "trace-symmetric-ext2-n3-q2": "97214f994a5fad3eeaa7bf3fd99199e93df8c7a63b689d442749e34ce3e0c7f7",
     "alt-pencil-n4-q3-budget300": "52b43da88ef11d1b450f577961dabf9d3326a6f05d19e3c8f858141ee3f00653",
     "alt-pencil-n4-q3-budget500": "de8118953be637e1c0fdb71e9a18634cbc47e149d75198b278e5ed0c0383b325",
     "block-symmetric-n4-q3-r1-budget300": "52b43da88ef11d1b450f577961dabf9d3326a6f05d19e3c8f858141ee3f00653",

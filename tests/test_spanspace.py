@@ -450,6 +450,103 @@ def test_max_rank_incidence_matches_brute_force_on_draws(draw, block, monkeypatc
     _assert_incidence_matches_brute_force(sp.random_subspace(F2, *draw))
 
 
+# --- one side for symmetric and alternating M -------------------------------------------
+
+
+def _one_side_draws():
+    """Random symmetric and alternating subspaces over GF(q), q in {2, 3, 4, 5, 9}."""
+    rng = np.random.default_rng(19)
+    out = []
+    for q in (2, 3, 4, 5, 9):
+        for kind in ("symmetric", "alternating"):
+            for n in (3, 4) if q**4 <= 625 else (3,):
+                d = int(rng.integers(1, min(sp.kind_space_dim(n, kind), 4) + 1))
+                out.append(sp.random_subspace(field_for_order(q), n, d, kind, int(rng.integers(1 << 30))))
+    return out
+
+
+def _assert_sides_match_per_line_and_per_u_solves(M):
+    """lines against plain-Python null spaces of each line's form, kernel_dims_all(M, "right") against kernel_at."""
+    F = M.field
+    coeffs, _, left, right = sp.lines(M)
+    for i, c in enumerate(coeffs.tolist()):
+        g = _scalar_form(M, c).entries
+        assert left.spaces[left.ids[i]].rows.tolist() == linalg.left_null_space(F, g).tolist(), (M, c)
+        assert right.spaces[right.ids[i]].rows.tolist() == linalg.right_null_space(F, g).tolist(), (M, c)
+    vecs = linalg.code_vectors(F.q, M.n)
+    assert sp.kernel_dims_all(M, "right").tolist() == [sp.kernel_at(M, u, "right").dim for u in vecs], M
+
+
+def test_one_side_matches_per_line_and_per_u_solves(catalogue):
+    """Symmetric and alternating M solve one side for both: every such catalogue member and random draws."""
+    members = [M for _, M, _ in catalogue if M.kind != "general"] + _one_side_draws()
+    assert {M.field.q for M in members} >= {2, 3, 4, 5, 9}
+    for M in members:
+        if M.field.p == 2 and M.kind == "alternating":  # alternating is symmetric in characteristic 2
+            assert all((f.entries == f.entries.T).all() for f in M.basis)
+        _assert_sides_match_per_line_and_per_u_solves(M)
+        if M.dim:  # one result stands for both sides, and every call is still charged
+            assert sp.lines(M)[2] is sp.lines(M)[3]
+            assert sp.kernel_dims_all(M, "left") is sp.kernel_dims_all(M, "right")
+            assert sp.max_rank_incidence(M, "left") is sp.max_rank_incidence(M, "right")
+            steps = M.field.q**M.dim * M.n**2  # what line_table charges
+            with pytest.raises(sp.BudgetExceeded):
+                sp.max_rank_incidence(M, "right", budget=steps - 1)
+
+
+def test_general_members_keep_two_sides(catalogue):
+    """Column families have different left and right radicals and M_u: one side must not stand for both."""
+    members = [M for req, M, _ in catalogue if req.name == "column-family" and M.field.q**M.n <= 729]
+    assert members and all(M.kind == "general" for M in members)
+    dims_differ = []
+    for M in members:
+        _assert_sides_match_per_line_and_per_u_solves(M)
+        _, _, left, right = sp.lines(M)
+        assert [left.spaces[i].rows.tolist() for i in left.ids] != [right.spaces[i].rows.tolist() for i in right.ids]
+        assert sp.max_rank_incidence(M, "left") is not sp.max_rank_incidence(M, "right")
+        dims_differ.append(sp.kernel_dims_all(M, "left").tolist() != sp.kernel_dims_all(M, "right").tolist())
+    assert any(dims_differ)  # Bil(V) itself (r = 2) has the same dim M_u on both sides
+
+
+@pytest.mark.parametrize("block", [3, sp._BLOCK])
+def test_right_radicals_read_off_the_stored_stack(block, monkeypatch):
+    """The reduced Gram blocks line_table keeps give the null spaces a fresh elimination gives."""
+    monkeypatch.setattr(sp, "_BLOCK", block)  # 3: the walk's blocks and null_spaces' blocks differ
+    members = [
+        sp.full_kind_space(F3, 2, "general"),
+        sp.random_subspace(F5, 3, 3, "general", 4),
+        sp.span([fc.identity_form(F4, 3)]),  # every line of full rank
+        cons.alternating_pencil(F4, 4),
+        cons.block_symmetric(F3, 4, 2),
+        sp.span([], field=F3, n=2),
+    ]
+    full_rank_lines = 0
+    for M in members:
+        coeffs, ranks = sp.line_table(M, None, "t")
+        fresh = sp.null_spaces(M.field, sp.flat_forms_for(M, coeffs).reshape(-1, M.n, M.n))
+        stored = sp.reduced_null_spaces(M.field, M._reduced)
+        right = sp.lines(M)[3]
+        assert M._reduced is None  # released once read
+        for got in (stored, right):
+            assert [s.rows.tolist() for s in got.spaces] == [s.rows.tolist() for s in fresh.spaces], M
+            assert got.ids.tolist() == fresh.ids.tolist() and got.first.tolist() == fresh.first.tolist(), M
+        full = ranks == M.n
+        assert all(fresh.spaces[i].dim == 0 for i in fresh.ids[full])
+        full_rank_lines += int(full.sum())
+    assert full_rank_lines > 0
+
+
+def test_isotropic_set_is_stored_and_still_charged():
+    M = cons.block_symmetric(F3, 4, 2)
+    short = 3**4 * M.dim * 4 - 1  # one step under what isotropic_set charges
+    with pytest.raises(sp.BudgetExceeded):
+        sp.isotropic_set(M, budget=short)
+    iso = sp.isotropic_set(M)
+    assert sp.isotropic_set(M) is iso
+    with pytest.raises(sp.BudgetExceeded):  # the stored set does not skip the charge
+        sp.isotropic_set(M, budget=short)
+
+
 # --- V(M) --------------------------------------------------------------------------
 
 

@@ -478,6 +478,36 @@ def test_filtration_chain_matches_per_vector_kernels(catalogue):
     assert {(True, True), (False, False)} <= outcomes
 
 
+def test_filtration_one_side_matches_two_sided_reference(catalogue):
+    """Symmetric and alternating M stack only the left systems; the reference tries both sides of every u."""
+    members = [M for _, M, _ in catalogue if M.kind != "general"]
+    rng = np.random.default_rng(23)
+    for q in (2, 3, 4, 5, 9):
+        for kind in ("symmetric", "alternating"):
+            n = 4 if kind == "alternating" else 3  # alternating forms need n >= 4 for two ranks
+            for _ in range(3):
+                d = int(rng.integers(1, min(sp.kind_space_dim(n, kind), 4) + 1))
+                members.append(sp.random_subspace(field_for_order(q), n, d, kind, int(rng.integers(1 << 30))))
+    # a general M whose chain needs a right M_u: only the first two columns are nonzero
+    members.append(cons.bilinear_column_family(F3, 3, 2))
+    ran = Counter()
+    for M in members:
+        if M.kind != "general":  # the distinct M_u, in order of first appearance, without the right systems
+            lead_one = linalg.code_vectors(M.field.q, M.n)[sp.line_representatives(M.field.q, M.n)]
+            both = np.stack([sp.kernel_matrices(M, lead_one, side) for side in ("left", "right")], axis=1)
+            spaces = [sp.null_spaces(M.field, mats).spaces for mats in (both.reshape(-1, M.n, M.dim), both[:, 0])]
+            assert spaces[0] == spaces[1], M
+        if sp.rank_spectrum(M).r < 2:
+            continue
+        rep = tl.check_filtration(M)
+        dims, spectra, failed_at = _filtration_reference(M)
+        assert (rep.details["chain_dims"], rep.details["chain_spectra"]) == (dims, spectra), M
+        witness = rep.witness or rep.details.get("informational", {}).get("witness")
+        assert (witness or {}).get("failed_at_r") == failed_at, M
+        ran[M.field.q, M.kind] += 1
+    assert set(itertools.product((2, 3, 4, 5, 9), ("symmetric", "alternating"))) | {(3, "general")} <= set(ran)
+
+
 def test_isotropic_classes_match_per_vector_annihilators(catalogue):
     """The batched A_u against annihilator_Au, vector by vector and in the report."""
     checked = 0
