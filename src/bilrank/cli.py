@@ -437,16 +437,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-# the least value of each integer flag whose range argparse does not check, per command
+# the least value of each integer flag whose range argparse does not check, per command;
+# every command takes --budget
 _AT_LEAST = {
     "search": (("trials", 0), ("n", 1), ("seed", 0)),
     "campaign": (("trials", 0), ("seed", 0)),
+    "verify": (("seed", 0),),
 }
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    for flag, least in _AT_LEAST.get(args.command, ()):
+    for flag, least in (("budget", 0), *_AT_LEAST.get(args.command, ())):
         value = getattr(args, flag)
         if value is not None and value < least:
             print(f"error: --{flag} must be >= {least}", file=sys.stderr)
@@ -464,6 +466,9 @@ def main(argv=None) -> int:
             args.budget = int(env) if env else DEFAULT_BUDGET
         except ValueError:
             print(f"error: BILRANK_BUDGET must be an integer, got {env!r}", file=sys.stderr)
+            return EXIT_ERROR
+        if args.budget < 0:
+            print("error: BILRANK_BUDGET must be >= 0", file=sys.stderr)
             return EXIT_ERROR
     try:
         return args.func(args)

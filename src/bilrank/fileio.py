@@ -7,6 +7,16 @@ basis, which makes write-read-write a fixed point.  Element literals
 are the integer codes defined by the field encoding, and only JSON
 integers are read as codes or sizes: a float or a bool is an error,
 never truncated.
+
+`dumps` writes that text directly, without the pure-Python encoder
+`json` falls back to whenever it indents.  Its contract is the bytes of
+`json.dumps(obj, indent=2, sort_keys=True) + "\n"`, errors included:
+strings go through json's own ASCII escaper, ints through
+`int.__repr__`, keys are sorted as json sorts them (by the original
+key, then converted), and floats and any other type are handed to
+`json.dumps`, so NaN, Infinity and the TypeError for an unknown type
+are json's.  A hypothesis entry of a report, the one four-key dict
+every report repeats, is written from one template.
 """
 
 from __future__ import annotations
@@ -24,8 +34,91 @@ FORMAT_REPORT = "bilrank-report"
 VERSION = 1
 
 
+_quote = json.encoder.encode_basestring_ascii
+_int_text = int.__repr__
+_HYPOTHESIS_KEYS = frozenset(("name", "required", "actual", "satisfied"))
+_HYPOTHESIS = '{%s"actual": %s,%s"name": %s,%s"required": %s,%s"satisfied": %s%s}'
+
+
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """`json.dumps(obj, indent=2, sort_keys=True) + "\\n"`, byte for byte."""
+    out: list[str] = []
+    try:
+        _write(obj, "\n", out)
+    except RecursionError:  # a circular or very deep object: json's own error, or json's own bytes
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    out.append("\n")
+    return "".join(out)
+
+
+def _key(key) -> str:
+    """A dict key as json converts it, before quoting."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float) or key is True or key is False or key is None:
+        return json.dumps(key)
+    if isinstance(key, int):
+        return _int_text(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _write(o, nl: str, out: list) -> None:
+    """Append the text of o to out, testing types in json's order; nl is a newline and o's indentation.
+
+    Containers write their str and int items inline and recurse for the rest.
+    """
+    if isinstance(o, str):
+        out.append(_quote(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(_int_text(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for value in o:
+            out.append(sep)
+            t = type(value)
+            if t is int:
+                out.append(_int_text(value))
+            elif t is str:
+                out.append(_quote(value))
+            else:
+                _write(value, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        if type(o) is dict and len(o) == 4 and o.keys() == _HYPOTHESIS_KEYS:
+            a, n, r, s = o["actual"], o["name"], o["required"], o["satisfied"]
+            if type(a) is str and type(n) is str and type(r) is str and (s is True or s is False):
+                out.append(_HYPOTHESIS % (inner, _quote(a), inner, _quote(n), inner, _quote(r), inner,
+                                          "true" if s else "false", nl))
+                return
+        sep = "{" + inner
+        for key, value in sorted(o.items()):
+            out.append(sep + _quote(key if type(key) is str else _key(key)) + ": ")
+            t = type(value)
+            if t is str:
+                out.append(_quote(value))
+            elif t is int:
+                out.append(_int_text(value))
+            else:
+                _write(value, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:  # a float as json writes it; any other type raises json's TypeError
+        out.append(json.dumps(o))
 
 
 def field_to_json(field: Field) -> dict:

@@ -240,6 +240,10 @@ def witt_census(f: GramForm) -> WittCensus:
     always k.  The isotropic count comes from the matching closed form
     over F_q and is cross-checked against brute-force enumeration in the
     test suite rather than trusted blindly.
+
+    One form at a time, in pure Python: this is the oracle the tests hold
+    the verify path's bulk census (every line of M at once, from
+    `linalg.batch_det`) against, and `bilrank verify` does not call it.
     """
     if f.field.p == 2:
         raise ValueError("witt_census requires odd characteristic")

@@ -300,6 +300,13 @@ class Field:
             return True  # squaring is a bijection in characteristic 2
         return self._log[a] % 2 == 0
 
+    def is_square_arr(self, a):
+        """`is_square` on an array of codes."""
+        a = np.asarray(a, dtype=np.int64)
+        if self.p == 2:
+            return np.ones(a.shape, dtype=bool)
+        return (a == 0) | (self._log_np[a] % 2 == 0)
+
     # -- vectorised operations on arrays of codes ----------------------------
 
     def add_arr(self, a, b):

@@ -11,6 +11,9 @@ null spaces are, so a caller can drop repeats before the second
 every matrix).  Echelon output is
 canonical (leading ones, cleared pivot columns, zero rows dropped or, in
 a stack, last) so equal row spaces have equal representations.
+`batch_det` is the forward half of the same sweep: determinants of a
+stack of square matrices, from the pivots and the parity of the row
+swaps.
 """
 
 from __future__ import annotations
@@ -124,6 +127,38 @@ def batch_rref(field, mats):
 def batch_rank(field, mats):
     """Ranks of a stack of matrices, shape (B, rows, cols) -> (B,)."""
     return batch_rref(field, mats)[1]
+
+
+def batch_det(field, mats):
+    """Determinants of a stack of square matrices, shape (B, m, m) -> (B,).
+
+    One forward elimination across the stack: the determinant is the
+    product of the pivots, kept as a sum of their logs, negated once per
+    row swap, and zero where a column has no pivot.
+    """
+    a = np.array(mats, dtype=np.int64, copy=True)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError("expected a (batch, m, m) stack")
+    nb, m, _ = a.shape
+    logs = np.zeros(nb, dtype=np.int64)
+    swapped = np.zeros(nb, dtype=bool)
+    singular = np.zeros(nb, dtype=bool)
+    every = np.arange(nb)
+    for c in range(m):
+        below = a[:, c:, c] != 0
+        singular |= ~below.any(axis=1)
+        p = c + below.argmax(axis=1)  # c itself where the column is zero
+        swapped ^= p != c
+        top = a[every, p].copy()
+        a[every, p] = a[:, c]
+        a[:, c] = top
+        piv = a[:, c, c]
+        logs += field._log_np[piv]
+        factors = field.mul_arr(a[:, c + 1:, c], field._inv_np[piv][:, None])  # zero for a zero pivot
+        a[:, c + 1:, c:] = field.sub_arr(a[:, c + 1:, c:], field.mul_arr(factors[:, :, None], top[:, None, c:]))
+    det = field._exp_np[logs % (field.q - 1)]
+    det = np.where(swapped, field.neg_arr(det), det)
+    return np.where(singular, 0, det)
 
 
 def null_vectors(field, red, ranks):

@@ -373,6 +373,41 @@ def test_out_of_range_flag_is_named_before_any_draw(tmp_path, capsys, argv, mess
     assert not out.exists()
 
 
+_MISSING = "no-such-subspace.json"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", _MISSING, "--budget", "-5"], "--budget must be >= 0"),
+        (["analyze", _MISSING, "--budget", "-1"], "--budget must be >= 0"),
+        (["construct", "--name", "alt-pencil", "--q", "3", "--n", "3", "--budget", "-1"], "--budget must be >= 0"),
+        (["search", "maximal", "--file", _MISSING, "--budget", "-1"], "--budget must be >= 0"),
+        (_GRID + ["--seed", "1", "--trials", "1", "--budget", "-1"], "--budget must be >= 0"),
+        (["verify", _MISSING, "--suite", "maximality", "--seed", "-1"], "--seed must be >= 0"),
+    ],
+    ids=["verify-budget", "analyze-budget", "construct-budget", "search-budget", "campaign-budget", "verify-seed"],
+)
+def test_negative_budget_or_seed_is_named_before_any_file_is_read(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_negative_budget_env_var_is_named(monkeypatch, capsys):
+    monkeypatch.setenv("BILRANK_BUDGET", "-3")
+    assert run(["verify", _MISSING]) == 2
+    assert capsys.readouterr().err == "error: BILRANK_BUDGET must be >= 0\n"
+
+
+def test_zero_budget_is_a_budget_not_a_usage_error(trace_fixture, capsys):
+    assert run(["verify", trace_fixture, "--budget", "0", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert {r["verdict"] for r in json.loads(captured.out)["reports"]} == {"budget-exceeded"}
+
+
 @pytest.mark.parametrize("p, k", [(3, 10**8), (2**61 - 1, 1)], ids=["huge-k", "huge-p"])
 def test_file_field_over_the_cap_is_rejected_first(tmp_path, p, k):
     # p^k is over 2^16: rejected before the primality test and the power are computed
@@ -441,6 +476,10 @@ PINNED_MEMBERS = (
     ("column-family", {"q": 3, "m": 2, "r": 1}),
     ("column-family", {"q": 3, "m": 3, "r": 1, "ext": 2}),  # radical equality
     ("block-symmetric", {"q": 3, "n": 4, "r": 2}),
+    # odd characteristic, constant rank 2: the Witt census over every line of M
+    ("block-symmetric", {"q": 3, "n": 5, "r": 1}),
+    ("block-symmetric", {"q": 5, "n": 4, "r": 1}),
+    ("trace-symmetric", {"q": 5, "ext": 2, "n": 3}),
     # characteristic 2, where alternating forms are symmetric too
     ("alt-pencil", {"q": 2, "n": 4}),
     ("alt-full", {"q": 4, "n": 3}),
@@ -477,6 +516,9 @@ PINNED_REPORT_SHA256 = {
     "column-family-m2-q3-r1": "f93c86b9a809eaa9ae3d9e3f259fdf16bd0650a106a54f78babcf19065c3e20e",
     "column-family-ext2-m3-q3-r1": "cb1256d9071ff120cda84036ccb6485f61344c1c5be97d6ad3070a144e21628b",
     "block-symmetric-n4-q3-r2": "f50256f4cfb1cde9dca881a201829f0333397bcb407d335c47d724fa20e95943",
+    "block-symmetric-n5-q3-r1": "3a2f38f905b2776c36d60247a58de68d4fe313f5d598143d639d9b3ee8f61c7c",
+    "block-symmetric-n4-q5-r1": "92b39da6f807cf86f12ed33502d7c4923ee2e2d2e8cd427ad7a8f7fe2ee6a654",
+    "trace-symmetric-ext2-n3-q5": "0ed3e5469bc29b0cce18003bb9138730ab6a70af0f0dfa10f790e1643e834258",
     "alt-pencil-n4-q2": "050ef91c359199f5206911c49f0233bd81e30b5fb6dc9598386d7a9afa6d5e17",
     "alt-full-n3-q4": "8395e4dedc471dc306bdcff3dd7bd0365b5ed6a2b3b1cee39a26bbba82cae3e8",
     "block-symmetric-n4-q2-r1": "050ef91c359199f5206911c49f0233bd81e30b5fb6dc9598386d7a9afa6d5e17",
@@ -523,6 +565,37 @@ def test_verify_report_bytes_are_pinned(tmp_path, capsys):
         text = f"{code}\n{capsys.readouterr().out}"
         got[key] = hashlib.sha256(text.encode()).hexdigest()
     assert got == PINNED_REPORT_SHA256
+
+
+def test_every_document_the_front_end_writes_is_jsons_bytes(tmp_path, monkeypatch, capsys):
+    """fileio.dumps against json.dumps(obj, indent=2, sort_keys=True) + "\\n" on each document written."""
+    writer, docs = fileio.dumps, []
+
+    def checked(obj):
+        text = writer(obj)
+        docs.append(text == json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        return text
+
+    monkeypatch.setattr(fileio, "dumps", checked)
+    work = str(tmp_path)
+    calls = [["verify", *args, "--json", "--out", os.path.join(work, "report.json")]
+             for _, args in _pinned_inputs(work)]
+    calls += [["analyze", path, "--json"] for path in sorted(glob.glob(os.path.join(FIXTURE_DIR, "*.json")))]
+    calls += [
+        ["construct", "--name", "block-symmetric", "--q", "5", "--n", "4", "--r", "1",
+         "--out", os.path.join(work, "made.json")],
+        ["search", "rank2-distinct-radicals", "--q", "3", "--n", "3", "--seed", "1", "--trials", "20", "--json",
+         "--log", os.path.join(work, "search.log"), "--out", os.path.join(work, "found.json")],
+        ["campaign", "--q", "3,5", "--n", "3", "--trials", "2", "--seed", "1", "--json",
+         "--out", os.path.join(work, "grid")],
+        ["campaign", "--q", "3", "--n", "4", "--construction", "block-symmetric", "--r", "1", "--trials", "1",
+         "--seed", "1", "--suite", "declared,witt-census,isotropic-partition", "--json",
+         "--out", os.path.join(work, "grid-c")],
+    ]
+    for argv in calls:
+        run(argv)
+        capsys.readouterr()
+    assert len(docs) > len(calls) and all(docs)
 
 
 # sha256 of "<exit code>\n<stdout>" of `bilrank verify FILE --json` on random GF(2) subspaces

@@ -276,3 +276,11 @@ def test_matmul_arr_matches_scalar_expansion():
                 for k in range(4):
                     acc = F.add(acc, F.mul(int(A[i, k]), int(B[k, j])))
                 assert got[i, j] == acc
+
+
+def test_is_square_arr_agrees_with_scalar():
+    for q in (2, 3, 4, 5, 9, 25, 27):
+        F = field_for_order(q)
+        codes = np.arange(q).reshape(-1, 1)
+        assert F.is_square_arr(codes).shape == codes.shape
+        assert F.is_square_arr(codes).ravel().tolist() == [F.is_square(a) for a in range(q)]

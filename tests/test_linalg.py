@@ -147,3 +147,34 @@ def test_batch_null_space_matches_brute_force(q):
             spanned = {tuple(v) for v in F.matmul_arr(linalg.code_vectors(q, int(dims[b])), basis)}
             assert spanned == null and len(null) == q ** int(dims[b]), (nrows, ncols, b)
             assert _is_canonical_rref(basis) and not bases[b, dims[b]:].any()
+
+
+def leibniz_det(field, mat) -> int:
+    """The determinant as a signed sum over all permutations: no elimination."""
+    m = len(mat)
+    total = 0
+    for perm in itertools.permutations(range(m)):
+        inversions = sum(perm[i] > perm[j] for i in range(m) for j in range(i + 1, m))
+        term = 1
+        for i in range(m):
+            term = field.mul(term, int(mat[i][perm[i]]))
+        total = field.add(total, field.neg(term) if inversions % 2 else term)
+    return total
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9, 25])
+def test_batch_det_matches_leibniz(q):
+    F = field_for_order(q)
+    rng = np.random.default_rng(q + 11)
+    for m in range(5):
+        mats = rng.integers(0, q, size=(40, m, m))
+        mats[::5, :, :1] = 0  # a zero column
+        if m > 1:
+            mats[1::5, 1] = mats[1::5, 0]  # a repeated row
+            mats[2::5] = mats[2::5][:, ::-1]  # row swaps on the way
+        got = linalg.batch_det(F, mats)
+        assert got.shape == (40,)
+        assert got.tolist() == [leibniz_det(F, a) for a in mats], m
+    assert linalg.batch_det(F, np.zeros((0, 3, 3), dtype=np.int64)).shape == (0,)
+    with pytest.raises(ValueError):
+        linalg.batch_det(F, np.zeros((2, 2, 3), dtype=np.int64))

@@ -326,6 +326,58 @@ def test_witt_census_counts_match_per_element_census(catalogue):
     assert checked
 
 
+def _random_symmetric(F, n, r, rng, elliptic=None):
+    """P^T D P for a random invertible P and D = diag(d_1..d_r, 0..0), all d_i != 0.
+
+    With `elliptic` set, d_r is chosen so that the form is elliptic
+    (True) or hyperbolic (False): (-1)^(r/2) d_1...d_r a non-square or a square.
+    """
+    while True:
+        P = rng.integers(0, F.q, size=(n, n))
+        if linalg.rank(F, P) == n:
+            break
+    d = rng.integers(1, F.q, size=r)
+    if elliptic is not None:
+        val = F.pow(F.neg(1), r // 2)
+        for x in d[:-1]:
+            val = F.mul(val, int(x))
+        want_square = not elliptic
+        d[-1] = next(x for x in range(1, F.q) if F.is_square(F.mul(val, x)) == want_square)
+    D = np.zeros((n, n), dtype=np.int64)
+    D[range(r), range(r)] = d
+    return F.matmul_arr(F.matmul_arr(P.T, D), P)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 25])
+def test_witt_indices_match_witt_census_on_random_forms(q):
+    F = field_for_order(q)
+    rng = np.random.default_rng(q)
+    for n in range(2, 6):
+        for m in range(2, n + 1, 2):
+            grams = np.array([_random_symmetric(F, n, m, rng) for _ in range(12)])
+            want = []
+            for g in grams:
+                census = fc.witt_census(fc.GramForm(F, g))
+                assert census.rank == m
+                want.append(census.witt_index)
+            assert tl._witt_indices(F, grams, m).tolist() == want, (n, m)
+
+
+@pytest.mark.parametrize("q, n, m", [(3, 4, 4), (5, 4, 4), (3, 6, 6), (3, 5, 4)])
+def test_witt_census_on_lines_of_rank_4_and_6(q, n, m):
+    """d = 1 spans: every catalogue member on the Witt path has m = 2, these cover m = 4 and 6."""
+    F = field_for_order(q)
+    rng = np.random.default_rng(q * n + m)
+    for elliptic in (False, True):
+        g = _random_symmetric(F, n, m, rng, elliptic)
+        census = fc.witt_census(fc.GramForm(F, g))
+        assert census.witt_index == m // 2 - elliptic
+        rep = tl.check_witt_census_identity(sp.span([fc.GramForm(F, g)]))
+        A, B = (q - 1, 0) if census.witt_index == m // 2 else (0, q - 1)
+        assert (rep.details["A"], rep.details["B"]) == (A, B)
+        assert rep.details["isotropic_nonzero"] == census.isotropic_nonzero_count
+
+
 # --- maximality ------------------------------------------------------------------------------
 
 
