@@ -52,10 +52,11 @@ def _emit(obj, as_json: bool, out_path=None) -> None:
             fh.write(text)
 
 
-def _exit_code_for(reports) -> int:
-    if any(r.verdict == VIOLATED for r in reports):
+def _exit_code_for(verdicts) -> int:
+    verdicts = set(verdicts)
+    if VIOLATED in verdicts:
         return EXIT_VIOLATED
-    if any(r.verdict == BUDGET_EXCEEDED for r in reports):
+    if BUDGET_EXCEEDED in verdicts:
         return EXIT_ERROR
     return EXIT_OK
 
@@ -163,7 +164,7 @@ def cmd_verify(args) -> int:
             if info is not None:
                 note = f"  [informational: conclusion {'holds' if info['conclusion_holds'] else 'fails'}]"
             print(f"{r.theorem_id:32s} {r.verdict}{note}")
-    return _exit_code_for(reports)
+    return _exit_code_for(r.verdict for r in reports)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +252,8 @@ def cmd_search(args) -> int:
     _emit(log, args.json, args.log)
     if not args.json:
         print(log)
-    return EXIT_OK
+    # a hunt that finds nothing is still a clean run; a maximality check exits by its verdict
+    return _exit_code_for([log["verdict"]]) if args.mode == "maximal" else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +348,10 @@ def cmd_campaign(args) -> int:
     for kind in kinds:
         if kind not in KINDS:
             raise ValueError(f"unknown kind {kind!r}")
+        # the sampler draws d >= 1, which a zero kind space cannot hold
+        empty = [n for n in ns if kind_space_dim(n, kind) == 0]
+        if empty and not args.construction:
+            raise ValueError(f"--n {empty[0]}: the {kind} space of dimension {empty[0]} is zero, nothing to sample")
     # constructions get the full suite by default, samplers just the bounds
     default = None if args.construction else ["bounds"]
     selection = theoremlab.select_suite(args.suite.split(",") if args.suite else default)

@@ -213,18 +213,25 @@ def bilinear_column_family(L: Field, m: int, r: int) -> FormSubspace:
 # Catalogue dispatch
 
 
-def _require(params: dict, *names: str) -> list[int]:
-    out = []
-    for name in names:
-        if name not in params or params[name] is None:
+def _param(params: dict, name: str, default: Optional[int] = None) -> int:
+    """A construction parameter; only an absent one takes the default, and a given one must be >= 1."""
+    value = params.get(name)
+    if value is None:
+        if default is None:
             raise ValueError(f"construction parameter --{name} is required here")
-        out.append(int(params[name]))
-    return out
+        return default
+    if int(value) < 1:
+        raise ValueError(f"construction parameter --{name} must be >= 1, got {value}")
+    return int(value)
+
+
+def _require(params: dict, *names: str) -> list[int]:
+    return [_param(params, name) for name in names]
 
 
 def _trace_symmetric(p: dict, budget):
     q, m = _require(p, "q", "ext")
-    n = int(p.get("n") or m)
+    n = _param(p, "n", m)
     M = embed_with_radical(symmetric_trace(field_for_order(q), m), n)
     return M, {"spectrum": [m], "maximal": bool(q >= m + 1 and m <= n)}
 
@@ -247,7 +254,7 @@ def _alt_full(p: dict, budget):
 
 def _alt_odd(p: dict, budget):
     q, k = _require(p, "q", "k")
-    t = int(p.get("ext") or 1)
+    t = _param(p, "ext", 1)
     base = field_for_order(q)
     M = alternating_odd_full(k, field_for_order(q**t), budget)
     if t >= 2:
@@ -257,7 +264,7 @@ def _alt_odd(p: dict, budget):
 
 def _column_family(p: dict, budget):
     q, m, r = _require(p, "q", "m", "r")
-    s = int(p.get("ext") or 1)
+    s = _param(p, "ext", 1)
     M = bilinear_column_family(field_for_order(q**s), m, r)
     if s >= 2:
         M = trace_compress(M, make_tower(field_for_order(q), s))

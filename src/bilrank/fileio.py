@@ -6,7 +6,9 @@ produce identical bytes.  Subspace files store the canonical echelon
 basis, which makes write-read-write a fixed point.  Element literals
 are the integer codes defined by the field encoding, and only JSON
 integers are read as codes or sizes: a float or a bool is an error,
-never truncated.
+never truncated.  The declared claims the checkers read are held to
+their types the same way: `declared` is an object, `dim` and `spread_t`
+integers, `spectrum` a list of them, `kind` a string, `maximal` a bool.
 
 `dumps` writes that text directly, without the pure-Python encoder
 `json` falls back to whenever it indents.  Its contract is the bytes of
@@ -222,7 +224,27 @@ def subspace_from_json(obj) -> SubspaceFile:
     declared_kind = obj.get("kind")
     if declared_kind is not None and declared_kind != M.kind:
         raise ValueError(f"file says kind {declared_kind!r} but the basis is {M.kind!r}")
-    return SubspaceFile(M, obj.get("declared"), obj.get("self_verification"))
+    return SubspaceFile(M, _declared(obj.get("declared")), obj.get("self_verification"))
+
+
+def _declared(value) -> Optional[dict]:
+    """The declared claims, with every field the checkers read of the JSON type they read it as."""
+    if value is None:
+        return None
+    _object(value, "declared")
+    for key in ("dim", "spread_t"):
+        if key in value:
+            _int(value[key], f"declared {key}")
+    spectrum = value.get("spectrum", [])
+    if not isinstance(spectrum, list):
+        raise ValueError(f"declared spectrum must be a list of ranks, got {spectrum!r}")
+    for i, r in enumerate(spectrum):
+        _int(r, f"declared spectrum[{i}]")
+    if "kind" in value and not isinstance(value["kind"], str):
+        raise ValueError(f"declared kind must be a string, got {value['kind']!r}")
+    if "maximal" in value and not isinstance(value["maximal"], bool):
+        raise ValueError(f"declared maximal must be true or false, got {value['maximal']!r}")
+    return value
 
 
 def read_subspace(path) -> SubspaceFile:

@@ -148,13 +148,6 @@ def right_radical(f: GramForm) -> Subspace:
     return Subspace(f.field, f.n, linalg.right_null_space(f.field, f.entries))
 
 
-def radical(f: GramForm) -> Subspace:
-    """Common radical of an alternating or symmetric form."""
-    if classify(f) == GENERAL:
-        raise ValueError("radical() requires an alternating or symmetric form")
-    return right_radical(f)
-
-
 def classify(f: GramForm) -> str:
     """One of 'alternating', 'symmetric-not-alternating', 'general'.
 

@@ -7,10 +7,9 @@ two steps: `null_vectors` reads spanning vectors off a stack that
 `batch_rref` has already reduced, so a caller that kept a reduced stack
 does not eliminate it again, and the vectors are equal exactly when the
 null spaces are, so a caller can drop repeats before the second
-`batch_rref` makes them canonical (`batch_null_space` does all three on
-every matrix).  Echelon output is
-canonical (leading ones, cleared pivot columns, zero rows dropped or, in
-a stack, last) so equal row spaces have equal representations.
+`batch_rref` makes them canonical.  Echelon output is canonical
+(leading ones, cleared pivot columns, zero rows dropped or, in a stack,
+last) so equal row spaces have equal representations.
 `batch_det` is the forward half of the same sweep: determinants of a
 stack of square matrices, from the pivots and the parity of the row
 swaps.
@@ -183,15 +182,6 @@ def null_vectors(field, red, ranks):
     vecs[~free] = 0  # a pivot column gives no vector
     vecs[:, np.arange(ncols), np.arange(ncols)] = free
     return vecs
-
-
-def batch_null_space(field, mats):
-    """Right null spaces of a stack (B, rows, cols): bases (B, cols, cols) and dims (B,).
-
-    bases[b, :dims[b]] are the rows `right_null_space` returns, zero rows
-    follow: the `null_vectors` of each reduced matrix, reduced once more.
-    """
-    return batch_rref(field, null_vectors(field, *batch_rref(field, mats)))
 
 
 def code_vectors(q: int, n: int, start: int = 0, stop: int | None = None):

@@ -13,9 +13,11 @@ M is walked once.  Rank, radicals and Witt index are constant on the
 scalar lines of M^x, so `line_table` keeps the lead-1 coefficients and
 the rank of every line (one projective walk, one `batch_rref` per
 block) on M, and everything else reads it: `rank_spectrum` counts its
-ranks q - 1 times each, `lines` adds both radicals of every line, the
-right ones read off the reduced Gram matrices `line_table` kept, and
+ranks q - 1 times each, `lines` adds both radicals of every line, and
 the checkers take the spectrum witness and the Witt census from it.
+The reduced Gram matrices of that walk stay on M too, so `lines` reads
+the right radicals and the Witt census the pivot columns off them
+without eliminating the lines again.
 
 V is treated the same way.  M_{cu} = M_u, so `kernel_dims_all` solves
 dim M_u only at the lead-1 representative of each line of V
@@ -116,7 +118,7 @@ class FormSubspace:
         self.kind = _kind_of_basis(basis)
         self._flat = flat
         self._table = None  # filled by the first line_table call
-        self._reduced = None  # line_table's reduced Gram blocks, until the first lines call reads them
+        self._reduced = None  # line_table's reduced Gram blocks, read by lines and the Witt census
         self._lines = None  # filled by the first lines call
         # solved side -> result, filled by the first call that solves that side
         self._kernel_dims = {}
@@ -273,7 +275,7 @@ def line_table(M: FormSubspace, budget: Optional[int], what: str):
     charged under `what` on every call; the walk runs on the first one
     only, and later calls return the table stored on M.  The walk also
     keeps each block's `linalg.batch_rref` of the line Gram matrices on
-    M, for `lines` to read the right radicals off.
+    M, for `lines` and the Witt census to read.
     """
     charge(M.field.q**M.dim, M.n * M.n, budget, what)
     if M._table is None:
@@ -310,7 +312,7 @@ def lines(M: FormSubspace, budget: Optional[int] = None):
         left = right
         if M.two_sided:  # rad_L G is the null space of G^T
             left = null_spaces(M.field, flat_forms_for(M, coeffs).reshape(-1, M.n, M.n).transpose(0, 2, 1))
-        M._lines, M._reduced = (coeffs, ranks, left, right), None
+        M._lines = (coeffs, ranks, left, right)
     return M._lines
 
 
@@ -511,18 +513,6 @@ def v_set(M: FormSubspace, side: str, budget: Optional[int] = None) -> VSetRepor
 def annihilator_Au(M: FormSubspace, u) -> Subspace:
     """A_u = {w : f(u, w) = 0 for all f in M}: the null space of the rows u^T G_i."""
     return Subspace(M.field, M.n, linalg.right_null_space(M.field, kernel_matrices(M, [u], "left")[0].T))
-
-
-def totally_isotropic(M: FormSubspace, U: Subspace) -> bool:
-    """True iff every form of M vanishes on U x U (basis check suffices)."""
-    if U.dim == 0:
-        return True
-    fld = M.field
-    for f in M.basis:
-        vals = fld.matmul_arr(fld.matmul_arr(U.rows, f.entries), U.rows.T)
-        if vals.any():
-            return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,15 @@ witness that can be replayed through formcore, bit for bit.
 Floor/ceiling boundaries are implemented exactly as each theorem states
 them; constant rank is always re-derived from the spectrum, never read
 off metadata.
+
+One overrun rule serves every checker (`_checker`): a BudgetExceeded
+raised anywhere in it becomes its "budget-exceeded" report, except in
+`check_dimension_bounds`, whose list reports it as "dimension-bounds".
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -129,135 +134,139 @@ def _budget_report(theorem_id, exc: BudgetExceeded) -> VerificationReport:
     return VerificationReport(theorem_id, (), BUDGET_EXCEEDED, None, {"budget_error": str(exc)})
 
 
+def _checker(theorem_id: str):
+    """Apply the overrun rule to a checker body, which takes the theorem id before the caller's arguments."""
+    def decorate(body):
+        @functools.wraps(body)
+        def check(*args, **kwargs):
+            try:
+                return body(theorem_id, *args, **kwargs)
+            except BudgetExceeded as exc:
+                return _budget_report(theorem_id, exc)
+        return check
+    return decorate
+
+
 # ---------------------------------------------------------------------------
 # Orthogonality: radical pairs of maximal-rank elements annihilate all of M
 
 
-def check_orthogonality(M: FormSubspace, budget: Optional[int] = None) -> VerificationReport:
+@_checker("orthogonality")
+def check_orthogonality(tid, M: FormSubspace, budget: Optional[int] = None) -> VerificationReport:
     """g(u, w) = 0 for u, w in the radicals of any maximal-rank element.
 
     The full radical-pair scan factors exactly through radical bases:
     g restricted to rad_L f x rad_R f is the matrix U G W^T, and that
     being zero is equivalent to g vanishing on every point pair.
     """
-    tid = "orthogonality"
-    try:
-        spec = rank_spectrum(M, budget)
-        m = spec.m
-        fld = M.field
-        hyps = _shared(M, spec, "field size")
-        keys = np.zeros(0, dtype=np.int64)  # the (rad_L, rad_R) id pair of each rank-m line
-        if m:  # the zero subspace has no lines
-            coeffs, ranks, left, right = lines(M, budget)
-            at = np.flatnonzero(ranks == m)
-            keys = left.ids[at] * len(right.spaces) + right.ids[at]
-        checked_elements, violation = len(keys), None
-        firsts = np.sort(np.unique(keys, return_index=True)[1])
-        pairs = keys[firsts]  # the distinct pairs, in order of first appearance
-        k = M.n - m  # both radicals of a rank-m form have dim n - m
-        basis = M.basis_flat().reshape(-1, M.n, M.n)
-        per = max(1, _BLOCK // max(1, M.dim * k * M.n))
-        for start in range(0, len(pairs) if k else 0, per):
-            block = pairs[start:start + per]
-            us = np.stack([left.spaces[i].rows for i in block // len(right.spaces)])
-            ws = np.stack([right.spaces[i].rows for i in block % len(right.spaces)])
-            # U G W^T for every pair and every basis form G at once: (pairs, d, k, k)
-            vals = fld.matmul_arr(fld.matmul_arr(us[:, None], basis[None]), ws.transpose(0, 2, 1)[:, None])
-            bad = np.flatnonzero(vals.reshape(len(block), -1).any(axis=1))
-            if len(bad):
-                b = int(bad[0])
-                gi, i, j = (int(v) for v in np.argwhere(vals[b] != 0)[0])
-                violation = {
-                    "kind": "orthogonality",
-                    "f_coefficients": [int(c) for c in coeffs[at[firsts[start + b]]]],
-                    "u": [int(v) for v in us[b, i]],
-                    "w": [int(v) for v in ws[b, j]],
-                    "g_index": gi,
-                    "value": int(vals[b, gi, i, j]),
-                }
-                # stop at the first violating pair, as a line-by-line scan would
-                pairs, checked_elements = pairs[:start + b + 1], int(firsts[start + b]) + 1
-                break
-        details = {
-            "max_rank": m,
-            "max_rank_lines_checked": checked_elements,
-            "distinct_radical_pairs": len(pairs),
-            "radical_pair_points_covered": len(pairs) * fld.q ** (2 * k),
-        }
-        return _finish(tid, hyps, violation is None, violation, details)
-    except BudgetExceeded as exc:
-        return _budget_report(tid, exc)
+    spec = rank_spectrum(M, budget)
+    m = spec.m
+    fld = M.field
+    hyps = _shared(M, spec, "field size")
+    keys = np.zeros(0, dtype=np.int64)  # the (rad_L, rad_R) id pair of each rank-m line
+    if m:  # the zero subspace has no lines
+        coeffs, ranks, left, right = lines(M, budget)
+        at = np.flatnonzero(ranks == m)
+        keys = left.ids[at] * len(right.spaces) + right.ids[at]
+    checked_elements, violation = len(keys), None
+    firsts = np.sort(np.unique(keys, return_index=True)[1])
+    pairs = keys[firsts]  # the distinct pairs, in order of first appearance
+    k = M.n - m  # both radicals of a rank-m form have dim n - m
+    basis = M.basis_flat().reshape(-1, M.n, M.n)
+    per = max(1, _BLOCK // max(1, M.dim * k * M.n))
+    for start in range(0, len(pairs) if k else 0, per):
+        block = pairs[start:start + per]
+        us = np.stack([left.spaces[i].rows for i in block // len(right.spaces)])
+        ws = np.stack([right.spaces[i].rows for i in block % len(right.spaces)])
+        # U G W^T for every pair and every basis form G at once: (pairs, d, k, k)
+        vals = fld.matmul_arr(fld.matmul_arr(us[:, None], basis[None]), ws.transpose(0, 2, 1)[:, None])
+        bad = np.flatnonzero(vals.reshape(len(block), -1).any(axis=1))
+        if len(bad):
+            b = int(bad[0])
+            gi, i, j = (int(v) for v in np.argwhere(vals[b] != 0)[0])
+            violation = {
+                "kind": "orthogonality",
+                "f_coefficients": [int(c) for c in coeffs[at[firsts[start + b]]]],
+                "u": [int(v) for v in us[b, i]],
+                "w": [int(v) for v in ws[b, j]],
+                "g_index": gi,
+                "value": int(vals[b, gi, i, j]),
+            }
+            # stop at the first violating pair, as a line-by-line scan would
+            pairs, checked_elements = pairs[:start + b + 1], int(firsts[start + b]) + 1
+            break
+    details = {
+        "max_rank": m,
+        "max_rank_lines_checked": checked_elements,
+        "distinct_radical_pairs": len(pairs),
+        "radical_pair_points_covered": len(pairs) * fld.q ** (2 * k),
+    }
+    return _finish(tid, hyps, violation is None, violation, details)
 
 
 # ---------------------------------------------------------------------------
 # The double-count identity (q^d - 1)(q^(n-m) - 1) = sum over u of (q^d(u) - 1)
 
 
-def check_counting_identity(M: FormSubspace, budget: Optional[int] = None) -> VerificationReport:
-    tid = "counting-identity"
-    try:
-        spec = rank_spectrum(M, budget)
-        hyps = _shared(M, spec, "constant rank")
-        q, d, n, m = M.field.q, M.dim, M.n, spec.m
-        dims = kernel_dims_all(M, "left", budget)
-        hist = np.bincount(dims[1:], minlength=d + 1) if q**n > 1 else np.zeros(d + 1, dtype=np.int64)
-        rhs = sum(int(c) * (q**k - 1) for k, c in enumerate(hist))
-        lhs = (q**d - 1) * (q ** (n - m) - 1)
-        witness = {
-            "kind": "counting-identity",
-            "lhs": lhs,
-            "rhs": rhs,
-            "kernel_dim_histogram": {str(k): int(c) for k, c in enumerate(hist) if c},
-        }
-        return _finish(tid, hyps, lhs == rhs, witness, {"lhs": lhs, "rhs": rhs})
-    except BudgetExceeded as exc:
-        return _budget_report(tid, exc)
+@_checker("counting-identity")
+def check_counting_identity(tid, M: FormSubspace, budget: Optional[int] = None) -> VerificationReport:
+    spec = rank_spectrum(M, budget)
+    hyps = _shared(M, spec, "constant rank")
+    q, d, n, m = M.field.q, M.dim, M.n, spec.m
+    dims = kernel_dims_all(M, "left", budget)
+    hist = np.bincount(dims[1:], minlength=d + 1) if q**n > 1 else np.zeros(d + 1, dtype=np.int64)
+    rhs = sum(int(c) * (q**k - 1) for k, c in enumerate(hist))
+    lhs = (q**d - 1) * (q ** (n - m) - 1)
+    witness = {
+        "kind": "counting-identity",
+        "lhs": lhs,
+        "rhs": rhs,
+        "kernel_dim_histogram": {str(k): int(c) for k, c in enumerate(hist) if c},
+    }
+    return _finish(tid, hyps, lhs == rhs, witness, {"lhs": lhs, "rhs": rhs})
 
 
 # ---------------------------------------------------------------------------
 # Kernel dimension lower bounds and their alternating refinement
 
 
-def check_kernel_bounds(M: FormSubspace, budget: Optional[int] = None) -> VerificationReport:
+@_checker("kernel-bounds")
+def check_kernel_bounds(tid, M: FormSubspace, budget: Optional[int] = None) -> VerificationReport:
     """dim M_u >= dim M - n for all u; >= dim M - m when M_u holds a
     maximal-rank element and q >= m+1 (with the shared-radical equality
     case); >= dim M - (n-1) for alternating M."""
-    tid = "kernel-bounds"
-    try:
-        spec = rank_spectrum(M, budget)
-        q, d, n, m = M.field.q, M.dim, M.n, spec.m
-        alternating = M.kind == KIND_ALTERNATING
-        charge(q**n, max(d * n, 1), budget, tid)
-        sides = ("left", "right")
-        dims = np.stack([kernel_dims_all(M, side, budget) for side in sides], axis=1)  # (q^n, 2)
-        holds = shared = np.zeros_like(dims, dtype=bool)
-        if m and q >= m + 1:  # the zero subspace has no lines to look at
-            incidence = [max_rank_incidence(M, side, budget) for side in sides]
-            holds = np.stack([h for h, _ in incidence], axis=1)
-            shared = np.stack([s for _, s in incidence], axis=1)
-        # (lemma, bound, where it fails), in the order each (u, side) is tested
-        lemmas = (
-            ("dim >= dim M - n", d - n, dims < d - n),
-            ("alternating dim >= dim M - (n-1)", d - (n - 1), alternating & (dims < d - (n - 1))),
-            ("dim >= dim M - m", d - m, holds & (dims < d - m)),
-            ("equality case: shared radical", None, holds & (dims == d - m) & ~shared),
-        )
-        vecs = linalg.code_vectors(q, n)
-        # M_{cu} = M_u, so one representative per line is exhaustive
-        failing = np.argwhere(line_representatives(q, n)[:, None] & np.logical_or.reduce([f for _, _, f in lemmas]))
-        violation = None
-        if len(failing):
-            idx, s = (int(v) for v in failing[0])
-            lemma, bound = next((lem, b) for lem, b, f in lemmas if f[idx, s])
-            violation = {"kind": "kernel-bound", "u": [int(v) for v in vecs[idx]], "side": sides[s],
-                         "dim_kernel": int(dims[idx, s]), "lemma": lemma}
-            if bound is None:
-                violation["distinct_radicals"] = _distinct_radicals(M, vecs[idx], sides[s], m, budget)
-            else:
-                violation["bound"] = bound
-        return _finish(tid, [], violation is None, violation, {"max_rank": m})
-    except BudgetExceeded as exc:
-        return _budget_report(tid, exc)
+    spec = rank_spectrum(M, budget)
+    q, d, n, m = M.field.q, M.dim, M.n, spec.m
+    alternating = M.kind == KIND_ALTERNATING
+    charge(q**n, max(d * n, 1), budget, tid)
+    sides = ("left", "right")
+    dims = np.stack([kernel_dims_all(M, side, budget) for side in sides], axis=1)  # (q^n, 2)
+    holds = shared = np.zeros_like(dims, dtype=bool)
+    if m and q >= m + 1:  # the zero subspace has no lines to look at
+        incidence = [max_rank_incidence(M, side, budget) for side in sides]
+        holds = np.stack([h for h, _ in incidence], axis=1)
+        shared = np.stack([s for _, s in incidence], axis=1)
+    # (lemma, bound, where it fails), in the order each (u, side) is tested
+    lemmas = (
+        ("dim >= dim M - n", d - n, dims < d - n),
+        ("alternating dim >= dim M - (n-1)", d - (n - 1), alternating & (dims < d - (n - 1))),
+        ("dim >= dim M - m", d - m, holds & (dims < d - m)),
+        ("equality case: shared radical", None, holds & (dims == d - m) & ~shared),
+    )
+    vecs = linalg.code_vectors(q, n)
+    # M_{cu} = M_u, so one representative per line is exhaustive
+    failing = np.argwhere(line_representatives(q, n)[:, None] & np.logical_or.reduce([f for _, _, f in lemmas]))
+    violation = None
+    if len(failing):
+        idx, s = (int(v) for v in failing[0])
+        lemma, bound = next((lem, b) for lem, b, f in lemmas if f[idx, s])
+        violation = {"kind": "kernel-bound", "u": [int(v) for v in vecs[idx]], "side": sides[s],
+                     "dim_kernel": int(dims[idx, s]), "lemma": lemma}
+        if bound is None:
+            violation["distinct_radicals"] = _distinct_radicals(M, vecs[idx], sides[s], m, budget)
+        else:
+            violation["bound"] = bound
+    return _finish(tid, [], violation is None, violation, {"max_rank": m})
 
 
 def _distinct_radicals(M: FormSubspace, u, side: str, m: int, budget) -> int:
@@ -358,170 +367,162 @@ def check_dimension_bounds(M: FormSubspace, budget: Optional[int] = None) -> lis
 # Radical spreads of full-dimensional constant rank alternating subspaces
 
 
-def check_spread(M: FormSubspace, budget: Optional[int] = None) -> VerificationReport:
-    tid = "spread"
-    try:
-        spec = rank_spectrum(M, budget)
-        q, n, m = M.field.q, M.n, spec.m
-        hyps = _shared(M, spec, "alternating", "constant rank", "full dimension", "field size")
-        if M.kind != KIND_ALTERNATING or not spec.is_constant_rank:
-            return _finish(tid, hyps, False, None,
-                           {"note": "radical census undefined without alternating constant rank"})
-        report = radical_spread(M, budget)
-        expected_t = (q**n - 1) // (q ** (n - m) - 1) if m < n else 1
-        divides = True if m == n else n % (n - m) == 0
-        # the induced partition of M itself: M_i = {g : R_i <= rad g}
-        induced_sizes, induced_trivial, induced_covers = induced_partition(M, report.radicals)
-        ok = (
-            report.covers
-            and report.pairwise_trivial
-            and report.t == expected_t
-            and divides
-            and induced_trivial
-            and induced_covers
-        )
-        witness = {
-            "kind": "spread",
-            "t": report.t,
-            "expected_t": expected_t,
-            "covers": report.covers,
-            "pairwise_trivial": report.pairwise_trivial,
-            "induced_covers": induced_covers,
-            "induced_trivial": induced_trivial,
-        }
-        details = {
-            "t": report.t,
-            "expected_t": expected_t,
-            "radical_dims": sorted({rad.dim for rad in report.radicals}),
-            "induced_dims": sorted(set(induced_sizes)),
-        }
-        return _finish(tid, hyps, ok, witness, details)
-    except BudgetExceeded as exc:
-        return _budget_report(tid, exc)
+@_checker("spread")
+def check_spread(tid, M: FormSubspace, budget: Optional[int] = None) -> VerificationReport:
+    spec = rank_spectrum(M, budget)
+    q, n, m = M.field.q, M.n, spec.m
+    hyps = _shared(M, spec, "alternating", "constant rank", "full dimension", "field size")
+    if M.kind != KIND_ALTERNATING or not spec.is_constant_rank:
+        return _finish(tid, hyps, False, None,
+                       {"note": "radical census undefined without alternating constant rank"})
+    report = radical_spread(M, budget)
+    expected_t = (q**n - 1) // (q ** (n - m) - 1) if m < n else 1
+    divides = True if m == n else n % (n - m) == 0
+    # the induced partition of M itself: M_i = {g : R_i <= rad g}
+    induced_sizes, induced_trivial, induced_covers = induced_partition(M, report.radicals)
+    ok = (
+        report.covers
+        and report.pairwise_trivial
+        and report.t == expected_t
+        and divides
+        and induced_trivial
+        and induced_covers
+    )
+    witness = {
+        "kind": "spread",
+        "t": report.t,
+        "expected_t": expected_t,
+        "covers": report.covers,
+        "pairwise_trivial": report.pairwise_trivial,
+        "induced_covers": induced_covers,
+        "induced_trivial": induced_trivial,
+    }
+    details = {
+        "t": report.t,
+        "expected_t": expected_t,
+        "radical_dims": sorted({rad.dim for rad in report.radicals}),
+        "induced_dims": sorted(set(induced_sizes)),
+    }
+    return _finish(tid, hyps, ok, witness, details)
 
 
 # ---------------------------------------------------------------------------
 # Equality of left or of right radicals at maximal dimension
 
 
-def check_radical_equality(M: FormSubspace, budget: Optional[int] = None) -> VerificationReport:
-    tid = "radical-equality"
-    try:
-        spec = rank_spectrum(M, budget)
-        n, m = M.n, spec.m
-        hyps = _shared(M, spec, "full dimension", "constant rank", "field size") + [
-            _hyp("dimension gap", f"n >= 2m+1 = {2 * m + 1}", f"n = {n}", n >= 2 * m + 1)
-        ]
-        if M.dim == 0:
-            return _finish(tid, hyps, True, None, {"note": "zero subspace"})
-        coeffs, _, left, right = lines(M, budget)
-        ok = len(left.spaces) == 1 or len(right.spaces) == 1
-        witness = {
-            "kind": "radical-equality",
-            "left_pair": coeffs[left.first[:2]].tolist(),
-            "right_pair": coeffs[right.first[:2]].tolist(),
-        }
-        return _finish(tid, hyps, ok, witness,
-                       {"distinct_left_radicals": len(left.spaces), "distinct_right_radicals": len(right.spaces)})
-    except BudgetExceeded as exc:
-        return _budget_report(tid, exc)
+@_checker("radical-equality")
+def check_radical_equality(tid, M: FormSubspace, budget: Optional[int] = None) -> VerificationReport:
+    spec = rank_spectrum(M, budget)
+    n, m = M.n, spec.m
+    hyps = _shared(M, spec, "full dimension", "constant rank", "field size") + [
+        _hyp("dimension gap", f"n >= 2m+1 = {2 * m + 1}", f"n = {n}", n >= 2 * m + 1)
+    ]
+    if M.dim == 0:
+        return _finish(tid, hyps, True, None, {"note": "zero subspace"})
+    coeffs, _, left, right = lines(M, budget)
+    ok = len(left.spaces) == 1 or len(right.spaces) == 1
+    witness = {
+        "kind": "radical-equality",
+        "left_pair": coeffs[left.first[:2]].tolist(),
+        "right_pair": coeffs[right.first[:2]].tolist(),
+    }
+    return _finish(tid, hyps, ok, witness,
+                   {"distinct_left_radicals": len(left.spaces), "distinct_right_radicals": len(right.spaces)})
 
 
 # ---------------------------------------------------------------------------
 # The isotropic partition and its counting identities
 
 
-def check_isotropic_partition(M: FormSubspace, budget: Optional[int] = None) -> VerificationReport:
-    tid = "isotropic-partition"
-    try:
-        spec = rank_spectrum(M, budget)
-        q, n, d, m = M.field.q, M.n, M.dim, spec.m
-        hyps = _shared(M, spec, "symmetric", "odd characteristic", "constant rank", "full dimension", "field size")
-        if not M.symmetric or q % 2 == 0:
-            return _finish(tid, hyps, False, None, {"note": "isotropic set undefined here"})
-        iso = isotropic_set(M, budget)
-        iso_at = linalg.code_index(q, np.array(iso.vectors, dtype=np.int64).reshape(-1, n))
-        # A_u is the null space of the rows u^T G_i: one system per isotropic u
-        classes = null_spaces(M.field, kernel_matrices(M, iso.vectors, "left").transpose(0, 2, 1))
-        r_classes = len(classes.spaces)
-        pairwise_trivial, union = partition_status(M.field, classes.spaces)
-        partition_ok = pairwise_trivial and np.array_equal(union, iso_at)
-        lhs = sum((q**sub.dim - 1) ** 2 for sub in classes.spaces)
-        rhs = (q**n - 1) * (q ** (n - m) - 1)
-        sum_ok = lhs == rhs
-        r_ok = r_classes != 1 and (m >= n or r_classes >= 2)
-        dim_match = True
-        if d == n:
-            class_dims = np.array([sub.dim for sub in classes.spaces], dtype=np.int64)
-            dim_match = bool((kernel_dims_all(M, "left", budget)[iso_at] == class_dims[classes.ids]).all())
-        ok = partition_ok and sum_ok and r_ok and dim_match
-        witness = {
-            "kind": "isotropic-partition",
-            "classes": r_classes,
-            "squared_sum_lhs": lhs,
-            "squared_sum_rhs": rhs,
-            "partition_ok": partition_ok,
-            "dim_A_u_equals_dim_M_u": dim_match,
-        }
-        details = {
-            "isotropic_nonzero": len(iso.vectors),
-            "classes": r_classes,
-            "class_dims": sorted({sub.dim for sub in classes.spaces}),
-            "squared_sum_lhs": lhs,
-            "squared_sum_rhs": rhs,
-        }
-        return _finish(tid, hyps, ok, witness, details)
-    except BudgetExceeded as exc:
-        return _budget_report(tid, exc)
+@_checker("isotropic-partition")
+def check_isotropic_partition(tid, M: FormSubspace, budget: Optional[int] = None) -> VerificationReport:
+    spec = rank_spectrum(M, budget)
+    q, n, d, m = M.field.q, M.n, M.dim, spec.m
+    hyps = _shared(M, spec, "symmetric", "odd characteristic", "constant rank", "full dimension", "field size")
+    if not M.symmetric or q % 2 == 0:
+        return _finish(tid, hyps, False, None, {"note": "isotropic set undefined here"})
+    iso = isotropic_set(M, budget)
+    iso_at = linalg.code_index(q, np.array(iso.vectors, dtype=np.int64).reshape(-1, n))
+    # A_u is the null space of the rows u^T G_i: one system per isotropic u
+    classes = null_spaces(M.field, kernel_matrices(M, iso.vectors, "left").transpose(0, 2, 1))
+    r_classes = len(classes.spaces)
+    pairwise_trivial, union = partition_status(M.field, classes.spaces)
+    partition_ok = pairwise_trivial and np.array_equal(union, iso_at)
+    lhs = sum((q**sub.dim - 1) ** 2 for sub in classes.spaces)
+    rhs = (q**n - 1) * (q ** (n - m) - 1)
+    sum_ok = lhs == rhs
+    r_ok = r_classes != 1 and (m >= n or r_classes >= 2)
+    dim_match = True
+    if d == n:
+        class_dims = np.array([sub.dim for sub in classes.spaces], dtype=np.int64)
+        dim_match = bool((kernel_dims_all(M, "left", budget)[iso_at] == class_dims[classes.ids]).all())
+    ok = partition_ok and sum_ok and r_ok and dim_match
+    witness = {
+        "kind": "isotropic-partition",
+        "classes": r_classes,
+        "squared_sum_lhs": lhs,
+        "squared_sum_rhs": rhs,
+        "partition_ok": partition_ok,
+        "dim_A_u_equals_dim_M_u": dim_match,
+    }
+    details = {
+        "isotropic_nonzero": len(iso.vectors),
+        "classes": r_classes,
+        "class_dims": sorted({sub.dim for sub in classes.spaces}),
+        "squared_sum_lhs": lhs,
+        "squared_sum_rhs": rhs,
+    }
+    return _finish(tid, hyps, ok, witness, details)
 
 
-def _witt_indices(field, grams, m: int):
+def _witt_indices(field, grams, reduced, m: int):
     """The Witt index of each symmetric form of a stack (L, n, n) whose forms all have even rank m > 0.
 
     The same index as `formcore.witt_census`, for the whole stack at once.
-    The pivot columns I of G's RREF index a complement of its radical, so
-    G[I, I] is its non-degenerate part, and the index is m/2 when
-    (-1)^(m/2) det G[I, I] is a square and m/2 - 1 otherwise.
+    `reduced` is the stack's `linalg.batch_rref`.  The pivot columns I of
+    G's RREF index a complement of its radical, so G[I, I] is its
+    non-degenerate part, and the index is m/2 when (-1)^(m/2) det G[I, I]
+    is a square and m/2 - 1 otherwise.
     """
     k = m // 2
-    piv = np.argmax(linalg.batch_rref(field, grams)[0][:, :m] != 0, axis=2)  # (L, m)
+    piv = np.argmax(reduced[:, :m] != 0, axis=2)  # (L, m)
     parts = grams[np.arange(len(grams))[:, None, None], piv[:, :, None], piv[:, None, :]]
     square = field.is_square_arr(field.mul_arr(field.pow(field.neg(1), k), linalg.batch_det(field, parts)))
     return np.where(square, k, k - 1)
 
 
-def check_witt_census_identity(M: FormSubspace, budget: Optional[int] = None) -> VerificationReport:
+@_checker("witt-census")
+def check_witt_census_identity(tid, M: FormSubspace, budget: Optional[int] = None) -> VerificationReport:
     """|I(M)^x| = (A - B) q^{-k} with A + B = q^n - 1 over the Witt census."""
-    tid = "witt-census"
-    try:
-        spec = rank_spectrum(M, budget)
-        q, n, d, m = M.field.q, M.n, M.dim, spec.m
-        sym, odd, full = _shared(M, spec, "symmetric", "odd characteristic", "full dimension")
-        hyps = [sym, odd, _hyp("constant even rank", "rank(M) = {2k}", f"rank(M) = {list(spec.ranks)}",
-                               spec.is_constant_rank and m % 2 == 0), full]
-        if not M.symmetric or q % 2 == 0 or not spec.is_constant_rank or m % 2:
-            return _finish(tid, hyps, False, None, {"note": "census undefined here"})
-        k = m // 2
-        charge(q**d, n**3, budget, tid)
-        # c f has the isotropic vectors of f, so the Witt index is constant on each line
-        grams = flat_forms_for(M, line_table(M, budget, tid)[0]).reshape(-1, n, n)
-        witt = np.bincount(_witt_indices(M.field, grams, m), minlength=k + 1)
-        a_count, b_count = (q - 1) * int(witt[k]), (q - 1) * int(witt[k - 1])
-        iso = isotropic_set(M, budget)
-        total_ok = a_count + b_count == q**d - 1
-        diff = a_count - b_count
-        identity_ok = diff % (q**k) == 0 and diff // (q**k) == len(iso.vectors)
-        details = {"A": a_count, "B": b_count, "isotropic_nonzero": len(iso.vectors)}
-        return _finish(tid, hyps, total_ok and identity_ok, {"kind": "witt-census", **details, "q^k": q**k}, details)
-    except BudgetExceeded as exc:
-        return _budget_report(tid, exc)
+    spec = rank_spectrum(M, budget)
+    q, n, d, m = M.field.q, M.n, M.dim, spec.m
+    sym, odd, full = _shared(M, spec, "symmetric", "odd characteristic", "full dimension")
+    hyps = [sym, odd, _hyp("constant even rank", "rank(M) = {2k}", f"rank(M) = {list(spec.ranks)}",
+                           spec.is_constant_rank and m % 2 == 0), full]
+    if not M.symmetric or q % 2 == 0 or not spec.is_constant_rank or m % 2:
+        return _finish(tid, hyps, False, None, {"note": "census undefined here"})
+    k = m // 2
+    charge(q**d, n**3, budget, tid)
+    # c f has the isotropic vectors of f, so the Witt index is constant on each line
+    grams = flat_forms_for(M, line_table(M, budget, tid)[0]).reshape(-1, n, n)
+    reduced = np.concatenate([red for red, _ in M._reduced])  # line_table's elimination of the same stack
+    witt = np.bincount(_witt_indices(M.field, grams, reduced, m), minlength=k + 1)
+    a_count, b_count = (q - 1) * int(witt[k]), (q - 1) * int(witt[k - 1])
+    iso = isotropic_set(M, budget)
+    total_ok = a_count + b_count == q**d - 1
+    diff = a_count - b_count
+    identity_ok = diff % (q**k) == 0 and diff // (q**k) == len(iso.vectors)
+    details = {"A": a_count, "B": b_count, "isotropic_nonzero": len(iso.vectors)}
+    return _finish(tid, hyps, total_ok and identity_ok, {"kind": "witt-census", **details, "q^k": q**k}, details)
 
 
 # ---------------------------------------------------------------------------
 # Maximality of the embedded trace family
 
 
+@_checker("maximality")
 def check_maximality(
+    tid,
     M: FormSubspace,
     budget: Optional[int] = None,
     declared: Optional[dict] = None,
@@ -535,125 +536,119 @@ def check_maximality(
     conclusive either way and becomes the witness; a clean exhaustive
     scan certifies maximality.
     """
-    tid = "maximality"
-    try:
-        spec = rank_spectrum(M, budget)
-        q, n, d, m = M.field.q, M.n, M.dim, spec.m
-        fld = M.field
-        claims = bool(declared and declared.get("maximal"))
-        ambient = full_kind_space(fld, n, M.kind)
-        dk = ambient.dim
-        exhaustive = (q**dk) * (q**d) * n * n <= (DEFAULT_BUDGET if budget is None else budget)
-        hyps = _shared(M, spec, "constant rank") + [
-            _hyp("declared maximal", "fixture claims maximality", str(claims), claims),
-            _hyp("scan mode", "ambient kind space within budget", "exhaustive" if exhaustive else "sampled",
-                 exhaustive),
-        ]
-        if not spec.is_constant_rank:
-            return _finish(tid, hyps, False, None, {"note": "only constant rank subspaces are extended"})
-        if not exhaustive and seed is None:
-            if claims:
-                return VerificationReport(
-                    tid, tuple(hyps), BUDGET_EXCEEDED, None,
-                    {"budget_error": "fixture claims maximality but the ambient kind space "
-                                     "is over budget and no sampling seed was given"})
+    spec = rank_spectrum(M, budget)
+    q, n, d, m = M.field.q, M.n, M.dim, spec.m
+    fld = M.field
+    claims = bool(declared and declared.get("maximal"))
+    ambient = full_kind_space(fld, n, M.kind)
+    dk = ambient.dim
+    exhaustive = (q**dk) * (q**d) * n * n <= (DEFAULT_BUDGET if budget is None else budget)
+    hyps = _shared(M, spec, "constant rank") + [
+        _hyp("declared maximal", "fixture claims maximality", str(claims), claims),
+        _hyp("scan mode", "ambient kind space within budget", "exhaustive" if exhaustive else "sampled",
+             exhaustive),
+    ]
+    if not spec.is_constant_rank:
+        return _finish(tid, hyps, False, None, {"note": "only constant rank subspaces are extended"})
+    if not exhaustive and seed is None:
+        if claims:
             return VerificationReport(
-                tid, tuple(hyps), NOT_APPLICABLE, None,
-                {"mode": "skipped", "note": "ambient kind space over budget; nothing declared"})
+                tid, tuple(hyps), BUDGET_EXCEEDED, None,
+                {"budget_error": "fixture claims maximality but the ambient kind space "
+                                 "is over budget and no sampling seed was given"})
+        return VerificationReport(
+            tid, tuple(hyps), NOT_APPLICABLE, None,
+            {"mode": "skipped", "note": "ambient kind space over budget; nothing declared"})
 
-        # h extends M iff every h + g, g in M, has rank m; for h in M the sum
-        # with -h has rank 0 != m (constant rank, so m >= 1), so M needs no test
-        stack = flat_forms_for(M, linalg.code_vectors(q, d))  # all of M, zero first
-        if exhaustive:
-            blocks = (cands for _, cands in scan_blocks(ambient, budget, what=tid))
-        else:
-            rng = np.random.default_rng(seed)
-            combos = [rng.integers(0, q, size=dk, dtype=np.int64) for _ in range(trials)]
-            combos = np.array([c for c in combos if c.any()], dtype=np.int64).reshape(-1, dk)
-            blocks = [fld.matmul_arr(combos, ambient.basis_flat())]
-        per_call = max(1, 8192 // len(stack))  # candidates per batch_rank call
-        extension = None
-        tried = 0
-        for cands in (b[i:i + per_call] for b in blocks for i in range(0, len(b), per_call)):
-            sums = fld.add_arr(cands[:, None, :], stack[None, :, :]).reshape(-1, n, n)
-            extends = (linalg.batch_rank(fld, sums).reshape(len(cands), -1) == m).all(axis=1)
-            if extends.any():
-                first = int(np.argmax(extends))
-                extension, tried = cands[first], tried + first + 1
-                break
-            tried += len(cands)
+    # h extends M iff every h + g, g in M, has rank m; for h in M the sum
+    # with -h has rank 0 != m (constant rank, so m >= 1), so M needs no test
+    stack = flat_forms_for(M, linalg.code_vectors(q, d))  # all of M, zero first
+    if exhaustive:
+        blocks = (cands for _, cands in scan_blocks(ambient, budget, what=tid))
+    else:
+        rng = np.random.default_rng(seed)
+        combos = [rng.integers(0, q, size=dk, dtype=np.int64) for _ in range(trials)]
+        combos = np.array([c for c in combos if c.any()], dtype=np.int64).reshape(-1, dk)
+        blocks = [fld.matmul_arr(combos, ambient.basis_flat())]
+    per_call = max(1, 8192 // len(stack))  # candidates per batch_rank call
+    extension = None
+    tried = 0
+    for cands in (b[i:i + per_call] for b in blocks for i in range(0, len(b), per_call)):
+        sums = fld.add_arr(cands[:, None, :], stack[None, :, :]).reshape(-1, n, n)
+        extends = (linalg.batch_rank(fld, sums).reshape(len(cands), -1) == m).all(axis=1)
+        if extends.any():
+            first = int(np.argmax(extends))
+            extension, tried = cands[first], tried + first + 1
+            break
+        tried += len(cands)
 
-        maximal = extension is None
-        witness = None
-        if extension is not None:
-            witness = {
-                "kind": "extension",
-                "extension_rows": [[int(v) for v in row] for row in extension.reshape(n, n)],
-                "rank": m,
-            }
-        details = {
-            "mode": "exhaustive" if exhaustive else "sampled",
-            "candidates_tried": tried,
-            "maximal": maximal if exhaustive else (False if extension is not None else None),
+    maximal = extension is None
+    witness = None
+    if extension is not None:
+        witness = {
+            "kind": "extension",
+            "extension_rows": [[int(v) for v in row] for row in extension.reshape(n, n)],
+            "rank": m,
         }
-        return _finish(tid, hyps, maximal, witness, details)
-    except BudgetExceeded as exc:
-        return _budget_report(tid, exc)
+    details = {
+        "mode": "exhaustive" if exhaustive else "sampled",
+        "candidates_tried": tried,
+        "maximal": maximal if exhaustive else (False if extension is not None else None),
+    }
+    return _finish(tid, hyps, maximal, witness, details)
 
 
 # ---------------------------------------------------------------------------
 # The filtration of a subspace meeting the rn bound
 
 
-def check_filtration(M: FormSubspace, budget: Optional[int] = None) -> VerificationReport:
+@_checker("filtration")
+def check_filtration(tid, M: FormSubspace, budget: Optional[int] = None) -> VerificationReport:
     """Extract the chain M_s (dim sn, s smallest ranks) by the proof's recipe."""
-    tid = "filtration"
-    try:
-        spec = rank_spectrum(M, budget)
-        q, n, d, m = M.field.q, M.n, M.dim, spec.m
-        r = spec.r
-        hyps = [
-            _hyp("dimension", f"dim M = rn = {r * n}", f"dim M = {d}", d == r * n),
-            _hyp("rank range", f"m <= ceil(n/2) = {(n + 1) // 2}", f"m = {m}", m <= (n + 1) // 2),
-        ] + _shared(M, spec, "field size")
-        chain = [(M, spec)]
-        failed_at = None
-        current, cur_spec = M, spec
-        lead_one = linalg.code_vectors(q, n)[line_representatives(q, n)]
-        while cur_spec.r > 1:
-            # M_u of every lead-1 u, left then right for each u, in the proof's order; where
-            # G^T = +-G each right system has the null space of the left one just before it
-            sides = ("left", "right") if current.two_sided else ("left",)
-            mats = np.stack([kernel_matrices(current, lead_one, side) for side in sides], axis=1)
-            # distinct M_u in order of first appearance: the first to pass is the first u's that passes
-            for coeffs in null_spaces(M.field, mats.reshape(-1, n, current.dim)).spaces:
-                if coeffs.dim == (cur_spec.r - 1) * n:
-                    K = current.subspace_from_coefficients(coeffs.rows)
-                    kspec = rank_spectrum(K, budget)
-                    if kspec.ranks == cur_spec.ranks[:-1]:
-                        break
-            else:
-                failed_at = cur_spec.r
-                break
-            chain.append((K, kspec))
-            current, cur_spec = K, kspec
-        chain_ok = failed_at is None and all(
-            sub.dim == s.r * n and s.ranks == spec.ranks[: s.r] for sub, s in chain
-        )
-        details = {
-            "chain_dims": [sub.dim for sub, _ in chain],
-            "chain_spectra": [list(s.ranks) for _, s in chain],
-        }
-        return _finish(tid, hyps, chain_ok, {"kind": "filtration", "failed_at_r": failed_at, **details}, details)
-    except BudgetExceeded as exc:
-        return _budget_report(tid, exc)
+    spec = rank_spectrum(M, budget)
+    q, n, d, m = M.field.q, M.n, M.dim, spec.m
+    r = spec.r
+    hyps = [
+        _hyp("dimension", f"dim M = rn = {r * n}", f"dim M = {d}", d == r * n),
+        _hyp("rank range", f"m <= ceil(n/2) = {(n + 1) // 2}", f"m = {m}", m <= (n + 1) // 2),
+    ] + _shared(M, spec, "field size")
+    chain = [(M, spec)]
+    failed_at = None
+    current, cur_spec = M, spec
+    lead_one = linalg.code_vectors(q, n)[line_representatives(q, n)]
+    while cur_spec.r > 1:
+        # M_u of every lead-1 u, left then right for each u, in the proof's order; where
+        # G^T = +-G each right system has the null space of the left one just before it
+        sides = ("left", "right") if current.two_sided else ("left",)
+        mats = np.stack([kernel_matrices(current, lead_one, side) for side in sides], axis=1)
+        # distinct M_u in order of first appearance: the first to pass is the first u's that passes
+        for coeffs in null_spaces(M.field, mats.reshape(-1, n, current.dim)).spaces:
+            if coeffs.dim == (cur_spec.r - 1) * n:
+                K = current.subspace_from_coefficients(coeffs.rows)
+                kspec = rank_spectrum(K, budget)
+                if kspec.ranks == cur_spec.ranks[:-1]:
+                    break
+        else:
+            failed_at = cur_spec.r
+            break
+        chain.append((K, kspec))
+        current, cur_spec = K, kspec
+    chain_ok = failed_at is None and all(
+        sub.dim == s.r * n and s.ranks == spec.ranks[: s.r] for sub, s in chain
+    )
+    details = {
+        "chain_dims": [sub.dim for sub, _ in chain],
+        "chain_spectra": [list(s.ranks) for _, s in chain],
+    }
+    return _finish(tid, hyps, chain_ok, {"kind": "filtration", "failed_at_r": failed_at, **details}, details)
 
 
 # ---------------------------------------------------------------------------
 # Declared-claims consistency (the injectable checker)
 
 
-def check_declared(M: FormSubspace, declared: Optional[dict], budget: Optional[int] = None) -> VerificationReport:
+@_checker("declared-claims")
+def check_declared(tid, M: FormSubspace, declared: Optional[dict], budget: Optional[int] = None) -> VerificationReport:
     """Re-derive everything a fixture file claims about itself.
 
     True theorems cannot be violated by honest computation, so this is
@@ -661,53 +656,49 @@ def check_declared(M: FormSubspace, declared: Optional[dict], budget: Optional[i
     dimension, kind or spectrum and the re-derived truth is a violation
     with a replayable witness.
     """
-    tid = "declared-claims"
-    try:
-        has = bool(declared)
-        hyps = [_hyp("declared claims", "fixture carries declared claims", str(has), has)]
-        if not has:
-            return _finish(tid, hyps, True, None, {"note": "nothing declared"})
-        problems = []
-        witness = None
-        if "dim" in declared and declared["dim"] != M.dim:
-            problems.append("dim")
-            witness = witness or {"kind": "dim-mismatch", "declared_dim": declared["dim"], "actual_dim": M.dim}
-        if "kind" in declared and declared["kind"] != M.kind:
-            problems.append("kind")
-            witness = witness or {"kind": "kind-mismatch", "declared_kind": declared["kind"], "actual_kind": M.kind}
-        spec = None
-        if "spectrum" in declared:
-            spec = rank_spectrum(M, budget)
-            want = tuple(sorted(declared["spectrum"]))
-            if spec.ranks != want:
-                problems.append("spectrum")
-                if witness is None:
-                    witness = _spectrum_witness(M, want, budget)
-        if "spread_t" in declared and not problems:
-            spec = spec or rank_spectrum(M, budget)
-            if M.kind == KIND_ALTERNATING and spec.is_constant_rank:
-                rep = radical_spread(M, budget)
-                if rep.t != declared["spread_t"] or not (rep.covers and rep.pairwise_trivial):
-                    problems.append("spread_t")
-                    witness = witness or {
-                        "kind": "spread-mismatch",
-                        "declared_t": declared["spread_t"],
-                        "actual_t": rep.t,
-                        "covers": rep.covers,
-                        "pairwise_trivial": rep.pairwise_trivial,
-                    }
-            else:
+    has = bool(declared)
+    hyps = [_hyp("declared claims", "fixture carries declared claims", str(has), has)]
+    if not has:
+        return _finish(tid, hyps, True, None, {"note": "nothing declared"})
+    problems = []
+    witness = None
+    if "dim" in declared and declared["dim"] != M.dim:
+        problems.append("dim")
+        witness = witness or {"kind": "dim-mismatch", "declared_dim": declared["dim"], "actual_dim": M.dim}
+    if "kind" in declared and declared["kind"] != M.kind:
+        problems.append("kind")
+        witness = witness or {"kind": "kind-mismatch", "declared_kind": declared["kind"], "actual_kind": M.kind}
+    spec = None
+    if "spectrum" in declared:
+        spec = rank_spectrum(M, budget)
+        want = tuple(sorted(declared["spectrum"]))
+        if spec.ranks != want:
+            problems.append("spectrum")
+            if witness is None:
+                witness = _spectrum_witness(M, want, budget)
+    if "spread_t" in declared and not problems:
+        spec = spec or rank_spectrum(M, budget)
+        if M.kind == KIND_ALTERNATING and spec.is_constant_rank:
+            rep = radical_spread(M, budget)
+            if rep.t != declared["spread_t"] or not (rep.covers and rep.pairwise_trivial):
                 problems.append("spread_t")
                 witness = witness or {
                     "kind": "spread-mismatch",
                     "declared_t": declared["spread_t"],
-                    "actual_t": None,
-                    "note": "not constant-rank alternating, census undefined",
+                    "actual_t": rep.t,
+                    "covers": rep.covers,
+                    "pairwise_trivial": rep.pairwise_trivial,
                 }
-        ok = not problems
-        return _finish(tid, hyps, ok, witness, {"mismatches": problems})
-    except BudgetExceeded as exc:
-        return _budget_report(tid, exc)
+        else:
+            problems.append("spread_t")
+            witness = witness or {
+                "kind": "spread-mismatch",
+                "declared_t": declared["spread_t"],
+                "actual_t": None,
+                "note": "not constant-rank alternating, census undefined",
+            }
+    ok = not problems
+    return _finish(tid, hyps, ok, witness, {"mismatches": problems})
 
 
 def _spectrum_witness(M: FormSubspace, declared_ranks, budget) -> dict:

@@ -70,6 +70,25 @@ def test_construct_bad_parameters_exit_2(tmp_path):
     assert not os.path.exists(path)
 
 
+@pytest.mark.parametrize(
+    "args, flag, value",
+    [
+        (["--name", "trace-symmetric", "--q", "3", "--ext", "0"], "ext", 0),
+        (["--name", "trace-symmetric", "--q", "3", "--ext", "2", "--n", "0"], "n", 0),
+        (["--name", "alt-odd", "--q", "3", "--k", "3", "--ext", "0"], "ext", 0),
+        (["--name", "alt-odd", "--q", "3", "--k", "3", "--ext", "-1"], "ext", -1),
+        (["--name", "column-family", "--q", "3", "--m", "2", "--r", "1", "--ext", "0"], "ext", 0),
+        (["--name", "alt-full", "--q", "3", "--n", "0"], "n", 0),
+    ],
+    ids=["trace-ext-0", "trace-n-0", "odd-ext-0", "odd-ext-negative", "column-ext-0", "alt-full-n-0"],
+)
+def test_construct_parameter_below_one_is_named_not_defaulted(tmp_path, capsys, args, flag, value):
+    path = tmp_path / "x.json"
+    assert run(["construct", *args, "--out", str(path)]) == 2
+    assert f"construction parameter --{flag} must be >= 1, got {value}" in capsys.readouterr().err
+    assert not path.exists()
+
+
 def test_construct_column_family_example(tmp_path):
     path = str(tmp_path / "cf.json")
     assert run(["construct", "--name", "column-family", "--q", "3", "--ext", "2",
@@ -193,6 +212,30 @@ def test_non_integer_values_are_rejected(tmp_path, capsys, fields, message):
     assert run(["analyze", _one_form_file(tmp_path / "ok.json")]) == 0
 
 
+@pytest.mark.parametrize(
+    "declared, message",
+    [
+        ("abc", "declared must be a JSON object, not str"),
+        ([1, 2], "declared must be a JSON object, not list"),
+        ({"spectrum": 5}, "declared spectrum must be a list of ranks, got 5"),
+        ({"spectrum": [[1]]}, "declared spectrum[0] must be an integer, got [1]"),
+        ({"spectrum": [2.0]}, "declared spectrum[0] must be an integer, got 2.0"),
+        ({"dim": 3.0}, "declared dim must be an integer, got 3.0"),
+        ({"spread_t": True}, "declared spread_t must be an integer, got True"),
+        ({"kind": 3}, "declared kind must be a string, got 3"),
+        ({"maximal": "no"}, "declared maximal must be true or false, got 'no'"),
+    ],
+    ids=["string", "list", "spectrum-int", "spectrum-nested", "spectrum-float", "dim-float", "spread-bool",
+         "kind-int", "maximal-string"],
+)
+def test_declared_claims_of_the_wrong_type_are_rejected(trace_fixture, tmp_path, capsys, declared, message):
+    obj = dict(read_json(trace_fixture), declared=declared)
+    path = tmp_path / "bad.json"
+    path.write_text(fileio.dumps(obj))
+    assert run(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 def test_verify_suite_selection_single_report(trace_fixture, tmp_path):
     out = str(tmp_path / "rep.json")
     assert run(["verify", trace_fixture, "--suite", "counting", "--json", "--out", out]) == 0
@@ -275,6 +318,20 @@ def test_search_maximal_confirms_trace_fixture(trace_fixture, tmp_path):
     assert obj["verdict"] == "holds" and obj["details"]["mode"] == "exhaustive"
 
 
+@pytest.mark.parametrize("budget, verdict, code", [(None, "violated", 1), ("10", "budget-exceeded", 2)])
+def test_search_maximal_exits_by_its_verdict(tmp_path, budget, verdict, code):
+    # the pencil extends to a larger constant rank 2 subspace, so a maximality claim is violated
+    path = str(tmp_path / "pencil.json")
+    assert run(["construct", "--name", "alt-pencil", "--q", "3", "--n", "3", "--out", path]) == 0
+    obj = read_json(path)
+    obj["declared"]["maximal"] = True
+    with open(path, "w") as fh:
+        fh.write(fileio.dumps(obj))
+    log = str(tmp_path / "log.json")
+    assert run(["search", "maximal", "--file", path, "--log", log, *(["--budget", budget] if budget else [])]) == code
+    assert read_json(log)["verdict"] == verdict
+
+
 def test_search_alt_spectrum_trivial_case(tmp_path):
     # n = 3, s = 1: the target is Alt(V) itself, found immediately
     fix = str(tmp_path / "alt.json")
@@ -340,6 +397,17 @@ def test_campaign_rejects_dimension_below_one(tmp_path, n):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: --q/--n: ") and ">= 1" in proc.stderr
     assert not out.exists()
+
+
+def test_campaign_rejects_a_zero_kind_space_before_any_point(tmp_path, capsys):
+    # Alt(V) is zero at n = 1: the sampler has no d >= 1 to draw there
+    out = tmp_path / "c"
+    assert run(["campaign", "--q", "3", "--n", "2,1", "--trials", "1", "--seed", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --n 1: the alternating space of dimension 1 is zero, nothing to sample\n"
+    assert not out.exists()
+    # the same grid point is fine for the kinds that have forms there
+    assert run(["campaign", "--q", "3", "--n", "2,1", "--kind", "general,symmetric", "--trials", "1", "--seed", "1",
+                "--out", str(out)]) == 0
 
 
 def test_campaign_rejects_unknown_suite(tmp_path, capsys):

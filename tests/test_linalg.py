@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from bilrank import linalg
+from bilrank import spanspace as sp
 from bilrank.formcore import Subspace
 from bilrank.gf import field_for_order
 
@@ -130,23 +131,24 @@ def _is_canonical_rref(rows) -> bool:
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
 def test_batch_null_space_matches_brute_force(q):
-    """Each basis spans exactly {x : mat x = 0}, found by trying all q^c vectors x."""
+    """Each basis `spanspace.null_spaces` gives spans exactly {x : mat x = 0}, found by trying all q^c vectors x."""
     F = field_for_order(q)
     rng = np.random.default_rng(q + 7)
     for nrows, ncols in itertools.product(range(5), range(1, 5)):
         mats = rng.integers(0, q, size=(12, nrows, ncols))
         mats[::4] = 0
         mats[1::4, nrows // 2:] = mats[1::4, :1]  # repeated rows: rank deficient
-        bases, dims = linalg.batch_null_space(F, mats)
-        assert bases.shape == (12, ncols, ncols)
+        found = sp.null_spaces(F, mats)
+        assert len(found.ids) == 12
         xs = linalg.code_vectors(q, ncols)
         images = F.matmul_arr(mats, xs.T)  # (12, nrows, q^c)
         for b in range(len(mats)):
             null = {tuple(x) for x in xs[~images[b].any(axis=0)]}
-            basis = bases[b, :dims[b]]
-            spanned = {tuple(v) for v in F.matmul_arr(linalg.code_vectors(q, int(dims[b])), basis)}
-            assert spanned == null and len(null) == q ** int(dims[b]), (nrows, ncols, b)
-            assert _is_canonical_rref(basis) and not bases[b, dims[b]:].any()
+            space = found.spaces[found.ids[b]]
+            assert space.n == ncols
+            spanned = {tuple(v) for v in F.matmul_arr(linalg.code_vectors(q, space.dim), space.rows)}
+            assert spanned == null and len(null) == q**space.dim, (nrows, ncols, b)
+            assert _is_canonical_rref(space.rows)
 
 
 def leibniz_det(field, mat) -> int:

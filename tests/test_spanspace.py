@@ -526,7 +526,6 @@ def test_right_radicals_read_off_the_stored_stack(block, monkeypatch):
         fresh = sp.null_spaces(M.field, sp.flat_forms_for(M, coeffs).reshape(-1, M.n, M.n))
         stored = sp.reduced_null_spaces(M.field, M._reduced)
         right = sp.lines(M)[3]
-        assert M._reduced is None  # released once read
         for got in (stored, right):
             assert [s.rows.tolist() for s in got.spaces] == [s.rows.tolist() for s in fresh.spaces], M
             assert got.ids.tolist() == fresh.ids.tolist() and got.first.tolist() == fresh.first.tolist(), M
@@ -638,15 +637,6 @@ def test_annihilator_dim_equals_kernel_dim_at_full_dimension():
     assert M.dim == M.n
     for u in linalg.code_vectors(3, 6)[1:50]:
         assert sp.annihilator_Au(M, u).dim == sp.kernel_at(M, u, "left").dim
-
-
-def test_totally_isotropic():
-    M = sp.full_kind_space(F3, 3, "alternating")
-    assert sp.totally_isotropic(M, fc.Subspace.zero(F3, 3))
-    assert not sp.totally_isotropic(M, fc.Subspace.full(F3, 3))
-    # the radical of a max-rank element is totally isotropic (q >= m+1)
-    f = M.basis[0]
-    assert sp.totally_isotropic(M, fc.right_radical(f))
 
 
 # --- radical spreads ---------------------------------------------------------------

@@ -360,7 +360,8 @@ def test_witt_indices_match_witt_census_on_random_forms(q):
                 census = fc.witt_census(fc.GramForm(F, g))
                 assert census.rank == m
                 want.append(census.witt_index)
-            assert tl._witt_indices(F, grams, m).tolist() == want, (n, m)
+            reduced = linalg.batch_rref(F, grams)[0]
+            assert tl._witt_indices(F, grams, reduced, m).tolist() == want, (n, m)
 
 
 @pytest.mark.parametrize("q, n, m", [(3, 4, 4), (5, 4, 4), (3, 6, 6), (3, 5, 4)])
@@ -734,3 +735,60 @@ def test_budget_exceeded_verdict():
     rep = tl.check_counting_identity(M, budget=10)
     assert rep.verdict == tl.BUDGET_EXCEEDED
     assert "budget_error" in rep.details
+
+
+# suite name -> (checker attribute, the theorem id of its budget-exceeded report)
+SUITE_CHECKERS = {
+    "declared": ("check_declared", "declared-claims"),
+    "orthogonality": ("check_orthogonality", "orthogonality"),
+    "counting": ("check_counting_identity", "counting-identity"),
+    "kernel-bounds": ("check_kernel_bounds", "kernel-bounds"),
+    "bounds": ("check_dimension_bounds", "dimension-bounds"),
+    "spread": ("check_spread", "spread"),
+    "radical-equality": ("check_radical_equality", "radical-equality"),
+    "isotropic-partition": ("check_isotropic_partition", "isotropic-partition"),
+    "witt-census": ("check_witt_census_identity", "witt-census"),
+    "filtration": ("check_filtration", "filtration"),
+    "maximality": ("check_maximality", "maximality"),
+}
+
+
+def test_suite_checkers_table_covers_every_suite_name():
+    assert tuple(SUITE_CHECKERS) == tl.SUITE_NAMES
+
+
+@pytest.mark.parametrize("name", list(SUITE_CHECKERS))
+def test_every_checker_reports_its_own_overrun(name):
+    """budget=1 overruns the first charge of every checker, directly and through run_suite."""
+    M = sp.full_kind_space(F3, 3, "alternating")
+    declared = {"spectrum": [2]}  # with nothing declared the declared checker charges nothing
+    attr, tid = SUITE_CHECKERS[name]
+    direct = getattr(tl, attr)(M, declared, 1) if name == "declared" else getattr(tl, attr)(M, 1)
+    if name != "bounds":  # the one checker that returns a list
+        direct = [direct]
+    for reports in (direct, tl.run_suite(M, [name], budget=1, declared=declared)):
+        assert [(r.theorem_id, r.verdict, r.hypotheses) for r in reports] == [(tid, tl.BUDGET_EXCEEDED, ())]
+        assert "budget is 1" in reports[0].details["budget_error"]
+
+
+@pytest.mark.parametrize("name", list(SUITE_CHECKERS))
+def test_rebinding_a_checker_reaches_run_suite(name, monkeypatch):
+    marker = tl.VerificationReport("marker", (), tl.HOLDS)
+    attr, _ = SUITE_CHECKERS[name]
+    monkeypatch.setattr(tl, attr, lambda *args, **kwargs: [marker] if name == "bounds" else marker)
+    assert tl.run_suite(sp.full_kind_space(F3, 2, "alternating"), [name]) == [marker]
+
+
+@pytest.mark.parametrize("read_radicals", [False, True])
+def test_witt_census_eliminates_nothing_once_the_line_table_exists(read_radicals, monkeypatch):
+    """The census reads its pivot columns off the stack line_table reduced, even after lines has read it."""
+    M = cons.block_symmetric(F3, 4, 1)
+    sp.line_table(M, None, "t")
+    if read_radicals:
+        sp.lines(M)
+    calls = []
+    batch_rref = linalg.batch_rref
+    monkeypatch.setattr(linalg, "batch_rref", lambda *args: calls.append(1) or batch_rref(*args))
+    rep = tl.check_witt_census_identity(M)
+    assert "A" in rep.details  # the census ran
+    assert calls == []
