@@ -465,6 +465,9 @@ def main(argv=None) -> int:
     if args.command == "search" and args.mode != "maximal" and (args.q is None or args.n is None):
         print("error: this search mode requires --q and --n", file=sys.stderr)
         return EXIT_ERROR
+    if args.command == "search" and args.mode == "maximal" and args.file is None:
+        print("error: this search mode requires --file", file=sys.stderr)
+        return EXIT_ERROR
     if args.budget is None:
         # --budget overrides BILRANK_BUDGET, which overrides the default
         env = os.environ.get("BILRANK_BUDGET")

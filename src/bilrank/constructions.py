@@ -20,7 +20,6 @@ from typing import Optional
 
 import numpy as np
 
-from .formcore import GramForm
 from .gf import Field, Tower, field_for_order, make_tower
 from .spanspace import (
     KIND_ALTERNATING,
@@ -53,13 +52,11 @@ def symmetric_trace(K: Field, m: int) -> FormSubspace:
     tower = make_tower(K, m)
     top = tower.top
     b = tower.power_basis()
-    forms = []
-    for z in b:
-        entries = np.zeros((m, m), dtype=np.int64)
+    forms = np.zeros((m, m, m), dtype=np.int64)
+    for z, entries in zip(b, forms):
         for i in range(m):
             for j in range(m):
                 entries[i, j] = tower.trace(top.mul(z, top.mul(b[i], b[j])))
-        forms.append(GramForm(K, entries))
     return FormSubspace(K, m, forms)
 
 
@@ -74,11 +71,8 @@ def embed_with_radical(N: FormSubspace, n: int) -> FormSubspace:
         raise ValueError(f"target dimension {n} is smaller than the source {N.n}")
     if n == N.n:
         return N
-    forms = []
-    for f in N.basis:
-        entries = np.zeros((n, n), dtype=np.int64)
-        entries[: N.n, : N.n] = f.entries
-        forms.append(GramForm(N.field, entries))
+    forms = np.zeros((N.dim, n, n), dtype=np.int64)
+    forms[:, : N.n, : N.n] = N.basis_flat().reshape(-1, N.n, N.n)
     return FormSubspace(N.field, n, forms)
 
 
@@ -89,13 +83,10 @@ def block_symmetric(field: Field, n: int, r: int) -> FormSubspace:
     """
     if not 1 <= r <= n // 2:
         raise ValueError(f"need 1 <= r <= n/2, got r={r}, n={n}")
-    forms = []
-    for i in range(r):
-        for j in range(n - r):
-            entries = np.zeros((n, n), dtype=np.int64)
-            entries[i, r + j] = 1
-            entries[r + j, i] = 1
-            forms.append(GramForm(field, entries))
+    i, j = np.divmod(np.arange(r * (n - r)), n - r)
+    forms = np.zeros((len(i), n, n), dtype=np.int64)
+    forms[np.arange(len(i)), i, r + j] = 1
+    forms[np.arange(len(i)), r + j, i] = 1
     return FormSubspace(field, n, forms)
 
 
@@ -103,12 +94,10 @@ def alternating_pencil(field: Field, n: int) -> FormSubspace:
     """span of f_i(x, y) = x_1 y_i - x_i y_1 for i = 2..n: constant rank 2."""
     if n < 2:
         raise ValueError("the pencil needs n >= 2")
-    forms = []
-    for i in range(1, n):
-        entries = np.zeros((n, n), dtype=np.int64)
-        entries[0, i] = 1
-        entries[i, 0] = field.neg(1)
-        forms.append(GramForm(field, entries))
+    i = np.arange(1, n)
+    forms = np.zeros((n - 1, n, n), dtype=np.int64)
+    forms[i - 1, 0, i] = 1
+    forms[i - 1, i, 0] = field.neg(1)
     return FormSubspace(field, n, forms)
 
 
@@ -126,9 +115,8 @@ def alternating_odd_full(k: int, field: Field, budget: Optional[int] = None) -> 
     tower = make_tower(field, k)
     top = tower.top
     b = tower.power_basis()
-    forms = []
-    for a in b:
-        entries = np.zeros((k, k), dtype=np.int64)
+    forms = np.zeros((k, k, k), dtype=np.int64)
+    for a, entries in zip(b, forms):
         for i in range(k):
             for j in range(k):
                 # x y^q - x^q y evaluated on the basis pair (b_i, b_j)
@@ -137,7 +125,6 @@ def alternating_odd_full(k: int, field: Field, budget: Optional[int] = None) -> 
                     top.mul(top.pow(b[i], q), b[j]),
                 )
                 entries[i, j] = tower.trace(top.mul(a, v))
-        forms.append(GramForm(field, entries))
     try:
         M = FormSubspace(field, k, forms)
     except ValueError as exc:
@@ -179,18 +166,16 @@ def trace_compress(M: FormSubspace, tower: Tower) -> FormSubspace:
     t = tower.t
     lam = tower.power_basis()
     n_k = M.n * t
-    forms = []
-    for f in M.basis:
-        for a in range(t):
-            entries = np.zeros((n_k, n_k), dtype=np.int64)
+    forms = np.zeros((M.dim, t, n_k, n_k), dtype=np.int64)  # form f, then lam_a
+    for f, g in zip(forms, M.basis_flat().reshape(-1, M.n, M.n)):
+        for a, entries in enumerate(f):
             for i in range(M.n):
                 for bi in range(t):
                     for j in range(M.n):
                         for cj in range(t):
-                            val = top.mul(lam[a], top.mul(lam[bi], top.mul(lam[cj], int(f.entries[i, j]))))
+                            val = top.mul(lam[a], top.mul(lam[bi], top.mul(lam[cj], int(g[i, j]))))
                             entries[i * t + bi, j * t + cj] = tower.trace(val)
-            forms.append(GramForm(K, entries))
-    return FormSubspace(K, n_k, forms)
+    return FormSubspace(K, n_k, forms.reshape(-1, n_k, n_k))
 
 
 def bilinear_column_family(L: Field, m: int, r: int) -> FormSubspace:
@@ -200,12 +185,9 @@ def bilinear_column_family(L: Field, m: int, r: int) -> FormSubspace:
     """
     if not 1 <= r <= m:
         raise ValueError(f"need 1 <= r <= m, got r={r}, m={m}")
-    forms = []
-    for i in range(m):
-        for j in range(r):
-            entries = np.zeros((m, m), dtype=np.int64)
-            entries[i, j] = 1
-            forms.append(GramForm(L, entries))
+    i, j = np.divmod(np.arange(m * r), r)
+    forms = np.zeros((m * r, m, m), dtype=np.int64)
+    forms[np.arange(m * r), i, j] = 1
     return FormSubspace(L, m, forms)
 
 

@@ -160,10 +160,6 @@ def field_from_json(obj) -> Field:
     return make_field(FieldSpec(_int(obj["p"], "field p"), _int(obj["k"], "field k"), modulus))
 
 
-def gram_to_json(f: GramForm) -> dict:
-    return {"n": f.n, "rows": [[int(v) for v in row] for row in f.entries]}
-
-
 @dataclass
 class SubspaceFile:
     """A parsed subspace file: the space plus whatever it declared."""
@@ -185,7 +181,7 @@ def subspace_to_json(
         "field": field_to_json(M.field),
         "n": M.n,
         "kind": canon.kind,
-        "basis": [gram_to_json(f) for f in canon.basis],
+        "basis": [{"n": M.n, "rows": g.tolist()} for g in canon.basis_flat().reshape(-1, M.n, M.n)],
     }
     if declared is not None:
         obj["declared"] = declared
@@ -217,9 +213,11 @@ def subspace_from_json(obj) -> SubspaceFile:
         if "rows" not in _object(g, f"basis entry {i}"):
             raise ValueError(f"basis entry {i} is missing 'rows'")
         try:
-            forms.append(GramForm(field, _codes(g["rows"], "rows")))
+            forms.append(GramForm(field, _codes(g["rows"], "rows")).entries)
         except ValueError as exc:
             raise ValueError(f"basis entry {i}: {exc}") from exc
+        if len(forms[-1]) != n:
+            raise ValueError(f"basis entry {i} lives on a different space")
     M = FormSubspace(field, n, forms)  # raises naming any dependent row
     declared_kind = obj.get("kind")
     if declared_kind is not None and declared_kind != M.kind:

@@ -19,17 +19,26 @@ SYMMETRIC_NOT_ALTERNATING = "symmetric-not-alternating"
 GENERAL = "general"
 
 
+def _code_array(field: Field, entries):
+    """A fresh int64 array of entries, each an element code in [0, q): the one rule for forms and stacks."""
+    try:
+        arr = np.array(entries, dtype=np.int64)
+        if not arr.size or (arr.min() >= 0 and arr.max() < field.q):
+            return arr
+    except OverflowError:  # an integer past int64 is no code either
+        pass
+    raise ValueError("entries must be element codes in [0, q)")
+
+
 class GramForm:
     """A bilinear form given by its Gram matrix of element codes."""
 
     __slots__ = ("field", "n", "entries")
 
     def __init__(self, field: Field, entries):
-        arr = np.array(entries, dtype=np.int64)
+        arr = _code_array(field, entries)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"Gram matrix must be square, got shape {arr.shape}")
-        if arr.size and (arr.min() < 0 or arr.max() >= field.q):
-            raise ValueError("entries must be element codes in [0, q)")
         arr.setflags(write=False)
         self.field = field
         self.n = arr.shape[0]

@@ -1,5 +1,10 @@
 """Subspaces M of Bil(V): bases, enumeration, rank spectra, derived objects.
 
+A FormSubspace is its read-only (d, n, n) stack of element codes, checked
+in bulk (shape, codes, independence), with its kind read off the stack.
+GramForms are made on demand only: by `basis`, `form_from_coefficients`
+and `enumerate_nonzero`.  `span` takes a list of GramForms.
+
 This is the one module that walks the elements of M.  `scan_blocks` is
 that walk: it lists the q^d - 1 nonzero coefficient vectors in a fixed
 lexicographic order (index i -> base-q digits of i, most significant
@@ -60,7 +65,7 @@ from typing import Iterator, NamedTuple, Optional
 import numpy as np
 
 from . import linalg
-from .formcore import ALTERNATING, GramForm, Subspace, classify
+from .formcore import GramForm, Subspace, _code_array
 from .gf import Field
 
 DEFAULT_BUDGET = 10**8
@@ -84,38 +89,38 @@ def charge(items: int, cell_cost: int, budget: Optional[int], what: str) -> None
         raise BudgetExceeded(f"{what} needs {steps} steps, budget is {limit}")
 
 
-def _kind_of_basis(forms) -> str:
-    if all(classify(f) == ALTERNATING for f in forms):
+def _kind_of_stack(field: Field, stack) -> str:
+    """The kind of a (d, n, n) stack: alternating is G = -G^T with a zero diagonal, exact in characteristic 2."""
+    transposed = stack.transpose(0, 2, 1)
+    if (stack == field.neg_arr(transposed)).all() and not stack.diagonal(axis1=1, axis2=2).any():
         return KIND_ALTERNATING
-    if all((f.entries == f.entries.T).all() for f in forms):
+    if (stack == transposed).all():
         return KIND_SYMMETRIC
     return KIND_GENERAL
 
 
 class FormSubspace:
-    """A subspace of Bil(V) given by a linearly independent basis of forms."""
+    """A subspace of Bil(V): a (d, n, n) stack of independent Gram matrices, held flattened and read-only."""
 
     __slots__ = (
-        "field", "n", "basis", "kind", "_flat", "_table", "_reduced", "_lines", "_kernel_dims", "_incidence",
-        "_isotropic",
+        "field", "n", "kind", "_flat", "_table", "_reduced", "_lines", "_kernel_dims", "_incidence", "_isotropic",
     )
 
-    def __init__(self, field: Field, n: int, basis):
-        basis = tuple(basis)
-        for i, f in enumerate(basis):
-            if not isinstance(f, GramForm):
-                raise ValueError(f"basis entry {i} is not a GramForm")
-            if f.field != field or f.n != n:
-                raise ValueError(f"basis entry {i} lives on a different space")
-        flat = np.stack([f.flat() for f in basis]) if basis else np.zeros((0, n * n), dtype=np.int64)
-        if basis and linalg.rank(field, flat) < len(basis):
+    def __init__(self, field: Field, n: int, forms):
+        stack = _code_array(field, forms)
+        if stack.shape == (0,):  # an empty list: the zero subspace
+            stack = stack.reshape(0, n, n)
+        if stack.ndim != 3 or stack.shape[1:] != (n, n):
+            raise ValueError(f"basis must be a (d, {n}, {n}) stack of Gram matrices, got shape {stack.shape}")
+        flat = stack.reshape(len(stack), n * n)
+        if len(flat) and linalg.rank(field, flat) < len(flat):
             # only now look for the first dependent row, to name it in diagnostics
-            i = next(i for i in range(len(basis)) if linalg.rank(field, flat[: i + 1]) <= i)
+            i = next(i for i in range(len(flat)) if linalg.rank(field, flat[: i + 1]) <= i)
             raise ValueError(f"basis row {i} is dependent on earlier rows")
+        flat.setflags(write=False)
         self.field = field
         self.n = n
-        self.basis = basis
-        self.kind = _kind_of_basis(basis)
+        self.kind = _kind_of_stack(field, stack)
         self._flat = flat
         self._table = None  # filled by the first line_table call
         self._reduced = None  # line_table's reduced Gram blocks, read by lines and the Witt census
@@ -126,14 +131,19 @@ class FormSubspace:
         self._isotropic = None  # filled by the first isotropic_set call
 
     @property
+    def basis(self) -> tuple[GramForm, ...]:
+        """The basis forms, made from the stack on each call."""
+        return tuple(GramForm(self.field, g) for g in self._flat.reshape(-1, self.n, self.n))
+
+    @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._flat)
 
     @property
     def symmetric(self) -> bool:
         """M <= Symm(V).  Alternating forms are symmetric only in characteristic 2."""
         if self.kind == KIND_ALTERNATING:
-            return self.field.p == 2 or not self.basis
+            return self.field.p == 2 or not self.dim
         return self.kind == KIND_SYMMETRIC
 
     @property
@@ -142,7 +152,7 @@ class FormSubspace:
         return self.kind == KIND_GENERAL
 
     def basis_flat(self):
-        """Basis forms flattened row-major to a (dim, n^2) array."""
+        """Basis forms flattened row-major to a read-only (dim, n^2) array."""
         return self._flat
 
     def canonical_rows(self):
@@ -153,7 +163,7 @@ class FormSubspace:
         return tuple(tuple(int(v) for v in row) for row in self.canonical_rows())
 
     def canonical(self) -> "FormSubspace":
-        return span(self.basis, self.field, self.n)
+        return FormSubspace(self.field, self.n, self.canonical_rows().reshape(-1, self.n, self.n))
 
     def form_from_coefficients(self, coeffs) -> GramForm:
         if len(coeffs) != self.dim:
@@ -163,7 +173,7 @@ class FormSubspace:
     def subspace_from_coefficients(self, rows) -> "FormSubspace":
         """The subspace of M whose basis has the given independent coefficient rows."""
         flats = flat_forms_for(self, np.asarray(rows, dtype=np.int64).reshape(len(rows), self.dim))
-        return FormSubspace(self.field, self.n, [GramForm(self.field, r.reshape(self.n, self.n)) for r in flats])
+        return FormSubspace(self.field, self.n, flats.reshape(-1, self.n, self.n))
 
     def contains_form(self, f: GramForm) -> bool:
         return linalg.rank(self.field, np.vstack([self._flat, f.flat()])) == self.dim
@@ -180,14 +190,11 @@ class FormSubspace:
         return hash((self.field, self.n, self.key()))
 
     def __repr__(self):
-        return (
-            f"FormSubspace(GF({self.field.q}), n={self.n}, dim={self.dim}, "
-            f"kind={self.kind})"
-        )
+        return f"FormSubspace(GF({self.field.q}), n={self.n}, dim={self.dim}, kind={self.kind})"
 
 
 def span(forms, field: Optional[Field] = None, n: Optional[int] = None) -> FormSubspace:
-    """Subspace spanned by arbitrary forms, with a canonical reduced basis."""
+    """Subspace spanned by arbitrary GramForms, with a canonical reduced basis."""
     forms = list(forms)
     if forms:
         field = forms[0].field
@@ -199,7 +206,7 @@ def span(forms, field: Optional[Field] = None, n: Optional[int] = None) -> FormS
         raise ValueError("spanning an empty set needs an explicit field and dimension")
     flat = np.stack([f.flat() for f in forms]) if forms else np.zeros((0, n * n), dtype=np.int64)
     rows = linalg.rref(field, flat)[0] if len(flat) else flat
-    return FormSubspace(field, n, [GramForm(field, r.reshape(n, n)) for r in rows])
+    return FormSubspace(field, n, rows.reshape(-1, n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -538,8 +545,8 @@ def isotropic_set(M: FormSubspace, budget: Optional[int] = None) -> IsotropicSet
     if M._isotropic is None:
         vecs = linalg.code_vectors(q, n)
         mask = np.ones(len(vecs), dtype=bool)
-        for f in M.basis:
-            tv = fld.matmul_arr(vecs, f.entries)
+        for g in M._flat.reshape(-1, n, n):
+            tv = fld.matmul_arr(vecs, g)
             quad = fld.sum_arr(fld.mul_arr(tv, vecs), axis=1)
             mask &= quad == 0
         mask[0] = False
@@ -638,7 +645,7 @@ def kind_basis(field: Field, n: int, kind: str):
 
 def full_kind_space(field: Field, n: int, kind: str) -> FormSubspace:
     """Alt(V), Symm(V) or Bil(V) itself."""
-    return FormSubspace(field, n, [GramForm(field, r.reshape(n, n)) for r in kind_basis(field, n, kind)])
+    return FormSubspace(field, n, kind_basis(field, n, kind).reshape(-1, n, n))
 
 
 def random_subspace(field: Field, n: int, d: int, kind: str, seed: int) -> FormSubspace:
@@ -655,8 +662,7 @@ def random_subspace(field: Field, n: int, d: int, kind: str, seed: int) -> FormS
     rng = np.random.default_rng(seed)
     while True:
         rows = field.matmul_arr(rng.integers(0, field.q, size=(d, dim_kind), dtype=np.int64), flat)
-        basis = [GramForm(field, r.reshape(n, n)) for r in rows]
         try:
-            return FormSubspace(field, n, basis)
+            return FormSubspace(field, n, rows.reshape(d, n, n))
         except ValueError:  # dependent rows: draw again
             continue

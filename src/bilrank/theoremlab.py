@@ -349,7 +349,7 @@ def check_dimension_bounds(M: FormSubspace, budget: Optional[int] = None) -> lis
 
     if alternating and constant and d >= 1:
         # every rad_L f (dim n - m) holds the basis' common left radical: all equal iff the stacked basis has rank m
-        all_equal = linalg.rank(M.field, np.hstack([f.entries for f in M.basis])) == m
+        all_equal = linalg.rank(M.field, M.basis_flat().reshape(d, n, n).transpose(1, 0, 2).reshape(n, d * n)) == m
         hyps = [nonzero, h_alt, h_const,
                 _hyp("common radical", "all elements of M^x share one radical",
                      f"distinct radicals > 1: {not all_equal}", all_equal)]

@@ -237,33 +237,33 @@ def _corrupted_fixtures(tmp_path):
     def rank1_sym(n):
         m = np.zeros((n, n), dtype=np.int64)
         m[0, 0] = 1
-        return fc.GramForm(F3, m)
+        return m
 
     # declared / counting / orthogonality / kernel-bounds: a rank-breaking
     # form inside the trace family, spectrum claim left stale
     trace, trace_decl = cons.build(cons.ConstructionRequest("trace-symmetric", {"q": 3, "ext": 2, "n": 3}))
-    broken_trace = sp.FormSubspace(F3, 3, [trace.basis[0], rank1_sym(3)])
+    broken_trace = sp.FormSubspace(F3, 3, [trace.basis[0].entries, rank1_sym(3)])
     for name in ("declared", "counting", "orthogonality", "kernel-bounds"):
         write(name, broken_trace, dict(trace_decl, maximal=False))
 
     # bounds: block fixture with an injected rank-1 element
     blk, blk_decl = cons.build(cons.ConstructionRequest("block-symmetric", {"q": 3, "n": 4, "r": 2}))
-    write("bounds", sp.FormSubspace(F3, 4, list(blk.basis[:3]) + [rank1_sym(4)]), blk_decl)
+    write("bounds", sp.FormSubspace(F3, 4, [f.entries for f in blk.basis[:3]] + [rank1_sym(4)]), blk_decl)
 
     # spread: compressed odd family with a rank-2 alternating intruder
     aodd, aodd_decl = cons.build(cons.ConstructionRequest("alt-odd", {"q": 2, "k": 3, "ext": 2}))
     F2 = field_for_order(2)
     intruder = np.zeros((6, 6), dtype=np.int64)
     intruder[0, 1] = intruder[1, 0] = 1
-    write("spread", sp.FormSubspace(F2, 6, list(aodd.basis[:5]) + [fc.GramForm(F2, intruder)]), aodd_decl)
+    write("spread", sp.FormSubspace(F2, 6, [f.entries for f in aodd.basis[:5]] + [intruder]), aodd_decl)
 
     # radical-equality: column family claiming dim 6 but one basis form short
     cf, cf_decl = cons.build(cons.ConstructionRequest("column-family", {"q": 3, "m": 3, "r": 1, "ext": 2}))
-    write("radical-equality", sp.FormSubspace(F3, 6, list(cf.basis[:5])), cf_decl)
+    write("radical-equality", sp.FormSubspace(F3, 6, [f.entries for f in cf.basis[:5]]), cf_decl)
 
     # isotropic-partition / witt-census: the n = m = 2 trace family corrupted
     st, st_decl = cons.build(cons.ConstructionRequest("trace-symmetric", {"q": 3, "ext": 2}))
-    broken_st = sp.FormSubspace(F3, 2, [st.basis[0], rank1_sym(2)])
+    broken_st = sp.FormSubspace(F3, 2, [st.basis[0].entries, rank1_sym(2)])
     write("isotropic-partition", broken_st, dict(st_decl, maximal=False))
     write("witt-census", broken_st, dict(st_decl, maximal=False))
 
@@ -271,7 +271,7 @@ def _corrupted_fixtures(tmp_path):
     filt, filt_decl = cons.build(cons.ConstructionRequest("column-family", {"q": 3, "m": 3, "r": 2}))
     third = np.zeros((3, 3), dtype=np.int64)
     third[0, 2] = 1
-    write("filtration", sp.FormSubspace(F3, 3, list(filt.basis[:5]) + [fc.GramForm(F3, third)]), filt_decl)
+    write("filtration", sp.FormSubspace(F3, 3, [f.entries for f in filt.basis[:5]] + [third]), filt_decl)
 
     # maximality: a single trace form dishonestly declared maximal
     single = sp.span([st.basis[0]])

@@ -201,8 +201,9 @@ def _one_form_file(path, n=2, entry=0, p=3, k=1):
         ({"entry": True}, "rows[0][1] must be an integer, got True"),
         ({"n": 2.0}, "n must be an integer, got 2.0"),
         ({"p": 3.0}, "field p must be an integer, got 3.0"),
+        ({"entry": 10**30}, "basis entry 0: entries must be element codes in [0, q)"),
     ],
-    ids=["float-entry", "bool-entry", "float-n", "float-p"],
+    ids=["float-entry", "bool-entry", "float-n", "float-p", "int64-overflow-entry"],
 )
 def test_non_integer_values_are_rejected(tmp_path, capsys, fields, message):
     path = _one_form_file(tmp_path / "m.json", **fields)
@@ -210,6 +211,14 @@ def test_non_integer_values_are_rejected(tmp_path, capsys, fields, message):
     assert message in capsys.readouterr().err
     # the same file with integers reads fine
     assert run(["analyze", _one_form_file(tmp_path / "ok.json")]) == 0
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["search", "maximal", "--file"]], ids=["verify", "search-maximal"])
+def test_code_past_int64_exits_2_from_verify_and_search_maximal(tmp_path, capsys, argv):
+    # analyze is a row of the table above
+    path = _one_form_file(tmp_path / "m.json", entry=10**30)
+    assert run([*argv, path]) == 2
+    assert capsys.readouterr().err == f"error: {path}: basis entry 0: entries must be element codes in [0, q)\n"
 
 
 @pytest.mark.parametrize(
@@ -431,8 +440,10 @@ _GRID = ["campaign", "--q", "3", "--n", "3"]
         (_HUNT + ["--n", "3", "--seed", "-1", "--trials", "1"], "--seed must be >= 0"),
         (_GRID + ["--seed", "-1", "--trials", "1"], "--seed must be >= 0"),
         (_HUNT + ["--seed", "1", "--trials", "1"], "this search mode requires --q and --n"),
+        (["search", "maximal", "--seed", "1"], "this search mode requires --file"),
     ],
-    ids=["search-trials", "campaign-trials", "search-n", "search-seed", "campaign-seed", "search-no-n"],
+    ids=["search-trials", "campaign-trials", "search-n", "search-seed", "campaign-seed", "search-no-n",
+         "search-maximal-no-file"],
 )
 def test_out_of_range_flag_is_named_before_any_draw(tmp_path, capsys, argv, message):
     out = tmp_path / "out"

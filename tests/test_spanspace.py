@@ -53,21 +53,89 @@ def test_span_rejects_mixed_inputs():
         sp.span([])
 
 
+def _random_stacks():
+    """(F, (d, n, n) stack) over q in {2, 3, 4, 5, 9} and n in 1..4: one kind per stack, then mixed kinds.
+
+    Every form is drawn cell by cell: a symmetric one mirrors its upper triangle and keeps a random
+    diagonal (nonzero in characteristic 2 too), an alternating one negates its mirror over a zero diagonal.
+    """
+    rng = np.random.default_rng(15)
+    for q in (2, 3, 4, 5, 9):
+        F = field_for_order(q)
+        for n in range(1, 5):
+            for kind in (*sp.KINDS, "mixed"):
+                for d in (1, 2, 3):
+                    forms = []
+                    for _ in range(d):
+                        k = rng.choice(sp.KINDS) if kind == "mixed" else kind
+                        g = rng.integers(0, q, size=(n, n))
+                        if k != "general":
+                            upper = np.triu(g, 1)
+                            mirror = upper.T if k == "symmetric" else F.neg_arr(upper.T)
+                            g = upper + mirror + (np.diag(np.diag(g)) if k == "symmetric" else 0)
+                        forms.append(g)
+                    yield F, np.array(forms, dtype=np.int64)
+
+
+def _first_dependent_row(F, stack):
+    """The prefix-rank oracle: the first row that does not raise the rank of the rows before it, or None."""
+    flat = stack.reshape(len(stack), -1)
+    return next((i for i in range(len(flat)) if linalg.rank(F, flat[: i + 1]) <= i), None)
+
+
+def _random_subspaces():
+    """FormSubspaces of the independent rows of each random stack, as the prefix-rank oracle picks them."""
+    for F, stack in _random_stacks():
+        flat = stack.reshape(len(stack), -1)
+        keep = [i for i in range(len(flat)) if linalg.rank(F, flat[: i + 1]) > linalg.rank(F, flat[:i])]
+        yield sp.FormSubspace(F, stack.shape[1], stack[keep])
+
+
 def test_dependent_basis_row_is_named():
     f = fc.identity_form(F3, 2)
     g = fc.GramForm(F3, F3.mul_arr(2, f.entries))
     with pytest.raises(ValueError, match="basis row 1 is dependent"):
-        sp.FormSubspace(F3, 2, [f, g])
+        sp.FormSubspace(F3, 2, [f.entries, g.entries])
     with pytest.raises(ValueError, match="basis row 0 is dependent"):
-        sp.FormSubspace(F3, 2, [fc.zero_form(F3, 2), f])
+        sp.FormSubspace(F3, 2, [fc.zero_form(F3, 2).entries, f.entries])
     h = fc.GramForm(F3, [[0, 1], [0, 0]])
     with pytest.raises(ValueError, match="basis row 2 is dependent"):
-        sp.FormSubspace(F3, 2, [f, h, fc.GramForm(F3, F3.add_arr(f.entries, h.entries))])
+        sp.FormSubspace(F3, 2, [f.entries, h.entries, F3.add_arr(f.entries, h.entries)])
+    dependent = 0
+    for F, stack in _random_stacks():
+        # a copy of an earlier row, or a sum of two, appended makes the stack dependent
+        extra = stack[-1:] if len(stack) == 1 else F.add_arr(stack[:1], stack[-1:])
+        for candidate in (stack, np.concatenate([stack, extra])):
+            row = _first_dependent_row(F, candidate)
+            if row is None:
+                assert sp.FormSubspace(F, stack.shape[1], candidate).dim == len(candidate)
+                continue
+            dependent += 1
+            with pytest.raises(ValueError, match=f"^basis row {row} is dependent on earlier rows$"):
+                sp.FormSubspace(F, stack.shape[1], candidate)
+    assert dependent > 300
+
+
+def test_stack_of_the_wrong_shape_or_codes_is_rejected():
+    for F, stack in _random_stacks():
+        d, n = len(stack), stack.shape[1]
+        wide = np.concatenate([stack, np.zeros((d, n, 1), dtype=np.int64)], axis=2)
+        held = stack.copy()
+        held[-1, 0, 0] = F.q
+        for bad in (wide, stack.reshape(d, n * n), held):
+            with pytest.raises(ValueError):
+                sp.FormSubspace(F, n, bad)
+    # an integer past int64 is no element code: the same error as any other code out of range
+    for build in (lambda e: fc.GramForm(F3, e), lambda e: sp.FormSubspace(F3, 2, [e])):
+        with pytest.raises(ValueError, match=r"entries must be element codes in \[0, q\)"):
+            build([[1, 10**30], [0, 1]])
+    assert sp.FormSubspace(F3, 2, []).dim == 0 == sp.FormSubspace(F3, 2, np.zeros((0, 2, 2))).dim
 
 
 def test_symmetric_flag_matches_the_basis():
     spaces = [sp.full_kind_space(F, n, kind) for F in (F2, F3, F4) for n in (2, 3) for kind in sp.KINDS]
     spaces.append(sp.span([], field=F3, n=2))
+    spaces.extend(_random_subspaces())
     for M in spaces:
         assert M.symmetric == all((f.entries == f.entries.T).all() for f in M.basis), M
 
@@ -78,6 +146,21 @@ def test_kind_tag_matches_classification():
     assert sp.full_kind_space(F3, 2, "general").kind == "general"
     mixed = sp.span([fc.identity_form(F3, 2), fc.GramForm(F3, [[0, 1], [2, 0]])])
     assert mixed.kind == "general"
+    seen = Counter()
+    for M in _random_subspaces():
+        # the oracle: per-form classify for alternation, G^T = G per form for symmetry (an alternating
+        # form is symmetric only in characteristic 2, so odd-characteristic mixes of the two are general)
+        if all(fc.classify(f) == fc.ALTERNATING for f in M.basis):
+            want = "alternating"
+        elif all((f.entries == f.entries.T).all() for f in M.basis):
+            want = "symmetric"
+        else:
+            want = "general"
+        assert M.kind == want, (M, [f.rows() for f in M.basis])
+        diagonal = any(f.entries.diagonal().any() for f in M.basis)
+        seen[want, M.field.p == 2 and diagonal] += 1
+    # every kind comes up, and so do symmetric forms with a nonzero diagonal in characteristic 2
+    assert all(seen[kind, False] for kind in sp.KINDS) and seen["symmetric", True]
 
 
 # --- enumeration ----------------------------------------------------------------

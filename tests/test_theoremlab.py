@@ -639,9 +639,7 @@ def test_declared_spectrum_mismatch_witness_and_replay():
 
 def test_declared_rank_breaking_form_witness():
     M, declared = cons.build(cons.ConstructionRequest("trace-symmetric", {"q": 3, "ext": 2, "n": 3}))
-    corrupted = sp.FormSubspace(
-        M.field, 3, [M.basis[0], fc.GramForm(F3, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])]
-    )
+    corrupted = sp.FormSubspace(M.field, 3, [M.basis[0].entries, [[1, 0, 0], [0, 0, 0], [0, 0, 0]]])
     rep = tl.check_declared(corrupted, declared)
     assert rep.verdict == tl.VIOLATED
     w = rep.witness
