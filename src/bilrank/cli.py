@@ -118,10 +118,10 @@ def _statistics(M, budget) -> dict:
         if M.dim == 0:
             out["note"] = "rank(M)=0 (zero subspace)"
         _, _, left, right = lines(M, budget)
-        out["distinct_left_radicals"] = len(left.spaces)
-        out["distinct_right_radicals"] = len(right.spaces)
+        out["distinct_left_radicals"] = len(left.dims)
+        out["distinct_right_radicals"] = len(right.dims)
         if M.field.p != 2 and M.kind != "general":
-            out["isotropic_nonzero"] = len(isotropic_set(M, budget).vectors)
+            out["isotropic_nonzero"] = len(isotropic_set(M, budget))
     except BudgetExceeded as exc:
         out["budget_error"] = str(exc)
     return out
@@ -203,7 +203,7 @@ def _search_rank2_distinct_radicals(args, budget):
     log = {"mode": args.mode, "q": field.q, "n": args.n, "seed": args.seed, "trials_run": 0, "found": False}
     return _hunt(
         args, field, log, [args.seed, field.q, args.n], d, "symmetric",
-        lambda M: rank_spectrum(M, budget).ranks == (2,) and len(lines(M, budget)[2].spaces) == want_lines,
+        lambda M: rank_spectrum(M, budget).ranks == (2,) and len(lines(M, budget)[2].dims) == want_lines,
         {"spectrum": [2], "distinct_radicals": want_lines},
     )
 

@@ -213,6 +213,8 @@ def subspace_from_json(obj) -> SubspaceFile:
         if "rows" not in _object(g, f"basis entry {i}"):
             raise ValueError(f"basis entry {i} is missing 'rows'")
         try:
+            if "n" in g and _int(g["n"], "n") != n:  # the writer puts the matrix size here
+                raise ValueError(f"n is {g['n']}, but the file's n is {n}")
             forms.append(GramForm(field, _codes(g["rows"], "rows")).entries)
         except ValueError as exc:
             raise ValueError(f"basis entry {i}: {exc}") from exc

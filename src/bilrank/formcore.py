@@ -20,13 +20,13 @@ GENERAL = "general"
 
 
 def _code_array(field: Field, entries):
-    """A fresh int64 array of entries, each an element code in [0, q): the one rule for forms and stacks."""
-    try:
-        arr = np.array(entries, dtype=np.int64)
-        if not arr.size or (arr.min() >= 0 and arr.max() < field.q):
-            return arr
-    except OverflowError:  # an integer past int64 is no code either
-        pass
+    """A fresh int64 array of entries, each an element code in [0, q): the one rule for forms and stacks.
+
+    Only integers are codes: float, bool and object entries (an integer past int64) are refused, not truncated.
+    """
+    arr = np.array(entries)
+    if not arr.size or (arr.dtype.kind in "iu" and arr.min() >= 0 and arr.max() < field.q):  # empty: any type
+        return arr.astype(np.int64, copy=False)
     raise ValueError("entries must be element codes in [0, q)")
 
 

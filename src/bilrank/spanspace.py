@@ -42,12 +42,12 @@ of M_u for a stack of vectors u, and `null_spaces` solves any stack
 a stack already reduced, such as the Gram matrices `line_table` kept,
 without eliminating it again.  The `linalg.null_vectors` of a block
 are equal exactly when the null spaces are, so only its distinct null
-spaces get the final `batch_rref`.  It keeps each distinct null space
-once and an id per matrix, so the radical census, the radical spread,
-the orthogonality checker and the kernel-bound incidence
-`max_rank_incidence` work on id arrays and test each distinct radical
-once; `partition_status` takes the points of all the spaces of one
-dimension from one stacked product.
+spaces get the final `batch_rref`.  A `NullSpaces` is its output: one
+read-only stack of the distinct canonical bases, their dimensions and an
+id per matrix, so the radical census, the radical spread, the
+orthogonality checker and `max_rank_incidence` index the stack and test
+each distinct radical once; `_point_blocks` lists the points of its
+spaces for that incidence and `partition_status`.  I(M) is an array too.
 
 Operations that walk q^d or q^n objects take an explicit step budget
 and raise BudgetExceeded instead of silently sampling: a theorem check
@@ -315,7 +315,7 @@ def lines(M: FormSubspace, budget: Optional[int] = None):
     coeffs, ranks = line_table(M, budget, "radical census")
     if M._lines is None:
         # rad_R G is the null space of G, whose reduced form line_table kept
-        right = reduced_null_spaces(M.field, M._reduced)
+        right = reduced_null_spaces(M.field, M._reduced, M.n)
         left = right
         if M.two_sided:  # rad_L G is the null space of G^T
             left = null_spaces(M.field, flat_forms_for(M, coeffs).reshape(-1, M.n, M.n).transpose(0, 2, 1))
@@ -324,50 +324,52 @@ def lines(M: FormSubspace, budget: Optional[int] = None):
 
 
 class NullSpaces(NamedTuple):
-    """The right null spaces of a stack of matrices, each distinct one held once.
+    """The right null spaces of a stack of matrices, each distinct one held once, in order of first appearance.
 
-    `spaces` are the distinct null spaces in order of first appearance,
-    `ids[i]` indexes the null space of matrix i and `first[j]` is the
-    first matrix whose null space is `spaces[j]`.
+    Space j has the canonical basis `bases[j, :dims[j]]`, and the other rows of the read-only (S, c, c)
+    stack are zero.  `ids[i]` indexes the null space of matrix i and `first[j]` is the first matrix whose
+    null space is space j.
     """
 
-    spaces: tuple[Subspace, ...]
+    bases: np.ndarray
+    dims: np.ndarray
     ids: np.ndarray
     first: np.ndarray
 
 
 def null_spaces(field: Field, mats) -> NullSpaces:
-    """The right null spaces of a stack, eliminated in blocks of _BLOCK matrices."""
+    """The right null spaces of a (B, rows, c) stack, eliminated in blocks of _BLOCK matrices."""
     blocks = (linalg.batch_rref(field, mats[start:start + _BLOCK]) for start in range(0, len(mats), _BLOCK))
-    return reduced_null_spaces(field, blocks)
+    return reduced_null_spaces(field, blocks, mats.shape[2])
 
 
-def reduced_null_spaces(field: Field, blocks) -> NullSpaces:
-    """The right null spaces of a stack given as its `linalg.batch_rref` (reduced, ranks) blocks, in order.
+def reduced_null_spaces(field: Field, blocks, cols: int) -> NullSpaces:
+    """The right null spaces of a (B, rows, cols) stack given as its `linalg.batch_rref` (reduced, ranks) blocks.
 
     Each block's `linalg.null_vectors` are equal exactly when the null
     spaces are, so one `np.unique` over their bytes finds the block's
     distinct spaces, a dict on those bytes joins blocks, and only the
-    spaces not seen before are reduced by the second `batch_rref`.
+    spaces not seen before are reduced by the second `batch_rref`, whose
+    stacks and ranks are joined once at the end.
     """
     index: dict[bytes, int] = {}
-    spaces, first, ids, start = [], [], [np.zeros(0, dtype=np.int64)], 0
+    empty = np.zeros(0, dtype=np.int64)
+    parts, ids, start = [(np.zeros((0, cols, cols), dtype=np.int64), empty, empty)], [empty], 0
     for red, ranks in blocks:
-        cols = red.shape[2]
         vecs = linalg.null_vectors(field, red, ranks)
         flat = vecs.reshape(len(vecs), -1)  # a view: vecs is a fresh contiguous stack
         keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).reshape(len(vecs))
         _, at, inverse = np.unique(keys, return_index=True, return_inverse=True)
         # the block's distinct spaces not seen before, in order of first appearance
-        new = [a for a in np.sort(at) if keys[a].tobytes() not in index]
-        bases, dims = linalg.batch_rref(field, vecs[new])
-        for a, basis, dim in zip(new, bases, dims):
-            index[keys[a].tobytes()] = len(spaces)
-            spaces.append(Subspace(field, cols, basis[:dim]))
-            first.append(start + a)
+        new = np.array([a for a in np.sort(at) if keys[a].tobytes() not in index], dtype=np.int64)
+        for a in new:
+            index[keys[a].tobytes()] = len(index)
+        parts.append((*linalg.batch_rref(field, vecs[new]), start + new))  # (bases, dims, first)
         ids.append(np.array([index[keys[a].tobytes()] for a in at], dtype=np.int64)[inverse])
         start += len(vecs)
-    return NullSpaces(tuple(spaces), np.concatenate(ids), np.array(first, dtype=np.int64))
+    bases, dims, first = (np.concatenate(part) for part in zip(*parts))
+    bases.setflags(write=False)
+    return NullSpaces(bases, dims, np.concatenate(ids), first)
 
 
 # ---------------------------------------------------------------------------
@@ -462,23 +464,20 @@ def max_rank_incidence(M: FormSubspace, side: str, budget: Optional[int] = None)
 
 
 def _max_rank_incidence(M: FormSubspace, ranks, own: NullSpaces, other: NullSpaces):
-    fld, q, n = M.field, M.field.q, M.n
+    q, n = M.field.q, M.n
     m = int(ranks.max(initial=0))
     top = ranks == m
     # least and greatest other-side radical id over the rank-m lines of each own-side radical
-    lo = np.full(len(own.spaces), len(other.spaces), dtype=np.int64)
-    hi = np.full(len(own.spaces), -1, dtype=np.int64)
+    lo = np.full(len(own.dims), len(other.dims), dtype=np.int64)
+    hi = np.full(len(own.dims), -1, dtype=np.int64)
     np.minimum.at(lo, own.ids[top], other.ids[top])
     np.maximum.at(hi, own.ids[top], other.ids[top])
-    # spread them over the points of those radicals, all of dim k = n - m, in blocks of points
-    rads, k = np.flatnonzero(hi >= 0), n - m
-    at_lo = np.full(q**n, len(other.spaces), dtype=np.int64)
+    # spread them over the points of those radicals, all of dim n - m
+    rads = np.flatnonzero(hi >= 0)
+    at_lo = np.full(q**n, len(other.dims), dtype=np.int64)
     at_hi = np.full(q**n, -1, dtype=np.int64)
-    per = max(1, _BLOCK // q**k)
-    for start in range(0, len(rads), per):
-        block = rads[start:start + per]
-        points = fld.matmul_arr(linalg.code_vectors(q, k), np.stack([own.spaces[j].rows for j in block]))
-        at = linalg.code_index(q, points.reshape(-1, n)).reshape(len(block), -1)
+    for start, at in _point_blocks(M.field, own.bases[rads], n - m):
+        block = rads[start:start + len(at)]
         np.minimum.at(at_lo, at, lo[block, None])
         np.maximum.at(at_hi, at, hi[block, None])
     holds = at_hi >= 0
@@ -522,18 +521,11 @@ def annihilator_Au(M: FormSubspace, u) -> Subspace:
     return Subspace(M.field, M.n, linalg.right_null_space(M.field, kernel_matrices(M, [u], "left")[0].T))
 
 
-@dataclass(frozen=True)
-class IsotropicSet:
-    """I(M)^x, the nonzero isotropic vectors in vector-index order."""
-
-    vectors: tuple[tuple[int, ...], ...]
-
-
-def isotropic_set(M: FormSubspace, budget: Optional[int] = None) -> IsotropicSet:
-    """All nonzero w with f(w, w) = 0 for every f in M.
+def isotropic_set(M: FormSubspace, budget: Optional[int] = None):
+    """I(M)^x, all nonzero w with f(w, w) = 0 for every f in M: a read-only (N, n) array in vector-index order.
 
     The budget is charged on every call; the set is computed on the first
-    one only, and later calls return the set stored on M.
+    one only, and later calls return the array stored on M.
     """
     fld = M.field
     if fld.p == 2:
@@ -550,36 +542,43 @@ def isotropic_set(M: FormSubspace, budget: Optional[int] = None) -> IsotropicSet
             quad = fld.sum_arr(fld.mul_arr(tv, vecs), axis=1)
             mask &= quad == 0
         mask[0] = False
-        M._isotropic = IsotropicSet(tuple(tuple(int(v) for v in p) for p in vecs[mask]))
+        M._isotropic = vecs[mask]
+        M._isotropic.setflags(write=False)
     return M._isotropic
 
 
 @dataclass(frozen=True)
 class SpreadReport:
-    """The distinct radicals of M^x and their covering/intersection status."""
+    """The distinct radicals of M^x, as the `NullSpaces` of the lines, and their covering/intersection status."""
 
-    radicals: tuple[Subspace, ...]
+    radicals: NullSpaces
     t: int
     covers: bool
     pairwise_trivial: bool
 
 
-def partition_status(field: Field, spaces) -> tuple[bool, np.ndarray]:
-    """(pairwise trivial, union) for the nonzero points of some subspaces of one V.
+def _point_blocks(field: Field, bases, k: int):
+    """Yield (start, at) over the k-dimensional spaces of an (S, c, c) basis stack, about _BLOCK points at a time.
+
+    `at[i]` is the `code_index` of the q^k points of the span of `bases[start + i, :k]`.
+    """
+    q = field.q
+    coeffs, per = linalg.code_vectors(q, k), max(1, _BLOCK // q**k)
+    for start in range(0, len(bases), per):
+        points = field.matmul_arr(coeffs, bases[start:start + per, :k])
+        yield start, linalg.code_index(q, points.reshape(-1, bases.shape[2])).reshape(-1, len(coeffs))
+
+
+def partition_status(field: Field, bases, dims) -> tuple[bool, np.ndarray]:
+    """(pairwise trivial, union) for the nonzero points of the spaces `bases[j, :dims[j]]` of one V.
 
     The union is given as the ascending `code_index` of its points.  The
     nonzero point sets meet pairwise trivially iff no point is hit twice,
-    so a space listed twice counts twice.  The points of all the spaces
-    of one dimension come from one product per block of _BLOCK points.
+    so a space listed twice counts twice.
     """
-    q, spaces = field.q, list(spaces)
     at = [np.zeros(1, dtype=np.int64)]
-    for k in sorted({sub.dim for sub in spaces}):
-        rows = np.stack([sub.rows for sub in spaces if sub.dim == k])  # (S, k, n)
-        coeffs, per = linalg.code_vectors(q, k), max(1, _BLOCK // q**k)
-        for start in range(0, len(rows), per):
-            points = field.matmul_arr(coeffs, rows[start:start + per])
-            at.append(linalg.code_index(q, points.reshape(-1, rows.shape[2])))
+    for k in sorted(set(dims.tolist())):
+        at.extend(points.reshape(-1) for _, points in _point_blocks(field, bases[dims == k], k))
     hits = np.bincount(np.concatenate(at))
     hits[0] = 0  # index 0 is the zero vector
     return bool((hits <= 1).all()), np.flatnonzero(hits)
@@ -592,27 +591,23 @@ def radical_spread(M: FormSubspace, budget: Optional[int] = None) -> SpreadRepor
     spec = rank_spectrum(M, budget)
     if not spec.is_constant_rank:
         raise ValueError(f"radical_spread requires constant rank, spectrum is {spec.ranks}")
-    radicals = tuple(sorted(lines(M, budget)[3].spaces, key=Subspace.key))
-    pairwise_trivial, union = partition_status(M.field, radicals)
-    return SpreadReport(radicals, len(radicals), len(union) == M.field.q**M.n - 1, pairwise_trivial)
+    radicals = lines(M, budget)[3]
+    pairwise_trivial, union = partition_status(M.field, radicals.bases, radicals.dims)
+    return SpreadReport(radicals, len(radicals.dims), len(union) == M.field.q**M.n - 1, pairwise_trivial)
 
 
-def induced_partition(M: FormSubspace, radicals) -> tuple[list[int], bool, bool]:
+def induced_partition(M: FormSubspace, radicals: NullSpaces) -> tuple[list[int], bool, bool]:
     """The subspaces M_i = {g in M : R_i <= rad_L g}, one per radical R_i.
 
     Returns their dimensions and whether their nonzero elements meet
     pairwise trivially and cover M^x.
     """
     fld, q, n, d = M.field, M.field.q, M.n, M.dim
-    # one system per radical: its basis vectors' kernel matrices, padded with those of u = 0
-    k = max((rad.dim for rad in radicals), default=0)
-    us = np.zeros((len(radicals), k, n), dtype=np.int64)
-    for u, rad in zip(us, radicals):
-        u[:rad.dim] = rad.rows
-    found = null_spaces(fld, kernel_matrices(M, us, "left").reshape(len(radicals), k * n, d))
-    spaces = [found.spaces[i] for i in found.ids]
-    pairwise_trivial, union = partition_status(fld, spaces)
-    return [sub.dim for sub in spaces], pairwise_trivial, len(union) == q**d - 1
+    # one system per radical: the kernel matrices of its basis rows, the zero rows past its dim adding none
+    k = int(radicals.dims.max(initial=0))
+    found = null_spaces(fld, kernel_matrices(M, radicals.bases[:, :k], "left").reshape(len(radicals.dims), k * n, d))
+    pairwise_trivial, union = partition_status(fld, found.bases[found.ids], found.dims[found.ids])
+    return found.dims[found.ids].tolist(), pairwise_trivial, len(union) == q**d - 1
 
 
 # ---------------------------------------------------------------------------

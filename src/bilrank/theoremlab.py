@@ -167,7 +167,7 @@ def check_orthogonality(tid, M: FormSubspace, budget: Optional[int] = None) -> V
     if m:  # the zero subspace has no lines
         coeffs, ranks, left, right = lines(M, budget)
         at = np.flatnonzero(ranks == m)
-        keys = left.ids[at] * len(right.spaces) + right.ids[at]
+        keys = left.ids[at] * len(right.dims) + right.ids[at]
     checked_elements, violation = len(keys), None
     firsts = np.sort(np.unique(keys, return_index=True)[1])
     pairs = keys[firsts]  # the distinct pairs, in order of first appearance
@@ -176,8 +176,8 @@ def check_orthogonality(tid, M: FormSubspace, budget: Optional[int] = None) -> V
     per = max(1, _BLOCK // max(1, M.dim * k * M.n))
     for start in range(0, len(pairs) if k else 0, per):
         block = pairs[start:start + per]
-        us = np.stack([left.spaces[i].rows for i in block // len(right.spaces)])
-        ws = np.stack([right.spaces[i].rows for i in block % len(right.spaces)])
+        us = left.bases[block // len(right.dims), :k]
+        ws = right.bases[block % len(right.dims), :k]
         # U G W^T for every pair and every basis form G at once: (pairs, d, k, k)
         vals = fld.matmul_arr(fld.matmul_arr(us[:, None], basis[None]), ws.transpose(0, 2, 1)[:, None])
         bad = np.flatnonzero(vals.reshape(len(block), -1).any(axis=1))
@@ -187,8 +187,8 @@ def check_orthogonality(tid, M: FormSubspace, budget: Optional[int] = None) -> V
             violation = {
                 "kind": "orthogonality",
                 "f_coefficients": [int(c) for c in coeffs[at[firsts[start + b]]]],
-                "u": [int(v) for v in us[b, i]],
-                "w": [int(v) for v in ws[b, j]],
+                "u": us[b, i].tolist(),
+                "w": ws[b, j].tolist(),
                 "g_index": gi,
                 "value": int(vals[b, gi, i, j]),
             }
@@ -273,8 +273,9 @@ def _distinct_radicals(M: FormSubspace, u, side: str, m: int, budget) -> int:
     """Distinct other-side radicals over the rank-m elements of M_u."""
     _, ranks, left, right = lines(M, budget)
     own, other = (left, right) if side == "left" else (right, left)
-    holds_u = np.array([rad.contains(u) for rad in own.spaces], dtype=bool)  # one test per distinct radical
-    return len(np.unique(other.ids[(ranks == m) & holds_u[own.ids]]))
+    with_u = np.concatenate([own.bases, np.broadcast_to(u, (len(own.dims), 1, M.n))], axis=1)  # [basis; u]
+    holds_u = linalg.batch_rank(M.field, with_u) == own.dims
+    return len(set(other.ids[(ranks == m) & holds_u[own.ids]].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +401,7 @@ def check_spread(tid, M: FormSubspace, budget: Optional[int] = None) -> Verifica
     details = {
         "t": report.t,
         "expected_t": expected_t,
-        "radical_dims": sorted({rad.dim for rad in report.radicals}),
+        "radical_dims": sorted(set(report.radicals.dims.tolist())),
         "induced_dims": sorted(set(induced_sizes)),
     }
     return _finish(tid, hyps, ok, witness, details)
@@ -420,14 +421,14 @@ def check_radical_equality(tid, M: FormSubspace, budget: Optional[int] = None) -
     if M.dim == 0:
         return _finish(tid, hyps, True, None, {"note": "zero subspace"})
     coeffs, _, left, right = lines(M, budget)
-    ok = len(left.spaces) == 1 or len(right.spaces) == 1
+    ok = len(left.dims) == 1 or len(right.dims) == 1
     witness = {
         "kind": "radical-equality",
         "left_pair": coeffs[left.first[:2]].tolist(),
         "right_pair": coeffs[right.first[:2]].tolist(),
     }
     return _finish(tid, hyps, ok, witness,
-                   {"distinct_left_radicals": len(left.spaces), "distinct_right_radicals": len(right.spaces)})
+                   {"distinct_left_radicals": len(left.dims), "distinct_right_radicals": len(right.dims)})
 
 
 # ---------------------------------------------------------------------------
@@ -442,20 +443,19 @@ def check_isotropic_partition(tid, M: FormSubspace, budget: Optional[int] = None
     if not M.symmetric or q % 2 == 0:
         return _finish(tid, hyps, False, None, {"note": "isotropic set undefined here"})
     iso = isotropic_set(M, budget)
-    iso_at = linalg.code_index(q, np.array(iso.vectors, dtype=np.int64).reshape(-1, n))
+    iso_at = linalg.code_index(q, iso)
     # A_u is the null space of the rows u^T G_i: one system per isotropic u
-    classes = null_spaces(M.field, kernel_matrices(M, iso.vectors, "left").transpose(0, 2, 1))
-    r_classes = len(classes.spaces)
-    pairwise_trivial, union = partition_status(M.field, classes.spaces)
+    classes = null_spaces(M.field, kernel_matrices(M, iso, "left").transpose(0, 2, 1))
+    r_classes, class_dims = len(classes.dims), classes.dims.tolist()
+    pairwise_trivial, union = partition_status(M.field, classes.bases, classes.dims)
     partition_ok = pairwise_trivial and np.array_equal(union, iso_at)
-    lhs = sum((q**sub.dim - 1) ** 2 for sub in classes.spaces)
+    lhs = sum((q**k - 1) ** 2 for k in class_dims)
     rhs = (q**n - 1) * (q ** (n - m) - 1)
     sum_ok = lhs == rhs
     r_ok = r_classes != 1 and (m >= n or r_classes >= 2)
     dim_match = True
     if d == n:
-        class_dims = np.array([sub.dim for sub in classes.spaces], dtype=np.int64)
-        dim_match = bool((kernel_dims_all(M, "left", budget)[iso_at] == class_dims[classes.ids]).all())
+        dim_match = bool((kernel_dims_all(M, "left", budget)[iso_at] == classes.dims[classes.ids]).all())
     ok = partition_ok and sum_ok and r_ok and dim_match
     witness = {
         "kind": "isotropic-partition",
@@ -466,9 +466,9 @@ def check_isotropic_partition(tid, M: FormSubspace, budget: Optional[int] = None
         "dim_A_u_equals_dim_M_u": dim_match,
     }
     details = {
-        "isotropic_nonzero": len(iso.vectors),
+        "isotropic_nonzero": len(iso),
         "classes": r_classes,
-        "class_dims": sorted({sub.dim for sub in classes.spaces}),
+        "class_dims": sorted(set(class_dims)),
         "squared_sum_lhs": lhs,
         "squared_sum_rhs": rhs,
     }
@@ -511,8 +511,8 @@ def check_witt_census_identity(tid, M: FormSubspace, budget: Optional[int] = Non
     iso = isotropic_set(M, budget)
     total_ok = a_count + b_count == q**d - 1
     diff = a_count - b_count
-    identity_ok = diff % (q**k) == 0 and diff // (q**k) == len(iso.vectors)
-    details = {"A": a_count, "B": b_count, "isotropic_nonzero": len(iso.vectors)}
+    identity_ok = diff % (q**k) == 0 and diff // (q**k) == len(iso)
+    details = {"A": a_count, "B": b_count, "isotropic_nonzero": len(iso)}
     return _finish(tid, hyps, total_ok and identity_ok, {"kind": "witt-census", **details, "q^k": q**k}, details)
 
 
@@ -622,9 +622,10 @@ def check_filtration(tid, M: FormSubspace, budget: Optional[int] = None) -> Veri
         sides = ("left", "right") if current.two_sided else ("left",)
         mats = np.stack([kernel_matrices(current, lead_one, side) for side in sides], axis=1)
         # distinct M_u in order of first appearance: the first to pass is the first u's that passes
-        for coeffs in null_spaces(M.field, mats.reshape(-1, n, current.dim)).spaces:
-            if coeffs.dim == (cur_spec.r - 1) * n:
-                K = current.subspace_from_coefficients(coeffs.rows)
+        found = null_spaces(M.field, mats.reshape(-1, n, current.dim))
+        for basis, k in zip(found.bases, found.dims.tolist()):
+            if k == (cur_spec.r - 1) * n:
+                K = current.subspace_from_coefficients(basis[:k])
                 kspec = rank_spectrum(K, budget)
                 if kspec.ranks == cur_spec.ranks[:-1]:
                     break

@@ -8,9 +8,11 @@ import subprocess
 import sys
 
 import pytest
+from conftest import catalogue_requests
 
-from bilrank import cli, fileio
+from bilrank import cli, fileio, theoremlab
 from bilrank import constructions as cons
+from bilrank import formcore as fc
 from bilrank.cli import main
 from bilrank.gf import field_for_order
 from bilrank.spanspace import random_subspace
@@ -121,6 +123,39 @@ def test_analyze_zero_subspace_note(tmp_path):
     assert obj["spectrum"] == [] and "rank(M)=0" in obj["note"]
 
 
+def test_verify_and_analyze_build_no_subspace(tmp_path, capsys, monkeypatch):
+    """Null spaces are read off their basis stacks: no formcore.Subspace is built per radical, A_u or M_u.
+
+    Every suite but maximality, and `analyze`, on freshly built catalogue members (nothing stored on
+    them yet) and on the committed fixtures.
+    """
+    built = []
+    init = fc.Subspace.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(fc.Subspace, "__init__", counted)
+    suites = [name for name in theoremlab.SUITE_NAMES if name != "maximality"]
+    paths = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "fixtures", "*.json")))
+    assert len(paths) == 2
+    for path in paths:
+        loaded = fileio.read_subspace(path)
+        theoremlab.run_suite(loaded.subspace, suites, declared=loaded.declared)
+    for i, req in enumerate(catalogue_requests()):
+        M, declared = cons.build(req)
+        paths.append(str(tmp_path / f"{i}.json"))
+        fileio.write_subspace(paths[-1], M, declared)
+        theoremlab.run_suite(M, suites, declared=declared)
+    for path in paths:
+        assert run(["analyze", path]) == 0, path
+    capsys.readouterr()
+    assert built == []
+    fc.Subspace.zero(field_for_order(3), 2)  # the count sees a Subspace when one is built
+    assert len(built) == 1
+
+
 def test_analyze_dependent_rows_named(tmp_path, capsys):
     path = str(tmp_path / "bad.json")
     obj = {
@@ -170,8 +205,9 @@ def test_unwritable_report_path_exit_2(trace_fixture, tmp_path, capsys):
         ({"field": 3}, "the field section must be a JSON object, not int"),
         ({"basis": 5}, "basis must be a list of forms, not int"),
         ({"basis": [7]}, "basis entry 0 must be a JSON object, not int"),
+        ({"basis": [{"n": 7, "rows": [[1, 0], [0, 1]]}]}, "basis entry 0: n is 7, but the file's n is 2"),
     ],
-    ids=["top-level", "field", "basis", "basis-entry"],
+    ids=["top-level", "field", "basis", "basis-entry", "basis-entry-n-mismatch"],
 )
 def test_wrong_json_shape_exit_2(tmp_path, capsys, fields, message):
     obj = [] if fields is None else dict(read_json(_one_form_file(tmp_path / "ok.json")), **fields)
@@ -181,13 +217,13 @@ def test_wrong_json_shape_exit_2(tmp_path, capsys, fields, message):
     assert message in capsys.readouterr().err
 
 
-def _one_form_file(path, n=2, entry=0, p=3, k=1):
+def _one_form_file(path, n=2, entry=0, p=3, k=1, entry_n=2):
     obj = {
         "format": "bilrank-subspace",
         "version": 1,
         "field": {"p": p, "k": k, "modulus": [0, 1]},
         "n": n,
-        "basis": [{"n": 2, "rows": [[1, entry], [0, 1]]}],
+        "basis": [{"n": entry_n, "rows": [[1, entry], [0, 1]]}],
     }
     with open(path, "w") as fh:
         fh.write(fileio.dumps(obj))
@@ -202,8 +238,9 @@ def _one_form_file(path, n=2, entry=0, p=3, k=1):
         ({"n": 2.0}, "n must be an integer, got 2.0"),
         ({"p": 3.0}, "field p must be an integer, got 3.0"),
         ({"entry": 10**30}, "basis entry 0: entries must be element codes in [0, q)"),
+        ({"entry_n": 2.0}, "basis entry 0: n must be an integer, got 2.0"),
     ],
-    ids=["float-entry", "bool-entry", "float-n", "float-p", "int64-overflow-entry"],
+    ids=["float-entry", "bool-entry", "float-n", "float-p", "int64-overflow-entry", "float-entry-n"],
 )
 def test_non_integer_values_are_rejected(tmp_path, capsys, fields, message):
     path = _one_form_file(tmp_path / "m.json", **fields)

@@ -122,7 +122,7 @@ def test_alternating_odd_full_verified(q, k, t):
     rep = sp.radical_spread(M)
     assert rep.t == t and rep.covers and rep.pairwise_trivial
     # the spread is the trivial one: every line of V occurs
-    assert all(r.dim == 1 for r in rep.radicals)
+    assert len(rep.radicals.dims) == t and all(k == 1 for k in rep.radicals.dims.tolist())
 
 
 def test_alternating_odd_full_rejects_bad_k():

@@ -144,7 +144,8 @@ def test_batch_null_space_matches_brute_force(q):
         images = F.matmul_arr(mats, xs.T)  # (12, nrows, q^c)
         for b in range(len(mats)):
             null = {tuple(x) for x in xs[~images[b].any(axis=0)]}
-            space = found.spaces[found.ids[b]]
+            j = found.ids[b]
+            space = Subspace(F, ncols, found.bases[j, :found.dims[j]])
             assert space.n == ncols
             spanned = {tuple(v) for v in F.matmul_arr(linalg.code_vectors(q, space.dim), space.rows)}
             assert spanned == null and len(null) == q**space.dim, (nrows, ncols, b)

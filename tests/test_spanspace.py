@@ -125,10 +125,25 @@ def test_stack_of_the_wrong_shape_or_codes_is_rejected():
         for bad in (wide, stack.reshape(d, n * n), held):
             with pytest.raises(ValueError):
                 sp.FormSubspace(F, n, bad)
-    # an integer past int64 is no element code: the same error as any other code out of range
-    for build in (lambda e: fc.GramForm(F3, e), lambda e: sp.FormSubspace(F3, 2, [e])):
-        with pytest.raises(ValueError, match=r"entries must be element codes in \[0, q\)"):
-            build([[1, 10**30], [0, 1]])
+    # an integer past int64 is no element code, nor is any entry of a type other than an integer
+    # (a float, a bool, an object array, a uint64 past int64), however close to a code it is:
+    # the same error as any other code out of range, never a truncated code
+    for build in (lambda e: fc.GramForm(F3, e), lambda e: sp.FormSubspace(F3, len(e), [e])):
+        for entries in (
+            [[1, 10**30], [0, 1]],
+            [[1.5]],
+            [[True]],
+            [[np.float64(2.0)]],
+            [[2.9]],
+            np.array([[1, 0], [0, 1]], dtype=object),
+            np.array([[2**63, 0], [0, 1]], dtype=np.uint64),
+            np.eye(2),
+        ):
+            with pytest.raises(ValueError, match=r"entries must be element codes in \[0, q\)"):
+                build(entries)
+    with pytest.raises(ValueError, match=r"entries must be element codes in \[0, q\)"):
+        sp.FormSubspace(F3, 1, [[[2.9]]])
+    assert fc.GramForm(F3, np.array([[2]], dtype=np.uint8)).rows() == ((2,),)  # any integer type holds codes
     assert sp.FormSubspace(F3, 2, []).dim == 0 == sp.FormSubspace(F3, 2, np.zeros((0, 2, 2))).dim
 
 
@@ -387,6 +402,24 @@ def test_kernel_equality_case_shares_radical():
 # --- the line table and the kernel-bound incidence -----------------------------------
 
 
+def _rows(found, j):
+    """The canonical basis of null space j of a NullSpaces: its rows of the stack."""
+    return found.bases[j, :found.dims[j]]
+
+
+def _space(F, found, j):
+    """Null space j of a NullSpaces as a formcore Subspace, for comparison with the formcore oracles."""
+    return fc.Subspace(F, found.bases.shape[2], _rows(found, j))
+
+
+def _stack(n, spaces):
+    """Subspaces of one V as a (bases, dims) stack, each basis padded with zero rows to n."""
+    bases = np.zeros((len(spaces), n, n), dtype=np.int64)
+    for basis, sub in zip(bases, spaces):
+        basis[:sub.dim] = sub.rows
+    return bases, np.array([sub.dim for sub in spaces], dtype=np.int64)
+
+
 def _scalar_form(M, coeffs):
     """sum_j c_j B_j entry by entry with scalar field arithmetic."""
     F, n = M.field, M.n
@@ -423,8 +456,8 @@ def test_line_table_rows_match_formcore(make):
         f = _scalar_form(M, c)
         assert f == M.form_from_coefficients(c)
         assert rk == fc.rank(f)
-        assert left.spaces[li] == fc.left_radical(f)
-        assert right.spaces[ri] == fc.right_radical(f)
+        assert _space(M.field, left, li) == fc.left_radical(f)
+        assert _space(M.field, right, ri) == fc.right_radical(f)
     assert sp.lines(M) is table
 
 
@@ -448,12 +481,16 @@ def test_null_spaces_match_per_matrix_null_spaces(q, block, monkeypatch):
         for stack in (mats, mats[:0]):
             got = sp.null_spaces(F, stack)
             assert len(got.ids) == len(stack)
+            # one read-only stack, zero past each basis
+            assert got.bases.shape == (len(got.dims), cols, cols) and not got.bases.flags.writeable
+            assert not got.bases[np.arange(cols)[None, :] >= got.dims[:, None]].any()
             for i, mat in enumerate(stack):
-                assert got.spaces[got.ids[i]] == fc.Subspace(F, cols, linalg.right_null_space(F, mat))
-            assert all(a != b for a, b in itertools.combinations(got.spaces, 2))
-            assert len(got.first) == len(got.spaces)
+                assert _space(F, got, got.ids[i]) == fc.Subspace(F, cols, linalg.right_null_space(F, mat))
+            spaces = [_space(F, got, j) for j in range(len(got.dims))]
+            assert all(a != b for a, b in itertools.combinations(spaces, 2))
+            assert len(got.first) == len(got.dims)
             assert all(a < b for a, b in zip(got.first.tolist(), got.first.tolist()[1:]))
-            assert got.ids[got.first].tolist() == list(range(len(got.spaces)))
+            assert got.ids[got.first].tolist() == list(range(len(got.dims)))
             for j, at in enumerate(got.first.tolist()):
                 assert j not in got.ids[:at].tolist()
         # row-equivalent matrices that are not scalar multiples share one id: E A with E invertible,
@@ -467,7 +504,7 @@ def test_null_spaces_match_per_matrix_null_spaces(q, block, monkeypatch):
             stack = np.stack([m for eq in equivalent for m in (eq, distinct[2])])  # 2 apart: across blocks of 3
             got = sp.null_spaces(F, stack)
             assert len(set(got.ids[::2].tolist())) == 1
-            assert got.spaces[got.ids[0]] == fc.Subspace(F, cols, linalg.right_null_space(F, base))
+            assert _space(F, got, got.ids[0]) == fc.Subspace(F, cols, linalg.right_null_space(F, base))
 
 
 def _random_of_rank(F, rng, rows, rank):
@@ -554,8 +591,8 @@ def _assert_sides_match_per_line_and_per_u_solves(M):
     coeffs, _, left, right = sp.lines(M)
     for i, c in enumerate(coeffs.tolist()):
         g = _scalar_form(M, c).entries
-        assert left.spaces[left.ids[i]].rows.tolist() == linalg.left_null_space(F, g).tolist(), (M, c)
-        assert right.spaces[right.ids[i]].rows.tolist() == linalg.right_null_space(F, g).tolist(), (M, c)
+        assert _rows(left, left.ids[i]).tolist() == linalg.left_null_space(F, g).tolist(), (M, c)
+        assert _rows(right, right.ids[i]).tolist() == linalg.right_null_space(F, g).tolist(), (M, c)
     vecs = linalg.code_vectors(F.q, M.n)
     assert sp.kernel_dims_all(M, "right").tolist() == [sp.kernel_at(M, u, "right").dim for u in vecs], M
 
@@ -585,7 +622,7 @@ def test_general_members_keep_two_sides(catalogue):
     for M in members:
         _assert_sides_match_per_line_and_per_u_solves(M)
         _, _, left, right = sp.lines(M)
-        assert [left.spaces[i].rows.tolist() for i in left.ids] != [right.spaces[i].rows.tolist() for i in right.ids]
+        assert [_rows(left, i).tolist() for i in left.ids] != [_rows(right, i).tolist() for i in right.ids]
         assert sp.max_rank_incidence(M, "left") is not sp.max_rank_incidence(M, "right")
         dims_differ.append(sp.kernel_dims_all(M, "left").tolist() != sp.kernel_dims_all(M, "right").tolist())
     assert any(dims_differ)  # Bil(V) itself (r = 2) has the same dim M_u on both sides
@@ -607,13 +644,15 @@ def test_right_radicals_read_off_the_stored_stack(block, monkeypatch):
     for M in members:
         coeffs, ranks = sp.line_table(M, None, "t")
         fresh = sp.null_spaces(M.field, sp.flat_forms_for(M, coeffs).reshape(-1, M.n, M.n))
-        stored = sp.reduced_null_spaces(M.field, M._reduced)
+        stored = sp.reduced_null_spaces(M.field, M._reduced, M.n)
         right = sp.lines(M)[3]
         for got in (stored, right):
-            assert [s.rows.tolist() for s in got.spaces] == [s.rows.tolist() for s in fresh.spaces], M
+            assert [_rows(got, j).tolist() for j in range(len(got.dims))] == [
+                _rows(fresh, j).tolist() for j in range(len(fresh.dims))], M
+            assert got.bases.tolist() == fresh.bases.tolist() and got.dims.tolist() == fresh.dims.tolist(), M
             assert got.ids.tolist() == fresh.ids.tolist() and got.first.tolist() == fresh.first.tolist(), M
         full = ranks == M.n
-        assert all(fresh.spaces[i].dim == 0 for i in fresh.ids[full])
+        assert all(fresh.dims[i] == 0 for i in fresh.ids[full])
         full_rank_lines += int(full.sum())
     assert full_rank_lines > 0
 
@@ -624,7 +663,7 @@ def test_isotropic_set_is_stored_and_still_charged():
     with pytest.raises(sp.BudgetExceeded):
         sp.isotropic_set(M, budget=short)
     iso = sp.isotropic_set(M)
-    assert sp.isotropic_set(M) is iso
+    assert sp.isotropic_set(M) is iso and not iso.flags.writeable
     with pytest.raises(sp.BudgetExceeded):  # the stored set does not skip the charge
         sp.isotropic_set(M, budget=short)
 
@@ -668,12 +707,13 @@ def test_v_set_subspace_under_lemma_hypotheses():
 
 def test_isotropic_set_identity_form():
     iso = sp.isotropic_set(sp.span([fc.identity_form(F3, 2)]))
-    assert iso.vectors == ()
+    assert iso.shape == (0, 2)
 
 
 def test_isotropic_set_zero_subspace_is_everything():
     iso = sp.isotropic_set(sp.span([], field=F3, n=2))
-    assert len(iso.vectors) == 8
+    assert len(iso) == 8
+    assert iso.tolist() == linalg.code_vectors(3, 2)[1:].tolist()  # in vector-index order
 
 
 def test_isotropic_set_block_example_contains_u():
@@ -681,7 +721,7 @@ def test_isotropic_set_block_example_contains_u():
     iso = sp.isotropic_set(M)
     # the top block U = span{e1, e2} is totally isotropic by the block shape
     for v in [(1, 0, 0, 0), (0, 1, 0, 0), (1, 2, 0, 0)]:
-        assert v in set(iso.vectors)
+        assert v in set(map(tuple, iso.tolist()))
 
 
 def test_isotropic_set_rejects_wrong_inputs():
@@ -696,7 +736,7 @@ def test_isotropic_partition_classes_meet_trivially():
     M = cons.embed_with_radical(cons.symmetric_trace(F3, 2), 3)
     iso = sp.isotropic_set(M)
     subs = {}
-    for u in iso.vectors:
+    for u in iso:
         a = sp.annihilator_Au(M, u)
         subs[a.key()] = a
     subs = list(subs.values())
@@ -745,17 +785,17 @@ def test_partition_status_matches_point_by_point_containment(q, block, monkeypat
     vecs = linalg.code_vectors(q, n)
     for spaces in cases:
         hits = np.array([sum(sub.contains(v) for sub in spaces) for v in vecs[1:]])
-        pairwise_trivial, union = sp.partition_status(F, spaces)
+        pairwise_trivial, union = sp.partition_status(F, *_stack(n, spaces))
         assert pairwise_trivial == bool((hits <= 1).all())
         assert union.tolist() == (np.flatnonzero(hits) + 1).tolist()
-    assert not sp.partition_status(F, drawn[:3] + drawn[:1])[0]
+    assert not sp.partition_status(F, *_stack(n, drawn[:3] + drawn[:1]))[0]
 
 
 def test_radical_spread_alt_n3_q3():
     rep = sp.radical_spread(sp.full_kind_space(F3, 3, "alternating"))
     assert rep.t == 13 == (3**3 - 1) // (3 - 1)
     assert rep.covers and rep.pairwise_trivial
-    assert all(r.dim == 1 for r in rep.radicals)
+    assert len(rep.radicals.dims) == 13 and all(k == 1 for k in rep.radicals.dims.tolist())
 
 
 def test_radical_spread_common_radical():

@@ -157,6 +157,25 @@ def test_kernel_bounds_equality_witness(monkeypatch):
                            "lemma": "equality case: shared radical", "distinct_radicals": 1}
 
 
+def test_distinct_radicals_match_per_line_radicals(catalogue):
+    """The stacked containment test of every distinct radical against formcore radicals, line by line."""
+    members = [M for _, M, _ in catalogue if M.field.q**M.n <= 64 and M.field.q**M.dim <= 64]
+    members += [sp.random_subspace(F3, 3, d, kind, seed) for d in (2, 3) for kind in sp.KINDS for seed in (1, 2)]
+    seen = Counter()
+    for M in members:
+        coeffs, ranks, _, _ = sp.lines(M)
+        m = int(ranks.max(initial=0))
+        forms = [M.form_from_coefficients(c) for c in coeffs[ranks == m].tolist()]
+        for side in ("left", "right"):
+            own, other = (fc.left_radical, fc.right_radical)[:: 1 if side == "left" else -1]
+            rads = [(own(f), other(f).key()) for f in forms]
+            for u in linalg.code_vectors(M.field.q, M.n):
+                want = len({key for rad, key in rads if rad.contains(u)})
+                assert tl._distinct_radicals(M, u, side, m, None) == want, (M, u.tolist(), side)
+                seen[min(want, 2)] += 1
+    assert set(seen) == {0, 1, 2}
+
+
 # --- dimension bounds ---------------------------------------------------------------
 
 
@@ -221,7 +240,7 @@ def test_common_radical_hypothesis_matches_radical_census(constant_rank_catalogu
             continue
         rep = report_map(tl.check_dimension_bounds(M))["bound-common-radical-half-m"]
         hyp = next(h for h in rep.hypotheses if h.name == "common radical")
-        want = len(sp.lines(M)[2].spaces) <= 1
+        want = len(sp.lines(M)[2].dims) <= 1
         assert hyp.satisfied == want, M
         outcomes.add(want)
     assert outcomes == {True, False}
@@ -548,7 +567,8 @@ def test_filtration_one_side_matches_two_sided_reference(catalogue):
         if M.kind != "general":  # the distinct M_u, in order of first appearance, without the right systems
             lead_one = linalg.code_vectors(M.field.q, M.n)[sp.line_representatives(M.field.q, M.n)]
             both = np.stack([sp.kernel_matrices(M, lead_one, side) for side in ("left", "right")], axis=1)
-            spaces = [sp.null_spaces(M.field, mats).spaces for mats in (both.reshape(-1, M.n, M.dim), both[:, 0])]
+            found = [sp.null_spaces(M.field, mats) for mats in (both.reshape(-1, M.n, M.dim), both[:, 0])]
+            spaces = [(f.bases.tolist(), f.dims.tolist()) for f in found]
             assert spaces[0] == spaces[1], M
         if sp.rank_spectrum(M).r < 2:
             continue
@@ -570,11 +590,11 @@ def test_isotropic_classes_match_per_vector_annihilators(catalogue):
         if "classes" not in rep.details or q**n > 729:
             continue
         iso = sp.isotropic_set(M)
-        batched = sp.null_spaces(M.field, sp.kernel_matrices(M, iso.vectors, "left").transpose(0, 2, 1))
-        assert len(batched.ids) == len(iso.vectors)
+        batched = sp.null_spaces(M.field, sp.kernel_matrices(M, iso, "left").transpose(0, 2, 1))
+        assert len(batched.ids) == len(iso)
         classes = {}
-        for u, i in zip(iso.vectors, batched.ids):
-            a_u = batched.spaces[i]
+        for u, i in zip(iso, batched.ids):
+            a_u = fc.Subspace(M.field, n, batched.bases[i, :batched.dims[i]])
             assert a_u == sp.annihilator_Au(M, u), (req, u)
             classes[a_u.key()] = a_u.dim
         assert rep.details["classes"] == len(classes), req
@@ -591,8 +611,9 @@ def test_induced_partition_matches_per_radical_null_spaces(constant_rank_catalog
         fld, q, n, d = M.field, M.field.q, M.n, M.dim
         if M.kind != sp.KIND_ALTERNATING or q**n > 729 or q**d > 729:
             continue
-        radicals = sp.radical_spread(M).radicals
-        dims, pairwise_trivial, covers = sp.induced_partition(M, radicals)
+        found = sp.radical_spread(M).radicals
+        dims, pairwise_trivial, covers = sp.induced_partition(M, found)
+        radicals = [fc.Subspace(fld, n, found.bases[j, :found.dims[j]]) for j in range(len(found.dims))]
         want = []
         for rad in radicals:
             # row (u, j) of the system: f_k(u, e_j) for every basis form f_k
