@@ -151,7 +151,7 @@ def cmd_verify(args) -> int:
     loaded = fileio.read_subspace(args.file)
     reports = run_suite(
         loaded.subspace,
-        selection=args.suite.split(",") if args.suite else None,
+        selection=args.suite.split(",") if args.suite is not None else None,
         budget=args.budget,
         declared=loaded.declared,
         seed=args.seed,
@@ -344,7 +344,7 @@ def cmd_campaign(args) -> int:
     except ValueError as exc:
         print(f"error: --q/--n: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    kinds = args.kind.split(",") if args.kind else list(KINDS)
+    kinds = args.kind.split(",") if args.kind is not None else list(KINDS)
     for kind in kinds:
         if kind not in KINDS:
             raise ValueError(f"unknown kind {kind!r}")
@@ -354,7 +354,7 @@ def cmd_campaign(args) -> int:
             raise ValueError(f"--n {empty[0]}: the {kind} space of dimension {empty[0]} is zero, nothing to sample")
     # constructions get the full suite by default, samplers just the bounds
     default = None if args.construction else ["bounds"]
-    selection = theoremlab.select_suite(args.suite.split(",") if args.suite else default)
+    selection = theoremlab.select_suite(args.suite.split(",") if args.suite is not None else default)
     os.makedirs(args.out, exist_ok=True)
     if args.construction:
         points = _construction_points(args, args.budget, selection, qs, ns)

@@ -14,36 +14,37 @@ mode it keeps only the vectors whose leading nonzero entry is 1, one
 representative per scalar line, which is exhaustive for anything that
 depends only on ranks or radicals.
 
+What is computed from M is stored on M, in its one store: `_stored`
+runs a computation on the first call only and makes every array of the
+result read-only, so no caller can change what a later call reads.
+
 M is walked once.  Rank, radicals and Witt index are constant on the
-scalar lines of M^x, so `line_table` keeps the lead-1 coefficients and
-the rank of every line (one projective walk, one `batch_rref` per
-block) on M, and everything else reads it: `rank_spectrum` counts its
-ranks q - 1 times each, `lines` adds both radicals of every line, and
-the checkers take the spectrum witness and the Witt census from it.
-The reduced Gram matrices of that walk stay on M too, so `lines` reads
-the right radicals and the Witt census the pivot columns off them
-without eliminating the lines again.
+scalar lines of M^x, so `line_table` is one projective walk returning
+`(coeffs, ranks, reduced)`: the lead-1 coefficients of the lines and
+the `batch_rref` of their Gram matrices as one stack.  `rank_spectrum`
+counts its ranks q - 1 times each, `lines` reads the right radicals off
+`reduced` and adds the left ones, and the spectrum witness and the Witt
+census (its pivot columns) read it too, with no second elimination.
 
 V is treated the same way.  M_{cu} = M_u, so `kernel_dims_all` solves
 dim M_u only at the lead-1 representative of each line of V
-(`line_representatives`), spreads it over the line and keeps the array
-on M for every checker that reads it.
+(`line_representatives`) and spreads it over the line.
 
 One side stands for both where it can.  A symmetric or alternating M
 has G^T = +-G for every form, so rad_L G = rad_R G and the left and
 right M_u agree: for such M (`M.two_sided` false) `lines`,
 `kernel_dims_all` and `max_rank_incidence` solve one side and return it
 for the other (`_solved_side`), and the filtration checker stacks only
-the left systems.  The isotropic set is kept on M as well.
+the left systems.
 
 Null spaces are solved in bulk: `kernel_matrices` builds the systems
-of M_u for a stack of vectors u, and `null_spaces` solves any stack
-(radicals, M_u, A_u) in blocks; `reduced_null_spaces` does the same for
-a stack already reduced, such as the Gram matrices `line_table` kept,
-without eliminating it again.  The `linalg.null_vectors` of a block
-are equal exactly when the null spaces are, so only its distinct null
-spaces get the final `batch_rref`.  A `NullSpaces` is its output: one
-read-only stack of the distinct canonical bases, their dimensions and an
+of M_u for a stack of vectors u, `null_spaces` eliminates any stack
+(radicals, M_u, A_u) in blocks, and `reduced_null_spaces` takes one
+reduced stack, such as `line_table`'s.  The `linalg.null_vectors` of
+two matrices are equal exactly when their null spaces are, so one
+`np.unique` over the stack finds the distinct null spaces, and only
+those get the final `batch_rref`.  A `NullSpaces` is its output: the
+stacked canonical bases of the distinct spaces, their dimensions and an
 id per matrix, so the radical census, the radical spread, the
 orthogonality checker and `max_rank_incidence` index the stack and test
 each distinct radical once; `_point_blocks` lists the points of its
@@ -89,6 +90,23 @@ def charge(items: int, cell_cost: int, budget: Optional[int], what: str) -> None
         raise BudgetExceeded(f"{what} needs {steps} steps, budget is {limit}")
 
 
+def _frozen(result):
+    """Make every array of a result read-only: an array, or a tuple (a NullSpaces too) of results."""
+    if isinstance(result, np.ndarray):
+        result.setflags(write=False)
+    else:
+        for part in result:
+            _frozen(part)
+    return result
+
+
+def _stored(M: FormSubspace, key, compute):
+    """The result stored on M under `key`: `compute()` runs on the first call only, and its arrays are frozen."""
+    if key not in M._store:
+        M._store[key] = _frozen(compute())
+    return M._store[key]
+
+
 def _kind_of_stack(field: Field, stack) -> str:
     """The kind of a (d, n, n) stack: alternating is G = -G^T with a zero diagonal, exact in characteristic 2."""
     transposed = stack.transpose(0, 2, 1)
@@ -102,9 +120,7 @@ def _kind_of_stack(field: Field, stack) -> str:
 class FormSubspace:
     """A subspace of Bil(V): a (d, n, n) stack of independent Gram matrices, held flattened and read-only."""
 
-    __slots__ = (
-        "field", "n", "kind", "_flat", "_table", "_reduced", "_lines", "_kernel_dims", "_incidence", "_isotropic",
-    )
+    __slots__ = ("field", "n", "kind", "_flat", "_store")
 
     def __init__(self, field: Field, n: int, forms):
         stack = _code_array(field, forms)
@@ -117,18 +133,11 @@ class FormSubspace:
             # only now look for the first dependent row, to name it in diagnostics
             i = next(i for i in range(len(flat)) if linalg.rank(field, flat[: i + 1]) <= i)
             raise ValueError(f"basis row {i} is dependent on earlier rows")
-        flat.setflags(write=False)
         self.field = field
         self.n = n
         self.kind = _kind_of_stack(field, stack)
-        self._flat = flat
-        self._table = None  # filled by the first line_table call
-        self._reduced = None  # line_table's reduced Gram blocks, read by lines and the Witt census
-        self._lines = None  # filled by the first lines call
-        # solved side -> result, filled by the first call that solves that side
-        self._kernel_dims = {}
-        self._incidence = {}
-        self._isotropic = None  # filled by the first isotropic_set call
+        self._flat = _frozen(flat)
+        self._store = {}  # key -> a result computed from M, filled by `_stored`
 
     @property
     def basis(self) -> tuple[GramForm, ...]:
@@ -275,24 +284,22 @@ class RankSpectrum:
 
 
 def line_table(M: FormSubspace, budget: Optional[int], what: str):
-    """(coeffs, ranks) of the scalar lines of M^x, in projective `scan_blocks` order.
+    """(coeffs, ranks, reduced) of the scalar lines of M^x, in projective `scan_blocks` order.
 
-    `coeffs` is the (L, d) array of lead-1 coefficient vectors and `ranks`
-    the (L,) array of their ranks, L = (q^d - 1)/(q - 1).  The budget is
-    charged under `what` on every call; the walk runs on the first one
-    only, and later calls return the table stored on M.  The walk also
-    keeps each block's `linalg.batch_rref` of the line Gram matrices on
-    M, for `lines` and the Witt census to read.
+    `coeffs` is the (L, d) array of lead-1 coefficient vectors, L = (q^d - 1)/(q - 1), and
+    `ranks, reduced` the `linalg.batch_rref` of their (L, n, n) Gram matrices.  Charged under `what`.
     """
     charge(M.field.q**M.dim, M.n * M.n, budget, what)
-    if M._table is None:
-        coeffs, reduced = [np.zeros((0, M.dim), dtype=np.int64)], []
-        for block, flats in scan_blocks(M, budget, projective=True, what=what):
-            coeffs.append(block)
-            reduced.append(linalg.batch_rref(M.field, flats.reshape(-1, M.n, M.n)))
-        ranks = [np.zeros(0, dtype=np.int64)] + [rk for _, rk in reduced]
-        M._table, M._reduced = (np.concatenate(coeffs), np.concatenate(ranks)), reduced
-    return M._table
+    return _stored(M, "line_table", lambda: _line_table(M, budget, what))
+
+
+def _line_table(M: FormSubspace, budget: Optional[int], what: str):
+    n = M.n
+    parts = [(np.zeros((0, M.dim), dtype=np.int64), np.zeros((0, n, n), dtype=np.int64), np.zeros(0, dtype=np.int64))]
+    for block, flats in scan_blocks(M, budget, projective=True, what=what):
+        parts.append((block, *linalg.batch_rref(M.field, flats.reshape(-1, n, n))))
+    coeffs, reduced, ranks = (np.concatenate(part) for part in zip(*parts))
+    return coeffs, ranks, reduced
 
 
 def rank_spectrum(M: FormSubspace, budget: Optional[int] = None) -> RankSpectrum:
@@ -308,27 +315,26 @@ def rank_spectrum(M: FormSubspace, budget: Optional[int] = None) -> RankSpectrum
 def lines(M: FormSubspace, budget: Optional[int] = None):
     """(coeffs, ranks, left, right): the rows of `line_table` and the `NullSpaces` of their radicals.
 
-    The budget is charged on every call; the radicals are computed on the
-    first one only, and later calls return the tuple stored on M.  Where
-    G^T = +-G, `left` is `right`.
+    Where G^T = +-G, `left` is `right`.
     """
-    coeffs, ranks = line_table(M, budget, "radical census")
-    if M._lines is None:
-        # rad_R G is the null space of G, whose reduced form line_table kept
-        right = reduced_null_spaces(M.field, M._reduced, M.n)
-        left = right
-        if M.two_sided:  # rad_L G is the null space of G^T
-            left = null_spaces(M.field, flat_forms_for(M, coeffs).reshape(-1, M.n, M.n).transpose(0, 2, 1))
-        M._lines = (coeffs, ranks, left, right)
-    return M._lines
+    coeffs, ranks, reduced = line_table(M, budget, "radical census")
+    return _stored(M, "lines", lambda: (coeffs, ranks, *_radicals(M, coeffs, ranks, reduced)))
+
+
+def _radicals(M: FormSubspace, coeffs, ranks, reduced) -> tuple[NullSpaces, NullSpaces]:
+    right = reduced_null_spaces(M.field, reduced, ranks)  # rad_R G is the null space of G
+    if not M.two_sided:
+        return right, right
+    # rad_L G is the null space of G^T
+    return null_spaces(M.field, flat_forms_for(M, coeffs).reshape(-1, M.n, M.n).transpose(0, 2, 1)), right
 
 
 class NullSpaces(NamedTuple):
     """The right null spaces of a stack of matrices, each distinct one held once, in order of first appearance.
 
-    Space j has the canonical basis `bases[j, :dims[j]]`, and the other rows of the read-only (S, c, c)
+    Space j has the canonical basis `bases[j, :dims[j]]`, and the other rows of the (S, c, c)
     stack are zero.  `ids[i]` indexes the null space of matrix i and `first[j]` is the first matrix whose
-    null space is space j.
+    null space is space j.  Every field is read-only.
     """
 
     bases: np.ndarray
@@ -339,37 +345,27 @@ class NullSpaces(NamedTuple):
 
 def null_spaces(field: Field, mats) -> NullSpaces:
     """The right null spaces of a (B, rows, c) stack, eliminated in blocks of _BLOCK matrices."""
-    blocks = (linalg.batch_rref(field, mats[start:start + _BLOCK]) for start in range(0, len(mats), _BLOCK))
-    return reduced_null_spaces(field, blocks, mats.shape[2])
+    starts = range(0, max(len(mats), 1), _BLOCK)  # an empty stack is one empty block
+    red, ranks = (np.concatenate(part) for part in zip(*(linalg.batch_rref(field, mats[s:s + _BLOCK]) for s in starts)))
+    return reduced_null_spaces(field, red, ranks)
 
 
-def reduced_null_spaces(field: Field, blocks, cols: int) -> NullSpaces:
-    """The right null spaces of a (B, rows, cols) stack given as its `linalg.batch_rref` (reduced, ranks) blocks.
+def reduced_null_spaces(field: Field, red, ranks) -> NullSpaces:
+    """The right null spaces of a (B, rows, cols) stack given as its `linalg.batch_rref` (red, ranks).
 
-    Each block's `linalg.null_vectors` are equal exactly when the null
-    spaces are, so one `np.unique` over their bytes finds the block's
-    distinct spaces, a dict on those bytes joins blocks, and only the
-    spaces not seen before are reduced by the second `batch_rref`, whose
-    stacks and ranks are joined once at the end.
+    The `linalg.null_vectors` of two matrices are equal exactly when their
+    null spaces are, so one `np.unique` over their bytes finds the distinct
+    spaces, and only those are reduced to canonical bases by a second
+    `batch_rref`.
     """
-    index: dict[bytes, int] = {}
-    empty = np.zeros(0, dtype=np.int64)
-    parts, ids, start = [(np.zeros((0, cols, cols), dtype=np.int64), empty, empty)], [empty], 0
-    for red, ranks in blocks:
-        vecs = linalg.null_vectors(field, red, ranks)
-        flat = vecs.reshape(len(vecs), -1)  # a view: vecs is a fresh contiguous stack
-        keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).reshape(len(vecs))
-        _, at, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        # the block's distinct spaces not seen before, in order of first appearance
-        new = np.array([a for a in np.sort(at) if keys[a].tobytes() not in index], dtype=np.int64)
-        for a in new:
-            index[keys[a].tobytes()] = len(index)
-        parts.append((*linalg.batch_rref(field, vecs[new]), start + new))  # (bases, dims, first)
-        ids.append(np.array([index[keys[a].tobytes()] for a in at], dtype=np.int64)[inverse])
-        start += len(vecs)
-    bases, dims, first = (np.concatenate(part) for part in zip(*parts))
-    bases.setflags(write=False)
-    return NullSpaces(bases, dims, np.concatenate(ids), first)
+    vecs, cols = linalg.null_vectors(field, red, ranks), red.shape[2]
+    # a view, as vecs is a fresh contiguous stack; with no columns every null space is {0}, under one key
+    flat = vecs.reshape(len(vecs), cols * cols) if cols else np.zeros((len(vecs), 1), dtype=np.int64)
+    keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).reshape(len(vecs))
+    _, at, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    first = np.sort(at)  # the distinct spaces in order of first appearance
+    bases, dims = linalg.batch_rref(field, vecs[first])
+    return _frozen(NullSpaces(bases, dims, np.searchsorted(first, at)[inverse.reshape(-1)], first))
 
 
 # ---------------------------------------------------------------------------
@@ -418,30 +414,28 @@ def line_representatives(q: int, n: int):
 
 
 def kernel_dims_all(M: FormSubspace, side: str, budget: Optional[int] = None):
-    """dim M_u for every u in V, ordered by vector index: a read-only (q^n,) array.
+    """dim M_u for every u in V, ordered by vector index: a (q^n,) array, stored per solved side.
 
     M_{cu} = M_u, so only the representative of each line is solved and
-    every other u reads its line's value.  The budget is charged on every
-    call; the solve runs on the first call per solved side only
-    (`_solved_side`), and later calls return the array stored on M.
+    every other u reads its line's value.
     """
-    fld, q, n, d = M.field, M.field.q, M.n, M.dim
-    charge(q**n, d * n, budget, "kernel_dims_all")
+    charge(M.field.q**M.n, M.dim * M.n, budget, "kernel_dims_all")
     side = _solved_side(M, side)
-    if side not in M._kernel_dims:
-        vecs = linalg.code_vectors(q, n)
-        reps = np.flatnonzero(line_representatives(q, n))
-        out = np.empty(q**n, dtype=np.int64)
-        out[0] = d
-        for start in range(0, len(reps), _BLOCK):
-            at = reps[start:start + _BLOCK]
-            out[at] = d - linalg.batch_rank(fld, kernel_matrices(M, vecs[at], side))
-        # u = c v for v its line's representative, c its leading entry (u = 0 maps to itself)
-        lead = vecs[np.arange(q**n), np.argmax(vecs != 0, axis=1)]
-        out = out[linalg.code_index(q, fld.mul_arr(fld._inv_np[lead][:, None], vecs))]
-        out.setflags(write=False)
-        M._kernel_dims[side] = out
-    return M._kernel_dims[side]
+    return _stored(M, ("kernel_dims_all", side), lambda: _kernel_dims(M, side))
+
+
+def _kernel_dims(M: FormSubspace, side: str):
+    fld, q, n, d = M.field, M.field.q, M.n, M.dim
+    vecs = linalg.code_vectors(q, n)
+    reps = np.flatnonzero(line_representatives(q, n))
+    out = np.empty(q**n, dtype=np.int64)
+    out[0] = d
+    for start in range(0, len(reps), _BLOCK):
+        at = reps[start:start + _BLOCK]
+        out[at] = d - linalg.batch_rank(fld, kernel_matrices(M, vecs[at], side))
+    # u = c v for v its line's representative, c its leading entry (u = 0 maps to itself)
+    lead = vecs[np.arange(q**n), np.argmax(vecs != 0, axis=1)]
+    return out[linalg.code_index(q, fld.mul_arr(fld._inv_np[lead][:, None], vecs))]
 
 
 def max_rank_incidence(M: FormSubspace, side: str, budget: Optional[int] = None):
@@ -451,16 +445,13 @@ def max_rank_incidence(M: FormSubspace, side: str, budget: Optional[int] = None)
     M_u holds a rank-m element, and whether all rank-m elements of M_u
     have the same radical on the other side (vacuously true when there
     are none).  M_u = {f in M : u in rad f} on the chosen side, so both
-    are incidences between V and the radicals of the rank-m lines.  The
-    budget is charged on every call (by `lines`); the arrays are computed
-    on the first call per solved side only and stored on M, read-only.
+    are incidences between V and the radicals of the rank-m lines, stored
+    per solved side and charged by `lines`.
     """
     _, ranks, left, right = lines(M, budget)
     side = _solved_side(M, side)
-    if side not in M._incidence:
-        own, other = (left, right) if side == "left" else (right, left)
-        M._incidence[side] = _max_rank_incidence(M, ranks, own, other)
-    return M._incidence[side]
+    own, other = (left, right) if side == "left" else (right, left)
+    return _stored(M, ("max_rank_incidence", side), lambda: _max_rank_incidence(M, ranks, own, other))
 
 
 def _max_rank_incidence(M: FormSubspace, ranks, own: NullSpaces, other: NullSpaces):
@@ -481,10 +472,7 @@ def _max_rank_incidence(M: FormSubspace, ranks, own: NullSpaces, other: NullSpac
         np.minimum.at(at_lo, at, lo[block, None])
         np.maximum.at(at_hi, at, hi[block, None])
     holds = at_hi >= 0
-    shared = ~holds | (at_lo == at_hi)
-    holds.setflags(write=False)
-    shared.setflags(write=False)
-    return holds, shared
+    return holds, ~holds | (at_lo == at_hi)
 
 
 @dataclass(frozen=True)
@@ -522,29 +510,26 @@ def annihilator_Au(M: FormSubspace, u) -> Subspace:
 
 
 def isotropic_set(M: FormSubspace, budget: Optional[int] = None):
-    """I(M)^x, all nonzero w with f(w, w) = 0 for every f in M: a read-only (N, n) array in vector-index order.
-
-    The budget is charged on every call; the set is computed on the first
-    one only, and later calls return the array stored on M.
-    """
+    """I(M)^x, all nonzero w with f(w, w) = 0 for every f in M: an (N, n) array in vector-index order."""
     fld = M.field
     if fld.p == 2:
         raise ValueError("isotropic_set requires odd characteristic")
     if M.kind == KIND_GENERAL:
         raise ValueError("isotropic_set requires a symmetric (or alternating) subspace")
-    q, n = fld.q, M.n
-    charge(q**n, M.dim * n, budget, "isotropic_set")
-    if M._isotropic is None:
-        vecs = linalg.code_vectors(q, n)
-        mask = np.ones(len(vecs), dtype=bool)
-        for g in M._flat.reshape(-1, n, n):
-            tv = fld.matmul_arr(vecs, g)
-            quad = fld.sum_arr(fld.mul_arr(tv, vecs), axis=1)
-            mask &= quad == 0
-        mask[0] = False
-        M._isotropic = vecs[mask]
-        M._isotropic.setflags(write=False)
-    return M._isotropic
+    charge(fld.q**M.n, M.dim * M.n, budget, "isotropic_set")
+    return _stored(M, "isotropic_set", lambda: _isotropic_set(M))
+
+
+def _isotropic_set(M: FormSubspace):
+    fld, n = M.field, M.n
+    vecs = linalg.code_vectors(fld.q, n)
+    mask = np.ones(len(vecs), dtype=bool)
+    for g in M._flat.reshape(-1, n, n):
+        tv = fld.matmul_arr(vecs, g)
+        quad = fld.sum_arr(fld.mul_arr(tv, vecs), axis=1)
+        mask &= quad == 0
+    mask[0] = False
+    return vecs[mask]
 
 
 @dataclass(frozen=True)

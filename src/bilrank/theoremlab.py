@@ -504,8 +504,8 @@ def check_witt_census_identity(tid, M: FormSubspace, budget: Optional[int] = Non
     k = m // 2
     charge(q**d, n**3, budget, tid)
     # c f has the isotropic vectors of f, so the Witt index is constant on each line
-    grams = flat_forms_for(M, line_table(M, budget, tid)[0]).reshape(-1, n, n)
-    reduced = np.concatenate([red for red, _ in M._reduced])  # line_table's elimination of the same stack
+    coeffs, _, reduced = line_table(M, budget, tid)  # reduced: the walk's elimination of these Gram matrices
+    grams = flat_forms_for(M, coeffs).reshape(-1, n, n)
     witt = np.bincount(_witt_indices(M.field, grams, reduced, m), minlength=k + 1)
     a_count, b_count = (q - 1) * int(witt[k]), (q - 1) * int(witt[k - 1])
     iso = isotropic_set(M, budget)
@@ -710,7 +710,7 @@ def _spectrum_witness(M: FormSubspace, declared_ranks, budget) -> dict:
     the table holds the first stray element.
     """
     allowed = sorted(set(declared_ranks))
-    coeffs, ranks = line_table(M, budget, "spectrum witness")
+    coeffs, ranks, _ = line_table(M, budget, "spectrum witness")
     stray = np.flatnonzero(~np.isin(ranks, allowed))
     if len(stray):
         return {

@@ -466,6 +466,7 @@ def test_campaign_rejects_unknown_suite(tmp_path, capsys):
 
 _HUNT = ["search", "rank2-distinct-radicals", "--q", "3"]
 _GRID = ["campaign", "--q", "3", "--n", "3"]
+_VERIFY = ["verify", os.path.join(os.path.dirname(__file__), "..", "fixtures", "alt-spectrum-q3-n3-s1.json")]
 
 
 @pytest.mark.parametrize(
@@ -478,9 +479,15 @@ _GRID = ["campaign", "--q", "3", "--n", "3"]
         (_GRID + ["--seed", "-1", "--trials", "1"], "--seed must be >= 0"),
         (_HUNT + ["--seed", "1", "--trials", "1"], "this search mode requires --q and --n"),
         (["search", "maximal", "--seed", "1"], "this search mode requires --file"),
+        # an empty selection names nothing: the same usage error as an unknown name, not the default selection
+        (_VERIFY + ["--suite", ""], "unknown suite selection: ['']"),
+        (_VERIFY + ["--suite", ","], "unknown suite selection: ['']"),
+        (_GRID + ["--seed", "1", "--trials", "1", "--suite", ""], "unknown suite selection: ['']"),
+        (_GRID + ["--seed", "1", "--trials", "1", "--kind", ""], "unknown kind ''"),
     ],
     ids=["search-trials", "campaign-trials", "search-n", "search-seed", "campaign-seed", "search-no-n",
-         "search-maximal-no-file"],
+         "search-maximal-no-file", "verify-empty-suite", "verify-comma-suite", "campaign-empty-suite",
+         "campaign-empty-kind"],
 )
 def test_out_of_range_flag_is_named_before_any_draw(tmp_path, capsys, argv, message):
     out = tmp_path / "out"

@@ -481,8 +481,8 @@ def test_null_spaces_match_per_matrix_null_spaces(q, block, monkeypatch):
         for stack in (mats, mats[:0]):
             got = sp.null_spaces(F, stack)
             assert len(got.ids) == len(stack)
-            # one read-only stack, zero past each basis
-            assert got.bases.shape == (len(got.dims), cols, cols) and not got.bases.flags.writeable
+            # read-only fields, one stack zero past each basis
+            assert got.bases.shape == (len(got.dims), cols, cols) and not any(a.flags.writeable for a in got)
             assert not got.bases[np.arange(cols)[None, :] >= got.dims[:, None]].any()
             for i, mat in enumerate(stack):
                 assert _space(F, got, got.ids[i]) == fc.Subspace(F, cols, linalg.right_null_space(F, mat))
@@ -505,6 +505,13 @@ def test_null_spaces_match_per_matrix_null_spaces(q, block, monkeypatch):
             got = sp.null_spaces(F, stack)
             assert len(set(got.ids[::2].tolist())) == 1
             assert _space(F, got, got.ids[0]) == fc.Subspace(F, cols, linalg.right_null_space(F, base))
+    # a matrix with no columns has the 0-dimensional null space: one space for the whole stack
+    for rows in range(3):
+        got = sp.null_spaces(F, np.zeros((2, rows, 0), dtype=np.int64))
+        assert got.bases.shape == (1, 0, 0) and got.dims.tolist() == [0]
+        assert got.ids.tolist() == [0, 0] and got.first.tolist() == [0]
+        got = sp.null_spaces(F, np.zeros((0, rows, 0), dtype=np.int64))
+        assert got.bases.shape == (0, 0, 0) and len(got.dims) == len(got.ids) == len(got.first) == 0
 
 
 def _random_of_rank(F, rng, rows, rank):
@@ -630,7 +637,7 @@ def test_general_members_keep_two_sides(catalogue):
 
 @pytest.mark.parametrize("block", [3, sp._BLOCK])
 def test_right_radicals_read_off_the_stored_stack(block, monkeypatch):
-    """The reduced Gram blocks line_table keeps give the null spaces a fresh elimination gives."""
+    """The reduced Gram stack line_table returns gives the null spaces a fresh elimination gives."""
     monkeypatch.setattr(sp, "_BLOCK", block)  # 3: the walk's blocks and null_spaces' blocks differ
     members = [
         sp.full_kind_space(F3, 2, "general"),
@@ -642,9 +649,11 @@ def test_right_radicals_read_off_the_stored_stack(block, monkeypatch):
     ]
     full_rank_lines = 0
     for M in members:
-        coeffs, ranks = sp.line_table(M, None, "t")
-        fresh = sp.null_spaces(M.field, sp.flat_forms_for(M, coeffs).reshape(-1, M.n, M.n))
-        stored = sp.reduced_null_spaces(M.field, M._reduced, M.n)
+        coeffs, ranks, reduced = sp.line_table(M, None, "t")
+        grams = sp.flat_forms_for(M, coeffs).reshape(-1, M.n, M.n)
+        assert [a.tolist() for a in linalg.batch_rref(M.field, grams)] == [reduced.tolist(), ranks.tolist()], M
+        fresh = sp.null_spaces(M.field, grams)
+        stored = sp.reduced_null_spaces(M.field, reduced, ranks)
         right = sp.lines(M)[3]
         for got in (stored, right):
             assert [_rows(got, j).tolist() for j in range(len(got.dims))] == [
@@ -655,6 +664,34 @@ def test_right_radicals_read_off_the_stored_stack(block, monkeypatch):
         assert all(fresh.dims[i] == 0 for i in fresh.ids[full])
         full_rank_lines += int(full.sum())
     assert full_rank_lines > 0
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: cons.build(cons.ConstructionRequest("column-family", {"q": 2, "m": 2, "r": 2, "ext": 2}))[0],
+        lambda: cons.block_symmetric(F3, 4, 2),
+        lambda: cons.alternating_pencil(F3, 3),
+        lambda: sp.span([], field=F3, n=2),
+    ],
+)
+def test_every_stored_array_is_read_only(make):
+    """Nothing a stored result hands out can be written, so no caller can change what later calls read."""
+    M = make()
+    spec = sp.rank_spectrum(M)
+    coeffs, ranks, left, right = sp.lines(M)
+    handed = [*sp.line_table(M, None, "t"), coeffs, ranks, *left, *right]
+    for side in ("left", "right"):
+        handed += [sp.kernel_dims_all(M, side), *sp.max_rank_incidence(M, side)]
+    if M.kind != "general":
+        handed.append(sp.isotropic_set(M))
+    assert len(handed) >= 19
+    for arr in handed:
+        assert isinstance(arr, np.ndarray) and not arr.flags.writeable
+        if arr.size:
+            with pytest.raises(ValueError):
+                arr.flat[0] = arr.flat[0]
+    assert sp.rank_spectrum(M) == spec
 
 
 def test_isotropic_set_is_stored_and_still_charged():

@@ -800,9 +800,11 @@ def test_rebinding_a_checker_reaches_run_suite(name, monkeypatch):
 
 @pytest.mark.parametrize("read_radicals", [False, True])
 def test_witt_census_eliminates_nothing_once_the_line_table_exists(read_radicals, monkeypatch):
-    """The census reads its pivot columns off the stack line_table reduced, even after lines has read it."""
+    """The census reads its pivot columns off the stack line_table returns, even after lines has read it."""
     M = cons.block_symmetric(F3, 4, 1)
-    sp.line_table(M, None, "t")
+    coeffs, ranks, reduced = sp.line_table(M, None, "t")
+    grams = sp.flat_forms_for(M, coeffs).reshape(-1, M.n, M.n)
+    assert [a.tolist() for a in linalg.batch_rref(M.field, grams)] == [reduced.tolist(), ranks.tolist()]
     if read_radicals:
         sp.lines(M)
     calls = []
