@@ -184,16 +184,15 @@ def null_vectors(field, red, ranks):
     return vecs
 
 
-def code_vectors(q: int, n: int, start: int = 0, stop: int | None = None):
-    """Rows start..stop of the lexicographic listing of all q^n code vectors.
+def code_vectors(q: int, n: int, idx=None):
+    """The code vectors at the given listing indices, or all q^n of them: an (len(idx), n) array.
 
     Index i maps to the base-q digits of i, most significant digit first,
-    so ascending indices give ascending tuples.
+    so ascending indices give ascending tuples.  Walks list the vectors
+    they need directly: `spanspace.line_representatives` gives the
+    indices of one vector per line.
     """
-    total = q**n
-    if stop is None:
-        stop = total
-    idx = np.arange(start, stop, dtype=np.int64)
+    idx = np.arange(q**n, dtype=np.int64) if idx is None else np.array(idx, dtype=np.int64)
     out = np.empty((len(idx), n), dtype=np.int64)
     for j in range(n - 1, -1, -1):
         out[:, j] = idx % q

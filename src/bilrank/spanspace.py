@@ -6,13 +6,13 @@ GramForms are made on demand only: by `basis`, `form_from_coefficients`
 and `enumerate_nonzero`.  `span` takes a list of GramForms.
 
 This is the one module that walks the elements of M.  `scan_blocks` is
-that walk: it lists the q^d - 1 nonzero coefficient vectors in a fixed
-lexicographic order (index i -> base-q digits of i, most significant
-first) and yields them in blocks together with their flattened forms,
-so runs are reproducible and blocks are vectorised.  In `projective`
-mode it keeps only the vectors whose leading nonzero entry is 1, one
-representative per scalar line, which is exhaustive for anything that
-depends only on ranks or radicals.
+that walk: it lists the q^d - 1 nonzero coefficient vectors by ascending
+code (code i -> base-q digits of i, most significant first) and yields
+them in blocks together with their flattened forms, so runs are
+reproducible and blocks are vectorised.  In `projective` mode it lists
+only the codes of `line_representatives`, the one listing of lines: the
+vectors whose leading nonzero entry is 1, one per scalar line, which is
+exhaustive for anything that depends only on ranks or radicals.
 
 What is computed from M is stored on M, in its one store: `_stored`
 runs a computation on the first call only and makes every array of the
@@ -27,8 +27,8 @@ counts its ranks q - 1 times each, `lines` reads the right radicals off
 census (its pivot columns) read it too, with no second elimination.
 
 V is treated the same way.  M_{cu} = M_u, so `kernel_dims_all` solves
-dim M_u only at the lead-1 representative of each line of V
-(`line_representatives`) and spreads it over the line.
+dim M_u only at the lead-1 representative of each line of V, indexed
+by the same `line_representatives`, and spreads it over the line.
 
 One side stands for both where it can.  A symmetric or alternating M
 has G^T = +-G for every form, so rad_L G = rad_R G and the left and
@@ -53,9 +53,12 @@ spaces for that incidence and `partition_status`.  I(M) is an array too.
 Operations that walk q^d or q^n objects take an explicit step budget
 and raise BudgetExceeded instead of silently sampling: a theorem check
 is either exhaustive or it did not run.  One step is one enumerated
-object times one Gram-matrix cell (n^2 cells per form).  A call that
-returns a result stored on M is charged the same as the call that
-computed it.
+object times one Gram-matrix cell (n^2 cells per form).  `scan_blocks`
+charges nothing: each walk is charged once per call by the function
+that owns it (`line_table`, `kernel_dims_all`, `isotropic_set`,
+`enumerate_nonzero`, and the maximality checker for its scan), so a
+call that returns a result stored on M is charged the same as the call
+that computed it.
 """
 
 from __future__ import annotations
@@ -227,22 +230,27 @@ def flat_forms_for(M: FormSubspace, coeffs):
     return M.field.matmul_arr(coeffs, M._flat)
 
 
-def scan_blocks(M: FormSubspace, budget: Optional[int] = None, projective=False, what="scan"):
-    """Yield (coeffs, flats) blocks over the nonzero elements of M: the one walk.
+def line_representatives(q: int, k: int):
+    """The ascending codes of the lead-1 vectors of K^k: one representative per line, the zero vector not one.
 
-    With projective=True only coefficient vectors whose leading nonzero
-    entry is 1 are kept: one representative per scalar line, enough for
-    anything that only depends on radicals or ranks.
+    With its lead at position k - 1 - j, such a vector has code q^j + t
+    for some t < q^j, the least code on its line.
+    """
+    parts = [np.arange(q**j, 2 * q**j, dtype=np.int64) for j in range(k)]
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+
+
+def scan_blocks(M: FormSubspace, projective=False):
+    """Yield (coeffs, flats) blocks over the nonzero elements of M by ascending code: the one walk.
+
+    With projective=True it lists only the `line_representatives`: one
+    element per scalar line, enough for anything that only depends on
+    radicals or ranks.  It charges nothing; its caller charges the walk.
     """
     q, d = M.field.q, M.dim
-    charge(q**d, M.n * M.n, budget, what)
-    for start in range(1, q**d, _BLOCK):
-        coeffs = linalg.code_vectors(q, d, start, min(start + _BLOCK, q**d))
-        if projective:
-            lead = coeffs[np.arange(len(coeffs)), np.argmax(coeffs != 0, axis=1)]
-            coeffs = coeffs[lead == 1]
-            if not len(coeffs):
-                continue
+    codes = line_representatives(q, d) if projective else range(1, q**d)  # a range is listed block by block
+    for start in range(0, len(codes), _BLOCK):
+        coeffs = linalg.code_vectors(q, d, codes[start:start + _BLOCK])
         yield coeffs, flat_forms_for(M, coeffs)
 
 
@@ -254,7 +262,8 @@ def enumerate_nonzero(
     Order is lexicographic in the coefficient codes and identical from
     run to run.
     """
-    for coeffs, flats in scan_blocks(M, budget, what="enumerate_nonzero"):
+    charge(M.field.q**M.dim, M.n * M.n, budget, "enumerate_nonzero")
+    for coeffs, flats in scan_blocks(M):
         for row_c, row_f in zip(coeffs, flats):
             yield tuple(int(c) for c in row_c), GramForm(M.field, row_f.reshape(M.n, M.n))
 
@@ -290,13 +299,13 @@ def line_table(M: FormSubspace, budget: Optional[int], what: str):
     `ranks, reduced` the `linalg.batch_rref` of their (L, n, n) Gram matrices.  Charged under `what`.
     """
     charge(M.field.q**M.dim, M.n * M.n, budget, what)
-    return _stored(M, "line_table", lambda: _line_table(M, budget, what))
+    return _stored(M, "line_table", lambda: _line_table(M))
 
 
-def _line_table(M: FormSubspace, budget: Optional[int], what: str):
+def _line_table(M: FormSubspace):
     n = M.n
     parts = [(np.zeros((0, M.dim), dtype=np.int64), np.zeros((0, n, n), dtype=np.int64), np.zeros(0, dtype=np.int64))]
-    for block, flats in scan_blocks(M, budget, projective=True, what=what):
+    for block, flats in scan_blocks(M, projective=True):
         parts.append((block, *linalg.batch_rref(M.field, flats.reshape(-1, n, n))))
     coeffs, reduced, ranks = (np.concatenate(part) for part in zip(*parts))
     return coeffs, ranks, reduced
@@ -400,19 +409,6 @@ def kernel_at(M: FormSubspace, u, side: str = "left") -> FormSubspace:
     return M.subspace_from_coefficients(linalg.right_null_space(M.field, kernel_matrices(M, [u], side)[0]))
 
 
-def line_representatives(q: int, n: int):
-    """(q^n,) mask over the vectors of V in code order: True where the leading nonzero entry is 1.
-
-    These are one representative per line of V, and the zero vector is
-    not one.  With its lead at position n - 1 - k, such a vector has code
-    q^k + t for some t < q^k.
-    """
-    mask = np.zeros(q**n, dtype=bool)
-    for k in range(n):
-        mask[q**k:2 * q**k] = True
-    return mask
-
-
 def kernel_dims_all(M: FormSubspace, side: str, budget: Optional[int] = None):
     """dim M_u for every u in V, ordered by vector index: a (q^n,) array, stored per solved side.
 
@@ -427,7 +423,7 @@ def kernel_dims_all(M: FormSubspace, side: str, budget: Optional[int] = None):
 def _kernel_dims(M: FormSubspace, side: str):
     fld, q, n, d = M.field, M.field.q, M.n, M.dim
     vecs = linalg.code_vectors(q, n)
-    reps = np.flatnonzero(line_representatives(q, n))
+    reps = line_representatives(q, n)
     out = np.empty(q**n, dtype=np.int64)
     out[0] = d
     for start in range(0, len(reps), _BLOCK):

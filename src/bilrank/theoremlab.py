@@ -253,17 +253,18 @@ def check_kernel_bounds(tid, M: FormSubspace, budget: Optional[int] = None) -> V
         ("dim >= dim M - m", d - m, holds & (dims < d - m)),
         ("equality case: shared radical", None, holds & (dims == d - m) & ~shared),
     )
-    vecs = linalg.code_vectors(q, n)
     # M_{cu} = M_u, so one representative per line is exhaustive
-    failing = np.argwhere(line_representatives(q, n)[:, None] & np.logical_or.reduce([f for _, _, f in lemmas]))
+    reps = line_representatives(q, n)
+    failing = np.argwhere(np.logical_or.reduce([f for _, _, f in lemmas])[reps])
     violation = None
     if len(failing):
-        idx, s = (int(v) for v in failing[0])
+        at, s = (int(v) for v in failing[0])
+        idx, u = int(reps[at]), linalg.code_vectors(q, n, reps[at:at + 1])[0]
         lemma, bound = next((lem, b) for lem, b, f in lemmas if f[idx, s])
-        violation = {"kind": "kernel-bound", "u": [int(v) for v in vecs[idx]], "side": sides[s],
+        violation = {"kind": "kernel-bound", "u": [int(v) for v in u], "side": sides[s],
                      "dim_kernel": int(dims[idx, s]), "lemma": lemma}
         if bound is None:
-            violation["distinct_radicals"] = _distinct_radicals(M, vecs[idx], sides[s], m, budget)
+            violation["distinct_radicals"] = _distinct_radicals(M, u, sides[s], m, budget)
         else:
             violation["bound"] = bound
     return _finish(tid, [], violation is None, violation, {"max_rank": m})
@@ -564,23 +565,26 @@ def check_maximality(
     # with -h has rank 0 != m (constant rank, so m >= 1), so M needs no test
     stack = flat_forms_for(M, linalg.code_vectors(q, d))  # all of M, zero first
     if exhaustive:
-        blocks = (cands for _, cands in scan_blocks(ambient, budget, what=tid))
+        # h extends M iff c h does, and a line's lead-1 vector has its least code: one candidate per line
+        # finds the first extension in the scan of all q^dk - 1, and its code is its position there
+        charge(q**dk * q**d, n * n, budget, tid)
+        blocks = ((linalg.code_index(q, coeffs), cands) for coeffs, cands in scan_blocks(ambient, projective=True))
+        tried = q**dk - 1
     else:
         rng = np.random.default_rng(seed)
         combos = [rng.integers(0, q, size=dk, dtype=np.int64) for _ in range(trials)]
         combos = np.array([c for c in combos if c.any()], dtype=np.int64).reshape(-1, dk)
-        blocks = [fld.matmul_arr(combos, ambient.basis_flat())]
+        blocks = [(np.arange(1, len(combos) + 1), fld.matmul_arr(combos, ambient.basis_flat()))]
+        tried = len(combos)
     per_call = max(1, 8192 // len(stack))  # candidates per batch_rank call
     extension = None
-    tried = 0
-    for cands in (b[i:i + per_call] for b in blocks for i in range(0, len(b), per_call)):
+    for at, cands in ((a[i:i + per_call], b[i:i + per_call]) for a, b in blocks for i in range(0, len(b), per_call)):
         sums = fld.add_arr(cands[:, None, :], stack[None, :, :]).reshape(-1, n, n)
         extends = (linalg.batch_rank(fld, sums).reshape(len(cands), -1) == m).all(axis=1)
         if extends.any():
             first = int(np.argmax(extends))
-            extension, tried = cands[first], tried + first + 1
+            extension, tried = cands[first], int(at[first])
             break
-        tried += len(cands)
 
     maximal = extension is None
     witness = None
@@ -615,7 +619,7 @@ def check_filtration(tid, M: FormSubspace, budget: Optional[int] = None) -> Veri
     chain = [(M, spec)]
     failed_at = None
     current, cur_spec = M, spec
-    lead_one = linalg.code_vectors(q, n)[line_representatives(q, n)]
+    lead_one = linalg.code_vectors(q, n, line_representatives(q, n))
     while cur_spec.r > 1:
         # M_u of every lead-1 u, left then right for each u, in the proof's order; where
         # G^T = +-G each right system has the null space of the left one just before it

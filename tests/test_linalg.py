@@ -107,9 +107,10 @@ def test_batch_rank_rectangular_and_empty():
 def test_code_vectors_lexicographic_and_partitionable():
     vecs = linalg.code_vectors(3, 2)
     assert vecs.tolist() == [[a, b] for a in range(3) for b in range(3)]
-    # contiguous blocks concatenate to the full enumeration
-    parts = [linalg.code_vectors(3, 2, s, min(s + 4, 9)) for s in range(0, 9, 4)]
+    # blocks of listing indices concatenate to the full enumeration
+    parts = [linalg.code_vectors(3, 2, np.arange(s, min(s + 4, 9))) for s in range(0, 9, 4)]
     assert np.vstack(parts).tolist() == vecs.tolist()
+    assert linalg.code_vectors(3, 2, [7, 1]).tolist() == [vecs[7].tolist(), vecs[1].tolist()]
 
 
 def test_subspace_contains():

@@ -8,12 +8,15 @@ numbers of forms of rank i in M and of rank k in M^perp,
 
 with [a, b]_q the Gaussian binomial (Delsarte, "Bilinear forms over a finite field, with
 applications to coding theory", J. Combin. Theory A 25, 1978).  Both sides' counts come from
-`rank_spectrum`; the identity is a closed form that shares no code with the elimination.
+`rank_spectrum`; the identity is a closed form that shares no code with the elimination.  The
+same paper gives the whole rank spectrum of a Gabidulin code in closed form, an oracle that
+needs no second subspace.
 """
 
 import glob
 import os
 
+import pytest
 from conftest import catalogue_requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +25,7 @@ from bilrank import constructions as cons
 from bilrank import fileio
 from bilrank import linalg
 from bilrank import spanspace as sp
-from bilrank.gf import field_for_order
+from bilrank.gf import field_for_order, make_tower
 
 MAX_ELEMENTS = 4**8  # both M and M^perp are enumerated
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -102,3 +105,52 @@ def test_random_general_subspaces(data):
     d = data.draw(st.sampled_from([d for d in range(n * n + 1) if _fits(q, n, d)]))
     seed = data.draw(st.integers(0, 2**32 - 1))
     _assert_macwilliams(sp.random_subspace(field_for_order(q), n, d, "general", seed))
+
+
+# --- Gabidulin codes: a rank spectrum in closed form --------------------------------------------
+
+
+def _gabidulin(K, n: int, k: int):
+    """f_a(x, y) = Tr(y * sum_{s<k} a_s x^(q^s)) on L = GF(q^n), each a_s over L's power basis b.
+
+    Basis form (s, t) has a_s = b_t and every other a zero; its entry (i, j) is f(b_i, b_j).
+    """
+    tower = make_tower(K, n)
+    top, b = tower.top, tower.power_basis()
+    forms = [[[tower.trace(top.mul(top.mul(b[j], b[t]), top.pow(b[i], K.q**s))) for j in range(n)]
+              for i in range(n)] for s in range(k) for t in range(n)]
+    return sp.FormSubspace(K, n, forms)
+
+
+def _gabidulin_counts(q: int, n: int, k: int) -> list[int]:
+    """Delsarte's A_r for an n x n MRD code of dimension kn, minimum rank delta = n - k + 1, A_0 = 1.
+
+    A_r = [n, r]_q sum_{j=0..r-delta} (-1)^j q^C(j,2) [r, j]_q (q^(n(r-delta-j+1)) - 1).
+    """
+    delta = n - k + 1
+    return [1] + [
+        _gaussian_binomial(n, r, q) * sum(
+            (-1) ** j * q ** (j * (j - 1) // 2) * _gaussian_binomial(r, j, q) * (q ** (n * (r - delta - j + 1)) - 1)
+            for j in range(r - delta + 1))
+        for r in range(1, n + 1)
+    ]
+
+
+@pytest.mark.parametrize(
+    "q, n, k",
+    [(2, 2, 2), (2, 3, 2), (2, 4, 3), (2, 5, 2), (2, 6, 2), (3, 2, 2), (3, 3, 2), (3, 4, 2), (4, 2, 2), (4, 3, 2),
+     (5, 3, 2)],
+)
+def test_gabidulin_spectrum_is_delsartes_closed_form(q, n, k):
+    M = _gabidulin(field_for_order(q), n, k)
+    assert M.dim == k * n
+    want = _gabidulin_counts(q, n, k)
+    assert sum(want) == q ** (k * n)
+    assert _rank_counts(M) == want
+    assert sp.rank_spectrum(M).ranks == tuple(range(n - k + 1, n + 1))
+
+
+@pytest.mark.parametrize("q, n", [(2, 3), (2, 6), (3, 2), (4, 3), (5, 2)])
+def test_gabidulin_of_one_term_is_the_symmetric_trace_family(q, n):
+    K = field_for_order(q)
+    assert _gabidulin(K, n, 1) == cons.symmetric_trace(K, n)

@@ -1,10 +1,14 @@
-"""Verify is invariant under congruence of V and change of basis of M.
+"""Verify is invariant under the symmetries of the problem.
 
 G -> P^T G P for P in GL(n, q) is an isometry of Bil(V): it keeps every rank, the kind and
 the dimensions of radicals, M_u, A_u and I(M).  A new basis Q B of M, Q in GL(d, q), keeps M
-itself.  So every suite but maximality (whose sampled candidates depend on the basis) must
-give the same verdicts, hypotheses, details and charged steps on M and on its image.  The
-image is a fresh FormSubspace, so this also shows that nothing is kept across subspaces.
+itself.  Frobenius x -> x^p on every entry is a field automorphism applied to all of M, so it
+keeps the same quantities.  So every suite but maximality (whose sampled candidates depend on
+the basis) must give the same verdicts, hypotheses, details and charged steps on M and on its
+image.  Transposition G -> G^T swaps left and right, so on general M the image's reports are
+M's with every left and right exchanged.  The image is a fresh FormSubspace and a catalogue M is
+the session-shared member, whose results other tests may already have stored: equal steps show
+that each call is charged the same whether or not its result was stored.
 """
 
 import numpy as np
@@ -25,7 +29,7 @@ def _invertible(F, size, rng):
             return P
 
 
-def _image(M, rng):
+def _congruent(M, rng):
     """P^T G P for every G of M, in the new basis Q B of the image."""
     F, n = M.field, M.n
     P = _invertible(F, n, rng)
@@ -34,8 +38,23 @@ def _image(M, rng):
     return sp.FormSubspace(F, n, flat.reshape(-1, n, n))
 
 
+def _frobenius(M):
+    """x -> x^p on every entry of every basis form."""
+    F = M.field
+    table = np.array([F.pow(x, F.p) for x in range(F.q)], dtype=np.int64)
+    return sp.FormSubspace(F, M.n, table[M.basis_flat()].reshape(-1, M.n, M.n))
+
+
+def _transposed(M):
+    return sp.FormSubspace(M.field, M.n, M.basis_flat().reshape(-1, M.n, M.n).transpose(0, 2, 1))
+
+
+def _witnesses(report):
+    return [w for w in (report["witness"], report["details"].get("informational", {}).get("witness")) if w]
+
+
 def _outcome(M, declared, monkeypatch):
-    """(reports as JSON without basis-dependent witnesses, rank counts, steps charged)."""
+    """(reports as JSON, rank counts, steps charged)."""
     steps = []
     charge = sp.charge
 
@@ -46,30 +65,29 @@ def _outcome(M, declared, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(sp, "charge", counted)
         patch.setattr(tl, "charge", counted)
-        reports = tl.run_suite(M, SUITES, declared=declared)
-    out = []
-    for rep in reports:
-        obj = rep.to_json()
-        for witness in (obj["witness"], obj["details"].get("informational", {}).get("witness")):
-            if witness is not None and witness["kind"] == "radical-equality":
-                # the first two lines with distinct radicals, as coefficients in M's basis
+        reports = [rep.to_json() for rep in tl.run_suite(M, SUITES, declared=declared)]
+    return reports, sp.rank_spectrum(M).counts, sum(steps)
+
+
+def _without_pairs(outcome):
+    """Drop the first two lines with distinct radicals: coefficients in M's basis, which the map moves."""
+    for report in outcome[0]:
+        for witness in _witnesses(report):
+            if witness["kind"] == "radical-equality":
                 del witness["left_pair"], witness["right_pair"]
-        out.append(obj)
-    return out, sp.rank_spectrum(M).counts, sum(steps)
+    return outcome
 
 
-def _assert_invariant(M, declared, rng, monkeypatch):
-    """M against its image, both fresh: the first call that computes a stored result charges its walk too."""
-    fresh = sp.FormSubspace(M.field, M.n, M.basis_flat().reshape(-1, M.n, M.n))
-    image = _image(M, rng)
+def _assert_invariant(M, image, declared, monkeypatch):
     assert image.kind == M.kind and image.dim == M.dim
-    assert _outcome(image, declared, monkeypatch) == _outcome(fresh, declared, monkeypatch), M
+    assert _without_pairs(_outcome(image, declared, monkeypatch)) == _without_pairs(
+        _outcome(M, declared, monkeypatch)), M
 
 
 def test_catalogue_members(catalogue, monkeypatch):
     rng = np.random.default_rng(17)
     for _, M, declared in catalogue:
-        _assert_invariant(M, declared, rng, monkeypatch)
+        _assert_invariant(M, _congruent(M, rng), declared, monkeypatch)
 
 
 @pytest.mark.parametrize(
@@ -80,4 +98,73 @@ def test_catalogue_members(catalogue, monkeypatch):
 def test_random_subspaces(q, n, d, kind, monkeypatch):
     rng = np.random.default_rng(q * 100 + n * 10 + d)
     for seed in range(3):
-        _assert_invariant(sp.random_subspace(field_for_order(q), n, d, kind, seed), None, rng, monkeypatch)
+        M = sp.random_subspace(field_for_order(q), n, d, kind, seed)
+        _assert_invariant(M, _congruent(M, rng), None, monkeypatch)
+
+
+def test_frobenius_on_catalogue_members(catalogue, monkeypatch):
+    """Frobenius is the identity on a prime field, so only the q = 4 members move."""
+    members = [(M, declared) for _, M, declared in catalogue if M.field.q == 4]
+    assert members
+    for M, declared in members:
+        _assert_invariant(M, _frobenius(M), declared, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "q, n, d, kind",
+    [(4, 3, 2, "general"), (8, 3, 2, "symmetric"), (8, 2, 3, "general"), (9, 4, 2, "alternating"),
+     (9, 3, 2, "symmetric"), (25, 2, 2, "general"), (25, 3, 1, "alternating")],
+)
+def test_frobenius_on_random_subspaces(q, n, d, kind, monkeypatch):
+    moved = 0
+    for seed in range(3):
+        M = sp.random_subspace(field_for_order(q), n, d, kind, seed)
+        image = _frobenius(M)
+        moved += image != M
+        _assert_invariant(M, image, None, monkeypatch)
+    assert moved  # not every draw is defined over the prime field
+
+
+def _sides_swapped(obj):
+    """Every "left" and "right", in keys and in values, exchanged."""
+    if isinstance(obj, dict):
+        return {_sides_swapped(k): _sides_swapped(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(_sides_swapped(v) for v in obj)
+    if isinstance(obj, str):
+        return obj.replace("left", "\0").replace("right", "left").replace("\0", "right")
+    return obj
+
+
+def _assert_transposition_swaps_sides(M, declared, monkeypatch):
+    """The reports on M^T are M's with left and right exchanged, and the same rank counts and steps.
+
+    One field moves otherwise: the counting identity's `kernel_dim_histogram` counts the left
+    M_u, which on M^T are M's right M_u, whose dimensions can be spread differently over V
+    (their sum, the identity's rhs, cannot change).
+    """
+    assert M.kind == "general"
+    image = _transposed(M)
+    reports, counts, steps = _outcome(M, declared, monkeypatch)
+    right_dims = np.bincount(sp.kernel_dims_all(M, "right")[1:], minlength=M.dim + 1)
+    for report in reports:
+        for witness in _witnesses(report):
+            if witness["kind"] == "counting-identity":
+                witness["kernel_dim_histogram"] = {str(k): int(c) for k, c in enumerate(right_dims) if c}
+    assert _outcome(image, declared, monkeypatch) == (_sides_swapped(reports), counts, steps), M
+
+
+def test_transposition_on_catalogue_members(catalogue, monkeypatch):
+    members = [(M, declared) for _, M, declared in catalogue if M.kind == "general"]
+    assert members
+    for M, declared in members:
+        _assert_transposition_swaps_sides(M, declared, monkeypatch)
+
+
+@pytest.mark.parametrize("q, n, d", [(2, 3, 3), (3, 3, 2), (4, 3, 4), (5, 2, 2), (9, 2, 2), (3, 4, 4), (2, 4, 5)])
+def test_transposition_on_random_subspaces(q, n, d, monkeypatch):
+    draws = [sp.random_subspace(field_for_order(q), n, d, "general", seed) for seed in range(4)]
+    draws = [M for M in draws if M.kind == "general"]  # a symmetric draw is its own transpose
+    assert draws
+    for M in draws:
+        _assert_transposition_swaps_sides(M, None, monkeypatch)

@@ -219,6 +219,45 @@ def test_enumeration_budget_guard():
         list(sp.enumerate_nonzero(M, budget=10))
 
 
+@pytest.mark.parametrize("q, k", [(2, 0), (2, 4), (3, 3), (4, 2), (5, 3), (9, 2)])
+def test_line_representatives_are_the_ascending_lead_one_codes(q, k):
+    lead_one = [i for i, v in enumerate(linalg.code_vectors(q, k).tolist()) if any(v) and next(x for x in v if x) == 1]
+    assert sp.line_representatives(q, k).tolist() == lead_one
+
+
+@pytest.mark.parametrize("projective", [False, True])
+def test_scan_blocks_lists_codes_in_order_and_charges_nothing(projective, monkeypatch):
+    monkeypatch.setattr(sp, "_BLOCK", 5)
+    monkeypatch.setattr(sp, "charge", lambda *args: pytest.fail("scan_blocks charged"))
+    M = cons.alternating_pencil(F3, 4)  # d = 3
+    blocks = list(sp.scan_blocks(M, projective=projective))
+    assert [len(coeffs) for coeffs, _ in blocks[:-1]] == [5] * (len(blocks) - 1) and 0 < len(blocks[-1][0]) <= 5
+    codes = np.concatenate([linalg.code_index(3, coeffs) for coeffs, _ in blocks])
+    assert codes.tolist() == (sp.line_representatives(3, 3) if projective else np.arange(1, 27)).tolist()
+    for coeffs, flats in blocks:
+        assert flats.tolist() == sp.flat_forms_for(M, coeffs).tolist()
+
+
+def test_a_walk_is_charged_once_per_call(monkeypatch):
+    """A fresh subspace's first rank_spectrum builds its line table and is charged q^d n^2 once, like the second."""
+    steps = []
+    charge = sp.charge
+    monkeypatch.setattr(sp, "charge", lambda items, cell, budget, what: steps.append(items * cell)
+                        or charge(items, cell, budget, what))
+    M = cons.alternating_pencil(F3, 4)  # a new subspace: nothing is stored on it yet
+    walk = 3**M.dim * 4 * 4
+    for _ in range(2):
+        sp.rank_spectrum(M)
+        assert steps == [walk]
+        steps.clear()
+    list(sp.enumerate_nonzero(M))
+    assert steps == [walk]
+    fresh = cons.alternating_pencil(F3, 4)
+    with pytest.raises(sp.BudgetExceeded):
+        sp.rank_spectrum(fresh, budget=walk - 1)
+    assert sp.rank_spectrum(fresh, budget=walk) == sp.rank_spectrum(M)
+
+
 # --- rank spectra ----------------------------------------------------------------
 
 

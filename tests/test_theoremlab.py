@@ -449,9 +449,36 @@ def _maximality_reference(M, candidates):
     return len(candidates), None
 
 
+def _constant_rank_draws():
+    """Two constant-rank random draws, of the kind asked for, per (q, n, kind, d) whose scan is small."""
+    for q, n, kind, d in itertools.product((3, 4, 5, 9), (2, 3, 4), ("general", "symmetric", "alternating"), (1, 2)):
+        F = field_for_order(q)
+        if q**sp.kind_space_dim(n, kind) * q**d * n * n > 10**6 or sp.kind_space_dim(n, kind) <= d:
+            continue
+        draws = (sp.random_subspace(F, n, d, kind, seed) for seed in range(40))
+        yield from itertools.islice(
+            (M for M in draws if M.kind == kind and sp.rank_spectrum(M).is_constant_rank), 2)
+
+
 def test_maximality_matches_per_candidate_reference(constant_rank_catalogue):
-    """Both scan modes against a per-candidate reference on small inputs."""
+    """Both scan modes against a per-candidate reference on small inputs.
+
+    The exhaustive scan tries one candidate per scalar line; the reference tries every
+    candidate, so the draws over q >= 3 check that the first extension and its position
+    in the scan of all candidates are the same.
+    """
     outcomes = set()
+    positions = []
+    for M in _constant_rank_draws():
+        ambient = sp.full_kind_space(M.field, M.n, M.kind)
+        rep = tl.check_maximality(M)
+        tried, extension = _maximality_reference(M, [f for _, f in sp.enumerate_nonzero(ambient)])
+        got = (rep.details.get("informational") or {}).get("witness")
+        assert rep.details["candidates_tried"] == tried, M
+        assert (got and got["extension_rows"]) == (extension and [list(r) for r in extension.rows()]), M
+        positions.append((rep.details["maximal"], tried))
+    assert {maximal for maximal, _ in positions} == {True, False}
+    assert any(not maximal and tried > 1 for maximal, tried in positions)
     for req, M, _ in constant_rank_catalogue:
         q, n = M.field.q, M.n
         ambient = sp.full_kind_space(M.field, n, M.kind)
