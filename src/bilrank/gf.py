@@ -10,6 +10,10 @@ over the smallest generating code, found by the one primitivity test
 that also picks the canonical modulus; addition is digit-wise mod p.
 Every operation has a scalar form (plain ints) and a vectorised form on
 numpy arrays of codes, which is what the enumeration hot loops use.
+In the array tables only, the log of 0 is a sentinel: the length of the
+antilog list, from which index on the array antilog table holds zeros,
+so `mul_arr` is one gather with no mask for zero.  Vector subtraction is
+`(a - b) % p` over a prime field and XOR in characteristic 2.
 
 Field orders are capped at 2**16; the toolkit's experiments never need
 more, and the cap keeps every table dense and cheap.
@@ -221,8 +225,11 @@ class Field:
         self.generator = g
         self._exp = exp
         self._log = log
-        self._exp_np = np.array(exp, dtype=np.int64)
-        self._log_np = np.array(log, dtype=np.int64)
+        # the array tables give 0 the log len(exp): a sum of two logs that
+        # involves it lands in the zero tail, so 0 times anything is 0
+        zero_log = len(exp)
+        self._exp_np = np.array(exp + [0] * (zero_log + 1), dtype=np.int64)
+        self._log_np = np.array([zero_log] + log[1:], dtype=np.int64)
         self._inv = [0] * self.q
         for a in range(1, self.q):
             self._inv[a] = exp[(self.q - 1) - log[a]]
@@ -322,13 +329,18 @@ class Field:
         return self._neg_np[np.asarray(a, dtype=np.int64)]
 
     def sub_arr(self, a, b):
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        if self.p == 2:
+            return a ^ b  # x - y = x + y in characteristic 2
+        if self.k == 1:
+            return (a - b) % self.p
         return self.add_arr(a, self.neg_arr(b))
 
     def mul_arr(self, a, b):
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        out = self._exp_np[self._log_np[a] + self._log_np[b]]
-        return np.where((a != 0) & (b != 0), out, 0)
+        return self._exp_np[self._log_np[a] + self._log_np[b]]
 
     def sum_arr(self, a, axis: int):
         """GF sum-reduce an array of codes along one axis."""

@@ -132,32 +132,28 @@ def batch_det(field, mats):
     """Determinants of a stack of square matrices, shape (B, m, m) -> (B,).
 
     One forward elimination across the stack: the determinant is the
-    product of the pivots, kept as a sum of their logs, negated once per
-    row swap, and zero where a column has no pivot.
+    product of the pivots, negated once per row swap; a column with no
+    pivot puts a zero pivot in the product.
     """
     a = np.array(mats, dtype=np.int64, copy=True)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError("expected a (batch, m, m) stack")
     nb, m, _ = a.shape
-    logs = np.zeros(nb, dtype=np.int64)
+    det = np.ones(nb, dtype=np.int64)
     swapped = np.zeros(nb, dtype=bool)
-    singular = np.zeros(nb, dtype=bool)
     every = np.arange(nb)
     for c in range(m):
         below = a[:, c:, c] != 0
-        singular |= ~below.any(axis=1)
         p = c + below.argmax(axis=1)  # c itself where the column is zero
         swapped ^= p != c
         top = a[every, p].copy()
         a[every, p] = a[:, c]
         a[:, c] = top
         piv = a[:, c, c]
-        logs += field._log_np[piv]
+        det = field.mul_arr(det, piv)
         factors = field.mul_arr(a[:, c + 1:, c], field._inv_np[piv][:, None])  # zero for a zero pivot
         a[:, c + 1:, c:] = field.sub_arr(a[:, c + 1:, c:], field.mul_arr(factors[:, :, None], top[:, None, c:]))
-    det = field._exp_np[logs % (field.q - 1)]
-    det = np.where(swapped, field.neg_arr(det), det)
-    return np.where(singular, 0, det)
+    return np.where(swapped, field.neg_arr(det), det)
 
 
 def null_vectors(field, red, ranks):

@@ -284,3 +284,72 @@ def test_is_square_arr_agrees_with_scalar():
         codes = np.arange(q).reshape(-1, 1)
         assert F.is_square_arr(codes).shape == codes.shape
         assert F.is_square_arr(codes).ravel().tolist() == [F.is_square(a) for a in range(q)]
+
+
+def _pair_forms(a, b):
+    """The same code pairs as lists, tuples and int32 and uint8 arrays."""
+    yield a.tolist(), b.tolist()
+    yield tuple(a.tolist()), tuple(b.tolist())
+    yield a.astype(np.int32), b.astype(np.int32)
+    yield a.astype(np.uint8), b.astype(np.uint8)
+
+
+def _scalar_forms(x, y):
+    """One code pair as Python ints and as 0-d arrays of int64, uint8 and int32."""
+    yield x, y
+    yield np.asarray(x), np.asarray(y)
+    yield np.asarray(x, dtype=np.uint8), np.asarray(y, dtype=np.int32)
+
+
+@pytest.mark.parametrize("q", ORDERS_64)
+def test_vector_ops_exhaustive_against_scalar_and_oracle(q):
+    F = field_for_order(q)
+    codes = np.arange(q, dtype=np.int64)
+    a = np.repeat(codes, q)  # every pair (x, y), zero on either side
+    b = np.tile(codes, q)
+    pairs = list(zip(a.tolist(), b.tolist()))
+    oracle = [
+        digits_code(poly_mul_mod(code_digits(x, F.p, F.k), code_digits(y, F.p, F.k), F.spec.modulus, F.p), F.p)
+        for x, y in pairs
+    ]
+    expect = {
+        "add_arr": [F.add(x, y) for x, y in pairs],
+        "sub_arr": [F.sub(x, y) for x, y in pairs],
+        "mul_arr": [F.mul(x, y) for x, y in pairs],
+    }
+    assert expect["mul_arr"] == oracle
+    for name, want in expect.items():
+        op = getattr(F, name)
+        got = op(a, b)
+        assert got.dtype == np.int64 and got.tolist() == want, name
+        for xs, ys in _pair_forms(a, b):
+            other = op(xs, ys)
+            assert other.dtype == np.int64 and other.tolist() == want, (name, type(xs), getattr(xs, "dtype", None))
+        for x, y in [(0, 0), (0, q - 1), (q - 1, 0), (1, q - 1), (q - 1, q - 1)]:
+            for sx, sy in _scalar_forms(x, y):
+                one = op(sx, sy)
+                assert np.ndim(one) == 0 and np.asarray(one).dtype == np.int64 and one == want[x * q + y], (name, x, y)
+    negs = [F.neg(x) for x in range(q)]
+    for form in (codes, codes.tolist(), tuple(codes.tolist()), codes.astype(np.int32), codes.astype(np.uint8)):
+        got = F.neg_arr(form)
+        assert got.dtype == np.int64 and got.tolist() == negs
+        assert F.is_square_arr(form).tolist() == [F.is_square(x) for x in range(q)]
+    for x in (0, q - 1):
+        assert np.asarray(F.neg_arr(x)).dtype == np.int64 and F.neg_arr(np.asarray(x, dtype=np.uint8)) == negs[x]
+
+
+@pytest.mark.parametrize("q", ORDERS_64)
+def test_vector_ops_return_fresh_writable_arrays(q):
+    F = field_for_order(q)
+    codes = np.arange(q, dtype=np.int64)
+    a, b = np.repeat(codes, q), np.tile(codes, q)
+    a.flags.writeable = False
+    b.flags.writeable = False
+    square = a.reshape(q, q)
+    results = [
+        F.add_arr(a, b), F.sub_arr(a, b), F.mul_arr(a, b), F.neg_arr(a), F.neg_arr(b),
+        F.sum_arr(square, axis=1), F.matmul_arr(square, b.reshape(q, q)),
+    ]
+    for out in results:
+        assert out.dtype == np.int64 and out.flags.writeable
+        assert not np.shares_memory(out, a) and not np.shares_memory(out, b)

@@ -94,6 +94,28 @@ def test_batch_rank_agrees_with_single_rank(q):
         assert linalg.rank(F, m) == r
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25])
+def test_batch_rref_matches_single_rref(q):
+    F = field_for_order(q)
+    rng = np.random.default_rng(q + 23)
+    for nrows in range(6):
+        for ncols in range(6):
+            mats = rng.integers(0, q, size=(12, nrows, ncols))
+            mats[0] = 0  # the zero matrix
+            if nrows > 1 and ncols > 0:
+                mats[1, 1] = mats[1, 0]  # a repeated row
+                c = int(rng.integers(1, q)) if q > 2 else 1
+                mats[2, -1] = [F.mul(c, int(v)) for v in mats[2, 0]]  # a scaled row
+                mats[3] = [[F.mul(int(u), int(v)) for v in mats[3, 0]] for u in mats[3, :, 0]]  # rank at most 1
+            red, ranks = linalg.batch_rref(F, mats)
+            assert red.shape == mats.shape and ranks.shape == (12,)
+            for m, r, rank in zip(mats, red, ranks):
+                want = linalg.rref(F, m)[0]
+                assert rank == len(want), (nrows, ncols)
+                assert (r[:rank] == want).all(), (nrows, ncols)
+                assert (r[rank:] == 0).all(), (nrows, ncols)
+
+
 def test_batch_rank_rectangular_and_empty():
     F = field_for_order(3)
     rng = np.random.default_rng(3)
