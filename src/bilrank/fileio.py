@@ -174,14 +174,13 @@ def subspace_to_json(
     declared: Optional[dict] = None,
     self_verification: Optional[dict] = None,
 ) -> dict:
-    canon = M.canonical()
     obj = {
         "format": FORMAT_SUBSPACE,
         "version": VERSION,
         "field": field_to_json(M.field),
         "n": M.n,
-        "kind": canon.kind,
-        "basis": [{"n": M.n, "rows": g.tolist()} for g in canon.basis_flat().reshape(-1, M.n, M.n)],
+        "kind": M.kind,  # a property of the space, so the kind of the canonical basis too
+        "basis": [{"n": M.n, "rows": g.tolist()} for g in M.canonical_rows().reshape(-1, M.n, M.n)],
     }
     if declared is not None:
         obj["declared"] = declared

@@ -244,8 +244,9 @@ def witt_census(f: GramForm) -> WittCensus:
     test suite rather than trusted blindly.
 
     One form at a time, in pure Python: this is the oracle the tests hold
-    the verify path's bulk census (every line of M at once, from
-    `linalg.batch_det`) against, and `bilrank verify` does not call it.
+    the verify path's bulk census (every line of M at once, with
+    determinants read off the pivots of `linalg.batch_rref`'s sweep)
+    against, and `bilrank verify` does not call it.
     """
     if f.field.p == 2:
         raise ValueError("witt_census requires odd characteristic")

@@ -10,10 +10,11 @@ over the smallest generating code, found by the one primitivity test
 that also picks the canonical modulus; addition is digit-wise mod p.
 Every operation has a scalar form (plain ints) and a vectorised form on
 numpy arrays of codes, which is what the enumeration hot loops use.
-In the array tables only, the log of 0 is a sentinel: the length of the
-antilog list, from which index on the array antilog table holds zeros,
-so `mul_arr` is one gather with no mask for zero.  Vector subtraction is
-`(a - b) % p` over a prime field and XOR in characteristic 2.
+In every table, scalar and array, the log of 0 is a sentinel, 2(q - 1):
+the antilog table holds two cycles and then zeros, so a sum of logs that
+involves 0's reads 0, and `mul` and `mul_arr` are one lookup with no
+test for zero.  Vector subtraction is `(a - b) % p` over a prime field
+and XOR in characteristic 2.
 
 Field orders are capped at 2**16; the toolkit's experiments never need
 more, and the cap keeps every table dense and cheap.
@@ -223,13 +224,13 @@ class Field:
         for i in range(self.q - 1, len(exp)):
             exp[i] = exp[i - (self.q - 1)]
         self.generator = g
-        self._exp = exp
-        self._log = log
-        # the array tables give 0 the log len(exp): a sum of two logs that
+        # the tables give 0 the log len(exp): a sum of two logs that
         # involves it lands in the zero tail, so 0 times anything is 0
         zero_log = len(exp)
         self._exp_np = np.array(exp + [0] * (zero_log + 1), dtype=np.int64)
         self._log_np = np.array([zero_log] + log[1:], dtype=np.int64)
+        self._exp = self._exp_np.tolist()
+        self._log = self._log_np.tolist()
         self._inv = [0] * self.q
         for a in range(1, self.q):
             self._inv[a] = exp[(self.q - 1) - log[a]]
@@ -279,8 +280,6 @@ class Field:
         return self.add(a, self._neg[b])
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
         return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:

@@ -10,9 +10,8 @@ null spaces are, so a caller can drop repeats before the second
 `batch_rref` makes them canonical.  Echelon output is canonical
 (leading ones, cleared pivot columns, zero rows dropped or, in a stack,
 last) so equal row spaces have equal representations.
-`batch_det` is the forward half of the same sweep: determinants of a
-stack of square matrices, from the pivots and the parity of the row
-swaps.
+`batch_rref`'s sweep is the only batched elimination: `batch_det` reads
+determinants off the pivots it took and the row swaps it made.
 """
 
 from __future__ import annotations
@@ -82,20 +81,21 @@ def left_null_space(field, mat):
     return right_null_space(field, np.asarray(mat, dtype=np.int64).T)
 
 
-def batch_rref(field, mats):
-    """Canonical RREF of each matrix of a stack (B, rows, cols), zero rows last, and the ranks (B,).
+def _gauss_jordan(field, mats):
+    """`batch_rref`'s sweep, with a log of its pivots and row swaps.
 
-    One elimination sweep is shared by the whole batch; per-matrix pivot
-    choices are handled with masks, so the cost is O(cols) vectorised
-    passes regardless of batch size.
+    One entry (b, pivots, moved) per column in which any matrix took a
+    pivot: the indices b of those matrices, their pivots after the swap
+    and before scaling, and whether the swap moved a row.
     """
     m = np.array(mats, dtype=np.int64, copy=True)
     if m.ndim != 3:
         raise ValueError("expected a (batch, rows, cols) stack")
     nb, nrows, ncols = m.shape
     row = np.zeros(nb, dtype=np.int64)
+    log = []
     if nb == 0 or nrows == 0 or ncols == 0:
-        return m, row
+        return m, row, log
     rows_idx = np.arange(nrows)
     for c in range(ncols):
         colv = m[:, :, c]
@@ -106,11 +106,10 @@ def batch_rref(field, mats):
         b = np.nonzero(has)[0]
         r0 = row[b]
         p0 = eligible.argmax(axis=1)[b]
-        tmp = m[b, r0, :].copy()
-        m[b, r0, :] = m[b, p0, :]
-        m[b, p0, :] = tmp
-        inv = field._inv_np[m[b, r0, c]]
-        piv_rows = field.mul_arr(inv[:, None], m[b, r0, :])
+        m[b, r0, :], m[b, p0, :] = m[b, p0, :], m[b, r0, :]
+        piv = m[b, r0, c]
+        log.append((b, piv, p0 != r0))
+        piv_rows = field.mul_arr(field._inv_np[piv][:, None], m[b, r0, :])
         m[b, r0, :] = piv_rows
         factors = m[b, :, c]
         delta = field.mul_arr(factors[:, :, None], piv_rows[:, None, :])
@@ -120,7 +119,17 @@ def batch_rref(field, mats):
         row[b] += 1
         if (row == nrows).all():
             break
-    return m, row
+    return m, row, log
+
+
+def batch_rref(field, mats):
+    """Canonical RREF of each matrix of a stack (B, rows, cols), zero rows last, and the ranks (B,).
+
+    One elimination sweep is shared by the whole batch; per-matrix pivot
+    choices are handled with masks, so the cost is O(cols) vectorised
+    passes regardless of batch size.
+    """
+    return _gauss_jordan(field, mats)[:2]
 
 
 def batch_rank(field, mats):
@@ -131,29 +140,18 @@ def batch_rank(field, mats):
 def batch_det(field, mats):
     """Determinants of a stack of square matrices, shape (B, m, m) -> (B,).
 
-    One forward elimination across the stack: the determinant is the
-    product of the pivots, negated once per row swap; a column with no
-    pivot puts a zero pivot in the product.
+    Read off `batch_rref`'s sweep, whose clearing keeps the determinant:
+    the product of the pivots before scaling, each negated where its swap
+    moved a row, and 0 where the rank is below m.
     """
-    a = np.array(mats, dtype=np.int64, copy=True)
+    a = np.asarray(mats, dtype=np.int64)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError("expected a (batch, m, m) stack")
-    nb, m, _ = a.shape
-    det = np.ones(nb, dtype=np.int64)
-    swapped = np.zeros(nb, dtype=bool)
-    every = np.arange(nb)
-    for c in range(m):
-        below = a[:, c:, c] != 0
-        p = c + below.argmax(axis=1)  # c itself where the column is zero
-        swapped ^= p != c
-        top = a[every, p].copy()
-        a[every, p] = a[:, c]
-        a[:, c] = top
-        piv = a[:, c, c]
-        det = field.mul_arr(det, piv)
-        factors = field.mul_arr(a[:, c + 1:, c], field._inv_np[piv][:, None])  # zero for a zero pivot
-        a[:, c + 1:, c:] = field.sub_arr(a[:, c + 1:, c:], field.mul_arr(factors[:, :, None], top[:, None, c:]))
-    return np.where(swapped, field.neg_arr(det), det)
+    _, ranks, log = _gauss_jordan(field, a)
+    det = np.ones(len(a), dtype=np.int64)
+    for b, piv, moved in log:
+        det[b] = field.mul_arr(det[b], np.where(moved, field.neg_arr(piv), piv))
+    return np.where(ranks == a.shape[1], det, 0)
 
 
 def null_vectors(field, red, ranks):

@@ -174,9 +174,6 @@ class FormSubspace:
     def key(self):
         return tuple(tuple(int(v) for v in row) for row in self.canonical_rows())
 
-    def canonical(self) -> "FormSubspace":
-        return FormSubspace(self.field, self.n, self.canonical_rows().reshape(-1, self.n, self.n))
-
     def form_from_coefficients(self, coeffs) -> GramForm:
         if len(coeffs) != self.dim:
             raise ValueError(f"expected {self.dim} coefficients")

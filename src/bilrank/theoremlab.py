@@ -533,7 +533,8 @@ def check_maximality(
     """Is M maximal among constant rank m subspaces of its kind space?
 
     Exhaustive when the ambient kind space fits the budget, otherwise a
-    seeded sample of candidate extensions.  A found extension is
+    seeded sample of candidate extensions, charged per candidate as the
+    exhaustive scan is.  A found extension is
     conclusive either way and becomes the witness; a clean exhaustive
     scan certifies maximality.
     """
@@ -574,6 +575,7 @@ def check_maximality(
         rng = np.random.default_rng(seed)
         combos = [rng.integers(0, q, size=dk, dtype=np.int64) for _ in range(trials)]
         combos = np.array([c for c in combos if c.any()], dtype=np.int64).reshape(-1, dk)
+        charge(len(combos) * q**d, n * n, budget, tid)
         blocks = [(np.arange(1, len(combos) + 1), fld.matmul_arr(combos, ambient.basis_flat()))]
         tried = len(combos)
     per_call = max(1, 8192 // len(stack))  # candidates per batch_rank call

@@ -188,18 +188,28 @@ def leibniz_det(field, mat) -> int:
     return total
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 9, 25])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
 def test_batch_det_matches_leibniz(q):
     F = field_for_order(q)
     rng = np.random.default_rng(q + 11)
-    for m in range(5):
-        mats = rng.integers(0, q, size=(40, m, m))
-        mats[::5, :, :1] = 0  # a zero column
+    for m in range(6):
+        mats = rng.integers(0, q, size=(48, m, m))
+        mats[::6, :, :1] = 0  # a zero column
         if m > 1:
-            mats[1::5, 1] = mats[1::5, 0]  # a repeated row
-            mats[2::5] = mats[2::5][:, ::-1]  # row swaps on the way
+            mats[1::6, 1] = mats[1::6, 0]  # a repeated row
+            mats[2::6] = mats[2::6][:, ::-1]  # row swaps on the way
+        if m > 2:
+            mats[3::6, :, 2] = F.add_arr(mats[3::6, :, 0], mats[3::6, :, 1])  # no pivot in a middle column
+        upper = np.triu(mats[4::6], 1)
+        upper[:, np.arange(m), np.arange(m)] = rng.integers(1, q, size=(len(upper), m))
+        mats[4::6] = upper[:, ::-1]  # invertible, and a swap in nearly every column
+        for i in range(5, 48, 6):  # ranks 0 to m across the stack
+            r = i % (m + 1)
+            mats[i] = F.matmul_arr(rng.integers(0, q, size=(m, r)), rng.integers(0, q, size=(r, m)))
+        if m:
+            assert len(set(linalg.batch_rank(F, mats).tolist())) > 1
         got = linalg.batch_det(F, mats)
-        assert got.shape == (40,)
+        assert got.shape == (48,)
         assert got.tolist() == [leibniz_det(F, a) for a in mats], m
     assert linalg.batch_det(F, np.zeros((0, 3, 3), dtype=np.int64)).shape == (0,)
     with pytest.raises(ValueError):

@@ -437,6 +437,22 @@ def test_maximality_violation_with_witness():
     assert tl.replay_witness(M, rep.witness)
 
 
+def test_sampled_maximality_is_charged():
+    # each drawn candidate costs its q^d sums at n^2 cells, as in the exhaustive scan
+    M = cons.alternating_pencil(F3, 3)
+    q, n, d, dk = 3, 3, M.dim, sp.full_kind_space(F3, 3, M.kind).dim
+    rng = np.random.default_rng(7)
+    drawn = sum(bool(rng.integers(0, q, size=dk, dtype=np.int64).any()) for _ in range(10))
+    cost = drawn * q**d * n * n
+    assert cost < q**dk * q**d * n * n  # under the exhaustive scan's cost, so the scan is sampled
+    over = tl.check_maximality(M, budget=cost - 1, seed=7, trials=10)
+    assert over.verdict == tl.BUDGET_EXCEEDED
+    assert over.details["budget_error"] == f"maximality needs {cost} steps, budget is {cost - 1}"
+    at = tl.check_maximality(M, budget=cost, seed=7, trials=10)
+    assert at.verdict != tl.BUDGET_EXCEEDED
+    assert at.details["mode"] == "sampled"
+
+
 def _maximality_reference(M, candidates):
     """(candidates tried, first extension) by contains_form and formcore.rank, one candidate at a time."""
     m = sp.rank_spectrum(M).m
@@ -485,12 +501,13 @@ def test_maximality_matches_per_candidate_reference(constant_rank_catalogue):
         size = q**ambient.dim * q**M.dim * n * n
         if q**M.dim > 81 or size > 10**6:
             continue
+        trials = min(30, q**ambient.dim - 1)  # the sampled scan is charged, and must fit under size - 1
         rng = np.random.default_rng(5)
-        combos = [rng.integers(0, q, size=ambient.dim, dtype=np.int64) for _ in range(30)]
+        combos = [rng.integers(0, q, size=ambient.dim, dtype=np.int64) for _ in range(trials)]
         sampled = [ambient.form_from_coefficients(c) for c in combos if c.any()]
         for budget, seed, candidates in ((None, None, [f for _, f in sp.enumerate_nonzero(ambient)]),
                                          (size - 1, 5, sampled)):
-            rep = tl.check_maximality(M, budget=budget, seed=seed, trials=30)
+            rep = tl.check_maximality(M, budget=budget, seed=seed, trials=trials)
             tried, extension = _maximality_reference(M, candidates)
             got = (rep.details.get("informational") or {}).get("witness")
             assert rep.details["candidates_tried"] == tried, req
