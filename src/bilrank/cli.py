@@ -176,7 +176,7 @@ def _hunt(args, field, log, entropy, d, kind, accept, claims) -> dict:
 
     ``--out`` gets a find with its ``claims`` and, as parameters, the q, n, s and seed in ``log``.
     """
-    for trial, child in enumerate(np.random.SeedSequence(entropy).spawn(args.trials)):
+    for trial, child in enumerate(np.random.SeedSequence(entropy).spawn(args.trials or 0)):
         M = random_subspace(field, args.n, d, kind, child)
         log["trials_run"] = trial + 1
         try:
@@ -210,9 +210,8 @@ def _search_rank2_distinct_radicals(args, budget):
 
 def _search_maximal(args, budget):
     loaded = fileio.read_subspace(args.file)
-    report = theoremlab.check_maximality(
-        loaded.subspace, budget, loaded.declared, seed=args.seed
-    )
+    trials = {} if args.trials is None else {"trials": args.trials}  # unset: check_maximality's default
+    report = theoremlab.check_maximality(loaded.subspace, budget, loaded.declared, seed=args.seed, **trials)
     return {
         "mode": args.mode,
         "file": args.file,
@@ -420,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--s", type=int, default=1, help="smallest half-rank for alt-spectrum")
     s.add_argument("--file", help="fixture to confirm (maximal mode)")
     s.add_argument("--seed", type=int)
-    s.add_argument("--trials", type=int, default=0)
+    s.add_argument("--trials", type=int, help="draws per hunt (default 0), or maximality samples (default 1000)")
     s.add_argument("--out", help="write any found fixture here")
     s.add_argument("--log", help="write the search log here")
     s.set_defaults(func=lambda args: cmd_search(args))

@@ -26,9 +26,10 @@ counts its ranks q - 1 times each, `lines` reads the right radicals off
 `reduced` and adds the left ones, and the spectrum witness and the Witt
 census (its pivot columns) read it too, with no second elimination.
 
-V is treated the same way.  M_{cu} = M_u, so `kernel_dims_all` solves
-dim M_u only at the lead-1 representative of each line of V, indexed
-by the same `line_representatives`, and spreads it over the line.
+V is indexed by its lines too: M_{cu} = M_u, A_{cu} = A_u, and
+radicals, spreads and I(M) are unions of lines, so `kernel_dims_all`,
+`max_rank_incidence` and `partition_status` keep one entry per line
+of V, in `line_representatives(q, n)` order.
 
 One side stands for both where it can.  A symmetric or alternating M
 has G^T = +-G for every form, so rad_L G = rad_R G and the left and
@@ -47,7 +48,7 @@ those get the final `batch_rref`.  A `NullSpaces` is its output: the
 stacked canonical bases of the distinct spaces, their dimensions and an
 id per matrix, so the radical census, the radical spread, the
 orthogonality checker and `max_rank_incidence` index the stack and test
-each distinct radical once; `_point_blocks` lists the points of its
+each distinct radical once; `_line_blocks` lists the lines of its
 spaces for that incidence and `partition_status`.  I(M) is an array too.
 
 Operations that walk q^d or q^n objects take an explicit step budget
@@ -407,39 +408,28 @@ def kernel_at(M: FormSubspace, u, side: str = "left") -> FormSubspace:
 
 
 def kernel_dims_all(M: FormSubspace, side: str, budget: Optional[int] = None):
-    """dim M_u for every u in V, ordered by vector index: a (q^n,) array, stored per solved side.
-
-    M_{cu} = M_u, so only the representative of each line is solved and
-    every other u reads its line's value.
-    """
+    """dim M_u per line of V, solved at its lead-1 u: an (L,) array in `line_representatives(q, n)` order."""
     charge(M.field.q**M.n, M.dim * M.n, budget, "kernel_dims_all")
     side = _solved_side(M, side)
     return _stored(M, ("kernel_dims_all", side), lambda: _kernel_dims(M, side))
 
 
 def _kernel_dims(M: FormSubspace, side: str):
-    fld, q, n, d = M.field, M.field.q, M.n, M.dim
-    vecs = linalg.code_vectors(q, n)
-    reps = line_representatives(q, n)
-    out = np.empty(q**n, dtype=np.int64)
-    out[0] = d
-    for start in range(0, len(reps), _BLOCK):
-        at = reps[start:start + _BLOCK]
-        out[at] = d - linalg.batch_rank(fld, kernel_matrices(M, vecs[at], side))
-    # u = c v for v its line's representative, c its leading entry (u = 0 maps to itself)
-    lead = vecs[np.arange(q**n), np.argmax(vecs != 0, axis=1)]
-    return out[linalg.code_index(q, fld.mul_arr(fld._inv_np[lead][:, None], vecs))]
+    vecs = linalg.code_vectors(M.field.q, M.n, line_representatives(M.field.q, M.n))
+    starts = range(0, max(len(vecs), 1), _BLOCK)  # V = {0} has no lines: one empty block
+    return M.dim - np.concatenate([linalg.batch_rank(M.field, kernel_matrices(M, vecs[s:s + _BLOCK], side))
+                                   for s in starts])
 
 
 def max_rank_incidence(M: FormSubspace, side: str, budget: Optional[int] = None):
     """Which M_u hold an element of the maximal rank m, and is its radical shared?
 
-    Returns two (q^n,) boolean arrays ordered by vector index: whether
-    M_u holds a rank-m element, and whether all rank-m elements of M_u
-    have the same radical on the other side (vacuously true when there
-    are none).  M_u = {f in M : u in rad f} on the chosen side, so both
-    are incidences between V and the radicals of the rank-m lines, stored
-    per solved side and charged by `lines`.
+    Returns two (L,) boolean arrays, one entry per line of V as in
+    `kernel_dims_all`: whether M_u holds a rank-m element, and whether all
+    rank-m elements of M_u have the same radical on the other side
+    (vacuously true when there are none).  M_u = {f in M : u in rad f} on
+    the chosen side, so both are incidences between the lines of V and the
+    radicals of the rank-m lines, stored per solved side and charged by `lines`.
     """
     _, ranks, left, right = lines(M, budget)
     side = _solved_side(M, side)
@@ -456,11 +446,11 @@ def _max_rank_incidence(M: FormSubspace, ranks, own: NullSpaces, other: NullSpac
     hi = np.full(len(own.dims), -1, dtype=np.int64)
     np.minimum.at(lo, own.ids[top], other.ids[top])
     np.maximum.at(hi, own.ids[top], other.ids[top])
-    # spread them over the points of those radicals, all of dim n - m
+    # spread them over the lines of those radicals, all of dim n - m
     rads = np.flatnonzero(hi >= 0)
-    at_lo = np.full(q**n, len(other.dims), dtype=np.int64)
-    at_hi = np.full(q**n, -1, dtype=np.int64)
-    for start, at in _point_blocks(M.field, own.bases[rads], n - m):
+    at_lo = np.full((q**n - 1) // (q - 1), len(other.dims), dtype=np.int64)
+    at_hi = np.full(len(at_lo), -1, dtype=np.int64)
+    for start, at in _line_blocks(M.field, own.bases[rads], n - m):
         block = rads[start:start + len(at)]
         np.minimum.at(at_lo, at, lo[block, None])
         np.maximum.at(at_hi, at, hi[block, None])
@@ -483,9 +473,11 @@ def v_set(M: FormSubspace, side: str, budget: Optional[int] = None) -> VSetRepor
     The flag states the truth for this input; closure under addition is
     a theorem only under hypotheses, so it is never assumed.
     """
-    dims = kernel_dims_all(M, side, budget)
-    vecs = linalg.code_vectors(M.field.q, M.n)
-    pts = vecs[dims > 0]
+    q, n = M.field.q, M.n
+    lead_one = linalg.code_vectors(q, n, line_representatives(q, n)[kernel_dims_all(M, side, budget) > 0])
+    # V(M) is the union of those lines, and of {0} when M_0 = M is not zero: listed by vector index
+    on_lines = linalg.code_index(q, M.field.mul_arr(np.arange(1, q)[:, None, None], lead_one).reshape(-1, n))
+    pts = linalg.code_vectors(q, n, np.sort(np.append(on_lines, [0] * min(M.dim, 1))))
     if len(pts) == 0:
         return VSetReport(True, (), Subspace.zero(M.field, M.n))
     spanned = Subspace.from_rows(M.field, M.n, pts)
@@ -515,13 +507,12 @@ def isotropic_set(M: FormSubspace, budget: Optional[int] = None):
 
 def _isotropic_set(M: FormSubspace):
     fld, n = M.field, M.n
-    vecs = linalg.code_vectors(fld.q, n)
+    vecs = linalg.code_vectors(fld.q, n)[1:]  # the nonzero vectors
     mask = np.ones(len(vecs), dtype=bool)
     for g in M._flat.reshape(-1, n, n):
         tv = fld.matmul_arr(vecs, g)
         quad = fld.sum_arr(fld.mul_arr(tv, vecs), axis=1)
         mask &= quad == 0
-    mask[0] = False
     return vecs[mask]
 
 
@@ -535,31 +526,32 @@ class SpreadReport:
     pairwise_trivial: bool
 
 
-def _point_blocks(field: Field, bases, k: int):
-    """Yield (start, at) over the k-dimensional spaces of an (S, c, c) basis stack, about _BLOCK points at a time.
+def _line_blocks(field: Field, bases, k: int):
+    """Yield (start, at) over the k-dimensional spaces of an (S, c, c) basis stack, about _BLOCK lines at a time.
 
-    `at[i]` is the `code_index` of the q^k points of the span of `bases[start + i, :k]`.
+    `at[i]` holds the positions in `line_representatives(q, c)` of the lines of the span of `bases[start + i, :k]`,
+    which must be in reduced row echelon form, as every `NullSpaces` basis is: then lead-1 combinations are lead-1.
     """
-    q = field.q
-    coeffs, per = linalg.code_vectors(q, k), max(1, _BLOCK // q**k)
+    q, c = field.q, bases.shape[2]
+    coeffs, reps = linalg.code_vectors(q, k, line_representatives(q, k)), line_representatives(q, c)
+    per = max(1, _BLOCK // max(len(coeffs), 1))
     for start in range(0, len(bases), per):
-        points = field.matmul_arr(coeffs, bases[start:start + per, :k])
-        yield start, linalg.code_index(q, points.reshape(-1, bases.shape[2])).reshape(-1, len(coeffs))
+        lead_one = field.matmul_arr(coeffs, bases[start:start + per, :k])
+        yield start, np.searchsorted(reps, linalg.code_index(q, lead_one.reshape(-1, c))).reshape(len(lead_one), -1)
 
 
 def partition_status(field: Field, bases, dims) -> tuple[bool, np.ndarray]:
-    """(pairwise trivial, union) for the nonzero points of the spaces `bases[j, :dims[j]]` of one V.
+    """(pairwise trivial, union) for the spaces `bases[j, :dims[j]]` of one V, each basis in reduced form.
 
-    The union is given as the ascending `code_index` of its points.  The
-    nonzero point sets meet pairwise trivially iff no point is hit twice,
-    so a space listed twice counts twice.
+    The union is a boolean mask over the lines of V, in `line_representatives` order.
+    Two subspaces meet trivially iff they share no line, so the spaces meet pairwise
+    trivially iff no line is hit twice, and a space listed twice counts twice.
     """
-    at = [np.zeros(1, dtype=np.int64)]
+    at = [np.zeros(0, dtype=np.int64)]
     for k in sorted(set(dims.tolist())):
-        at.extend(points.reshape(-1) for _, points in _point_blocks(field, bases[dims == k], k))
-    hits = np.bincount(np.concatenate(at))
-    hits[0] = 0  # index 0 is the zero vector
-    return bool((hits <= 1).all()), np.flatnonzero(hits)
+        at.extend(ids.reshape(-1) for _, ids in _line_blocks(field, bases[dims == k], k))
+    hits = np.bincount(np.concatenate(at), minlength=(field.q**bases.shape[2] - 1) // (field.q - 1))
+    return bool((hits <= 1).all()), hits > 0
 
 
 def radical_spread(M: FormSubspace, budget: Optional[int] = None) -> SpreadReport:
@@ -571,7 +563,7 @@ def radical_spread(M: FormSubspace, budget: Optional[int] = None) -> SpreadRepor
         raise ValueError(f"radical_spread requires constant rank, spectrum is {spec.ranks}")
     radicals = lines(M, budget)[3]
     pairwise_trivial, union = partition_status(M.field, radicals.bases, radicals.dims)
-    return SpreadReport(radicals, len(radicals.dims), len(union) == M.field.q**M.n - 1, pairwise_trivial)
+    return SpreadReport(radicals, len(radicals.dims), bool(union.all()), pairwise_trivial)
 
 
 def induced_partition(M: FormSubspace, radicals: NullSpaces) -> tuple[list[int], bool, bool]:
@@ -580,12 +572,12 @@ def induced_partition(M: FormSubspace, radicals: NullSpaces) -> tuple[list[int],
     Returns their dimensions and whether their nonzero elements meet
     pairwise trivially and cover M^x.
     """
-    fld, q, n, d = M.field, M.field.q, M.n, M.dim
+    fld, n, d = M.field, M.n, M.dim
     # one system per radical: the kernel matrices of its basis rows, the zero rows past its dim adding none
     k = int(radicals.dims.max(initial=0))
     found = null_spaces(fld, kernel_matrices(M, radicals.bases[:, :k], "left").reshape(len(radicals.dims), k * n, d))
     pairwise_trivial, union = partition_status(fld, found.bases[found.ids], found.dims[found.ids])
-    return found.dims[found.ids].tolist(), pairwise_trivial, len(union) == q**d - 1
+    return found.dims[found.ids].tolist(), pairwise_trivial, bool(union.all())
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ and only asserts the conclusion when all of them hold; otherwise the
 verdict is "not-applicable" and the conclusion's truth value is still
 computed and recorded as informational, because the boundary cases are
 exactly where tightness shows.  A "violated" verdict always carries a
-witness that can be replayed through formcore, bit for bit.
+witness, and `replay_witness` re-runs it through formcore or a one-vector
+solve, bit for bit, for every kind but the recorded counts of the spread,
+isotropic-partition, Witt-census and filtration checkers.
 
 Floor/ceiling boundaries are implemented exactly as each theorem states
 them; constant rank is always re-derived from the spectrum, never read
@@ -38,7 +40,7 @@ from .spanspace import (
     full_kind_space,
     induced_partition,
     isotropic_set,
-    kernel_at,  # unused here; perfbench/test_perfbench.py traces it under this name
+    kernel_at,
     kernel_dims_all,
     kernel_matrices,
     line_representatives,
@@ -213,8 +215,7 @@ def check_counting_identity(tid, M: FormSubspace, budget: Optional[int] = None) 
     spec = rank_spectrum(M, budget)
     hyps = _shared(M, spec, "constant rank")
     q, d, n, m = M.field.q, M.dim, M.n, spec.m
-    dims = kernel_dims_all(M, "left", budget)
-    hist = np.bincount(dims[1:], minlength=d + 1) if q**n > 1 else np.zeros(d + 1, dtype=np.int64)
+    hist = np.bincount(kernel_dims_all(M, "left", budget), minlength=d + 1) * (q - 1)  # q - 1 u per line
     rhs = sum(int(c) * (q**k - 1) for k, c in enumerate(hist))
     lhs = (q**d - 1) * (q ** (n - m) - 1)
     witness = {
@@ -240,12 +241,10 @@ def check_kernel_bounds(tid, M: FormSubspace, budget: Optional[int] = None) -> V
     alternating = M.kind == KIND_ALTERNATING
     charge(q**n, max(d * n, 1), budget, tid)
     sides = ("left", "right")
-    dims = np.stack([kernel_dims_all(M, side, budget) for side in sides], axis=1)  # (q^n, 2)
+    dims = np.stack([kernel_dims_all(M, side, budget) for side in sides], axis=1)  # (lines of V, 2)
     holds = shared = np.zeros_like(dims, dtype=bool)
     if m and q >= m + 1:  # the zero subspace has no lines to look at
-        incidence = [max_rank_incidence(M, side, budget) for side in sides]
-        holds = np.stack([h for h, _ in incidence], axis=1)
-        shared = np.stack([s for _, s in incidence], axis=1)
+        holds, shared = (np.stack(part, axis=1) for part in zip(*(max_rank_incidence(M, x, budget) for x in sides)))
     # (lemma, bound, where it fails), in the order each (u, side) is tested
     lemmas = (
         ("dim >= dim M - n", d - n, dims < d - n),
@@ -253,16 +252,15 @@ def check_kernel_bounds(tid, M: FormSubspace, budget: Optional[int] = None) -> V
         ("dim >= dim M - m", d - m, holds & (dims < d - m)),
         ("equality case: shared radical", None, holds & (dims == d - m) & ~shared),
     )
-    # M_{cu} = M_u, so one representative per line is exhaustive
-    reps = line_representatives(q, n)
-    failing = np.argwhere(np.logical_or.reduce([f for _, _, f in lemmas])[reps])
+    # M_{cu} = M_u, so one lead-1 u per line is exhaustive
+    failing = np.argwhere(np.logical_or.reduce([f for _, _, f in lemmas]))
     violation = None
     if len(failing):
         at, s = (int(v) for v in failing[0])
-        idx, u = int(reps[at]), linalg.code_vectors(q, n, reps[at:at + 1])[0]
-        lemma, bound = next((lem, b) for lem, b, f in lemmas if f[idx, s])
+        u = linalg.code_vectors(q, n, line_representatives(q, n)[at:at + 1])[0]
+        lemma, bound = next((lem, b) for lem, b, f in lemmas if f[at, s])
         violation = {"kind": "kernel-bound", "u": [int(v) for v in u], "side": sides[s],
-                     "dim_kernel": int(dims[idx, s]), "lemma": lemma}
+                     "dim_kernel": int(dims[at, s]), "lemma": lemma}
         if bound is None:
             violation["distinct_radicals"] = _distinct_radicals(M, u, sides[s], m, budget)
         else:
@@ -444,19 +442,20 @@ def check_isotropic_partition(tid, M: FormSubspace, budget: Optional[int] = None
     if not M.symmetric or q % 2 == 0:
         return _finish(tid, hyps, False, None, {"note": "isotropic set undefined here"})
     iso = isotropic_set(M, budget)
-    iso_at = linalg.code_index(q, iso)
-    # A_u is the null space of the rows u^T G_i: one system per isotropic u
-    classes = null_spaces(M.field, kernel_matrices(M, iso, "left").transpose(0, 2, 1))
+    on_iso = np.isin(line_representatives(q, n), linalg.code_index(q, iso))  # I(M) is a union of lines
+    # A_u is the null space of the rows u^T G_i, and A_{cu} = A_u: one system per isotropic line
+    lead_one = linalg.code_vectors(q, n, line_representatives(q, n)[on_iso])
+    classes = null_spaces(M.field, kernel_matrices(M, lead_one, "left").transpose(0, 2, 1))
     r_classes, class_dims = len(classes.dims), classes.dims.tolist()
     pairwise_trivial, union = partition_status(M.field, classes.bases, classes.dims)
-    partition_ok = pairwise_trivial and np.array_equal(union, iso_at)
+    partition_ok = pairwise_trivial and np.array_equal(union, on_iso)
     lhs = sum((q**k - 1) ** 2 for k in class_dims)
     rhs = (q**n - 1) * (q ** (n - m) - 1)
     sum_ok = lhs == rhs
     r_ok = r_classes != 1 and (m >= n or r_classes >= 2)
     dim_match = True
     if d == n:
-        dim_match = bool((kernel_dims_all(M, "left", budget)[iso_at] == classes.dims[classes.ids]).all())
+        dim_match = bool((kernel_dims_all(M, "left", budget)[on_iso] == classes.dims[classes.ids]).all())
     ok = partition_ok and sum_ok and r_ok and dim_match
     witness = {
         "kind": "isotropic-partition",
@@ -775,6 +774,16 @@ def replay_witness(M: FormSubspace, witness: dict) -> bool:
         if witness.get("actual_t") is None:
             return not rank_spectrum(M).is_constant_rank or M.kind != KIND_ALTERNATING
         return radical_spread(M).t == witness["actual_t"] != witness["declared_t"]
+    if kind == "kernel-bound":  # one kernel_at solve at u, and formcore ranks; the lemmas' gates are the report's
+        K, lemma, d, n = kernel_at(M, witness["u"], witness["side"]), witness["lemma"], M.dim, M.n
+        bounds = {"dim >= dim M - n": d - n, "alternating dim >= dim M - (n-1)": d - (n - 1)}
+        if lemma in bounds:
+            return K.dim == witness["dim_kernel"] < bounds[lemma]
+        m, other = rank_spectrum(M).m, right_radical if witness["side"] == "left" else left_radical
+        rads = {other(f).key() for _, f in enumerate_nonzero(K) if rank(f) == m}  # of M_u's rank-m elements
+        if lemma == "dim >= dim M - m":
+            return bool(rads) and K.dim == witness["dim_kernel"] < d - m
+        return K.dim == witness["dim_kernel"] == d - m and len(rads) == witness["distinct_radicals"] > 1
     if kind == "counting-identity":
         rep = check_counting_identity(M)
         return rep.details["lhs"] == witness["lhs"] and rep.details["rhs"] == witness["rhs"]

@@ -378,6 +378,19 @@ def test_search_maximal_exits_by_its_verdict(tmp_path, budget, verdict, code):
     assert read_json(log)["verdict"] == verdict
 
 
+def test_search_maximal_passes_trials_to_the_sampled_scan(tmp_path, monkeypatch, capsys):
+    """--trials caps a seeded scan's draws; without it the scan draws check_maximality's default 1000, as it did."""
+    monkeypatch.chdir(tmp_path)
+    assert run(["construct", "--name", "alt-pencil", "--q", "3", "--n", "5", "--out", "ap.json"]) == 0
+    capsys.readouterr()
+    argv = ["search", "maximal", "--file", "ap.json", "--seed", "17", "--json"]
+    assert run([*argv, "--trials", "3"]) == 0
+    details = json.loads(capsys.readouterr().out)["details"]
+    assert details["mode"] == "sampled" and details["candidates_tried"] <= 3
+    # the output of the run without --trials, candidates_tried 1000, before the flag was passed through
+    assert _call_digest(argv, capsys) == "cc32eeb068958ee9453e292fca412e225eddef6697c41e566aafe3fdf8427880"
+
+
 def test_search_alt_spectrum_trivial_case(tmp_path):
     # n = 3, s = 1: the target is Alt(V) itself, found immediately
     fix = str(tmp_path / "alt.json")

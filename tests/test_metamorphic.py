@@ -146,7 +146,8 @@ def _assert_transposition_swaps_sides(M, declared, monkeypatch):
     assert M.kind == "general"
     image = _transposed(M)
     reports, counts, steps = _outcome(M, declared, monkeypatch)
-    right_dims = np.bincount(sp.kernel_dims_all(M, "right")[1:], minlength=M.dim + 1)
+    # one entry per line of V, which holds q - 1 nonzero u
+    right_dims = np.bincount(sp.kernel_dims_all(M, "right"), minlength=M.dim + 1) * (M.field.q - 1)
     for report in reports:
         for witness in _witnesses(report):
             if witness["kind"] == "counting-identity":

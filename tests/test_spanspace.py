@@ -1,5 +1,6 @@
 """Subspace enumeration, spectra and the derived sets of the theory."""
 
+import functools
 import hashlib
 import itertools
 from collections import Counter
@@ -225,6 +226,57 @@ def test_line_representatives_are_the_ascending_lead_one_codes(q, k):
     assert sp.line_representatives(q, k).tolist() == lead_one
 
 
+@functools.lru_cache(maxsize=None)
+def _line_positions(q, n):
+    return {code: i for i, code in enumerate(sp.line_representatives(q, n).tolist())}
+
+
+def _line_id(F, u):
+    """The position in line_representatives of the line of a nonzero u: u scaled by the scalar inverse of its lead."""
+    c = F.inv(next(int(v) for v in u if v))
+    code = 0
+    for v in u:
+        code = code * F.q + F.mul(c, int(v))
+    return _line_positions(F.q, len(u))[code]
+
+
+def _lines_of_V(F, n):
+    """The line id of every nonzero u of V, in vector-index order: where a per-line array is read per u."""
+    return np.array([_line_id(F, u) for u in itertools.product(range(F.q), repeat=n) if any(u)], dtype=np.int64)
+
+
+def _span_points(F, rows):
+    """Every point of the row span, with scalar field arithmetic."""
+    n = len(rows[0]) if len(rows) else 0
+    for coeffs in itertools.product(range(F.q), repeat=len(rows)):
+        point = [0] * n
+        for c, row in zip(coeffs, rows):
+            point = [F.add(x, F.mul(c, int(v))) for x, v in zip(point, row)]
+        yield point
+
+
+@pytest.mark.parametrize("block", [1, sp._BLOCK])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_line_listing_matches_normalised_points(q, block, monkeypatch):
+    """_line_blocks' line ids of each canonical basis against its span's nonzero points, normalised by scalar inv."""
+    monkeypatch.setattr(sp, "_BLOCK", block)  # 1: one space per block
+    F = field_for_order(q)
+    rng = np.random.default_rng(q + 53)
+    spaces = 0
+    for n in range(1, 5):
+        for k in range(min(n, 3) + 1):
+            subs = [fc.Subspace.from_rows(F, n, _random_of_rank(F, rng, n, k).T) for _ in range(3)]
+            subs.append(subs[0])  # a repeated space
+            bases, dims = _stack(n, subs)
+            got = np.concatenate([at for _, at in sp._line_blocks(F, bases, k)])
+            assert got.shape == (len(subs), (q**k - 1) // (q - 1)) and (dims == k).all()
+            for sub, ids in zip(subs, got.tolist()):
+                want = {_line_id(F, pt) for pt in _span_points(F, sub.rows.tolist()) if any(pt)}
+                assert sorted(ids) == sorted(want), (q, n, k, sub.rows.tolist())
+                spaces += 1
+    assert spaces == 4 * sum(min(n, 3) + 1 for n in range(1, 5))
+
+
 @pytest.mark.parametrize("projective", [False, True])
 def test_scan_blocks_lists_codes_in_order_and_charges_nothing(projective, monkeypatch):
     monkeypatch.setattr(sp, "_BLOCK", 5)
@@ -370,27 +422,26 @@ def test_kernel_at_common_radical_returns_everything():
 
 def test_kernel_dims_all_agrees_with_kernel_at():
     M = cons.block_symmetric(F3, 4, 1)
-    dims = sp.kernel_dims_all(M, "left")
-    vecs = linalg.code_vectors(3, 4)
-    for idx in (0, 1, 7, 40, 80):
-        assert dims[idx] == sp.kernel_at(M, vecs[idx], "left").dim
+    dims = sp.kernel_dims_all(M, "left")[_lines_of_V(F3, 4)]  # each nonzero u reads its line's entry
+    vecs = linalg.code_vectors(3, 4)[1:]
+    assert dims.tolist() == [sp.kernel_at(M, u, "left").dim for u in vecs]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
 def test_kernel_dims_all_matches_kernel_at_everywhere(q):
-    """Every u and both sides against one kernel_at solve each: the line scatter must not matter."""
+    """Every nonzero u and both sides against one kernel_at solve each: u reads its line's entry."""
     F = field_for_order(q)
     n = 3
     rng = np.random.default_rng(100 + q)
     draws = [sp.span([], field=F, n=n)] + [
         sp.random_subspace(F, n, int(rng.integers(1, 4)), kind, int(rng.integers(1 << 30))) for kind in sp.KINDS
     ]
-    vecs = linalg.code_vectors(q, n)
+    vecs, line = linalg.code_vectors(q, n)[1:], _lines_of_V(F, n)
     for M in draws:
         for side in ("left", "right"):
             dims = sp.kernel_dims_all(M, side)
-            assert dims.shape == (q**n,) and not dims.flags.writeable
-            assert dims.tolist() == [sp.kernel_at(M, u, side).dim for u in vecs]
+            assert dims.shape == ((q**n - 1) // (q - 1),) and not dims.flags.writeable
+            assert dims[line].tolist() == [sp.kernel_at(M, u, side).dim for u in vecs]
             assert sp.kernel_dims_all(M, side) is dims
         if M.dim:
             with pytest.raises(sp.BudgetExceeded):  # the stored array does not skip the charge
@@ -562,21 +613,17 @@ def _random_of_rank(F, rng, rows, rank):
 
 
 def _brute_incidence(M, side, m):
-    """(dim M_u, M_u holds a rank-m element, those share one radical) per u."""
-    q, n = M.field.q, M.n
+    """(dim M_u, M_u holds a rank-m element, those share one radical) per nonzero u, solved at each u."""
     other = fc.right_radical if side == "left" else fc.left_radical
-    out = {}
-    for u in itertools.product(range(q), repeat=n):
-        lead = next((v for v in u if v), 1)
-        if lead != 1:
-            continue  # M_{cu} = M_u: filled in from the representative below
+    out = []
+    for u in itertools.product(range(M.field.q), repeat=M.n):
+        if not any(u):
+            continue
         K = sp.kernel_at(M, u, side)
         holds = K.dim > 0 and m in sp.rank_spectrum(K).ranks
         rads = {other(f).key() for _, f in sp.enumerate_nonzero(K) if fc.rank(f) == m} if holds else set()
-        for c in range(1, q):
-            cu = tuple(M.field.mul(c, v) for v in u)
-            out[cu] = (K.dim, holds, len(rads) <= 1)
-    return [out[u] for u in itertools.product(range(q), repeat=n)]
+        out.append((K.dim, holds, len(rads) <= 1))
+    return out
 
 
 def _catalogue_up_to(points):
@@ -597,11 +644,12 @@ def test_max_rank_incidence_matches_brute_force(req):
 
 
 def _assert_incidence_matches_brute_force(M):
-    m = sp.rank_spectrum(M).m
+    m, line = sp.rank_spectrum(M).m, _lines_of_V(M.field, M.n)
     for side in ("left", "right"):
         dims = sp.kernel_dims_all(M, side)
         holds, shared = sp.max_rank_incidence(M, side)
-        got = list(zip(dims.tolist(), holds.tolist(), shared.tolist()))
+        assert dims.shape == holds.shape == shared.shape == ((M.field.q**M.n - 1) // (M.field.q - 1),)
+        got = list(zip(dims[line].tolist(), holds[line].tolist(), shared[line].tolist()))  # per nonzero u
         assert got == _brute_incidence(M, side, m)
 
 
@@ -639,8 +687,8 @@ def _assert_sides_match_per_line_and_per_u_solves(M):
         g = _scalar_form(M, c).entries
         assert _rows(left, left.ids[i]).tolist() == linalg.left_null_space(F, g).tolist(), (M, c)
         assert _rows(right, right.ids[i]).tolist() == linalg.right_null_space(F, g).tolist(), (M, c)
-    vecs = linalg.code_vectors(F.q, M.n)
-    assert sp.kernel_dims_all(M, "right").tolist() == [sp.kernel_at(M, u, "right").dim for u in vecs], M
+    vecs, line = linalg.code_vectors(F.q, M.n)[1:], _lines_of_V(F, M.n)
+    assert sp.kernel_dims_all(M, "right")[line].tolist() == [sp.kernel_at(M, u, "right").dim for u in vecs], M
 
 
 def test_one_side_matches_per_line_and_per_u_solves(catalogue):
@@ -844,7 +892,7 @@ def test_annihilator_dim_equals_kernel_dim_at_full_dimension():
 @pytest.mark.parametrize("block", [4, sp._BLOCK])
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
 def test_partition_status_matches_point_by_point_containment(q, block, monkeypatch):
-    """Hits per vector counted with Subspace.contains over all of V, against the stacked products."""
+    """Hits per nonzero vector counted with Subspace.contains over all of V, against the stacked line listings."""
     monkeypatch.setattr(sp, "_BLOCK", block)  # 4 splits every dimension's stack into blocks
     F = field_for_order(q)
     n = 3
@@ -858,12 +906,13 @@ def test_partition_status_matches_point_by_point_containment(q, block, monkeypat
         [fc.Subspace.zero(F, n)] + drawn[3:5] * 2,
         [fc.Subspace.from_rows(F, n, [e]) for e in np.eye(n, dtype=np.int64)],  # the coordinate axes
     ]
-    vecs = linalg.code_vectors(q, n)
+    vecs, line = linalg.code_vectors(q, n)[1:], _lines_of_V(F, n)
     for spaces in cases:
-        hits = np.array([sum(sub.contains(v) for sub in spaces) for v in vecs[1:]])
+        hits = np.array([sum(sub.contains(v) for sub in spaces) for v in vecs])
         pairwise_trivial, union = sp.partition_status(F, *_stack(n, spaces))
         assert pairwise_trivial == bool((hits <= 1).all())
-        assert union.tolist() == (np.flatnonzero(hits) + 1).tolist()
+        assert union.shape == ((q**n - 1) // (q - 1),)
+        assert np.flatnonzero(union).tolist() == sorted(set(line[hits > 0].tolist()))  # the hit vectors' lines
     assert not sp.partition_status(F, *_stack(n, drawn[:3] + drawn[:1]))[0]
 
 
@@ -915,8 +964,8 @@ def test_counting_identity_exact(make):
     spec = sp.rank_spectrum(M)
     assert spec.is_constant_rank
     q, d, n, m = M.field.q, M.dim, M.n, spec.m
-    dims = sp.kernel_dims_all(M, "left")
-    rhs = sum(q ** int(k) - 1 for k in dims[1:])
+    dims = sp.kernel_dims_all(M, "left")[_lines_of_V(M.field, n)]  # every nonzero u reads its line's entry
+    rhs = sum(q ** int(k) - 1 for k in dims)
     assert (q**d - 1) * (q ** (n - m) - 1) == rhs
 
 

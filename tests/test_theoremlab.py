@@ -155,6 +155,25 @@ def test_kernel_bounds_equality_witness(monkeypatch):
     assert sp.kernel_at(M, (0, 0, 1), "left").dim == 1
     assert rep.witness == {"kind": "kernel-bound", "u": [0, 0, 1], "side": "left", "dim_kernel": 1,
                            "lemma": "equality case: shared radical", "distinct_radicals": 1}
+    assert not tl.replay_witness(M, rep.witness)  # the per-vector oracle finds one radical, so no violation
+
+
+def test_kernel_bound_witness_replays_through_kernel_at():
+    """A hand-built witness replays when its dim is kernel_at's and the named bound fails at it, and not otherwise."""
+    # Bil(V), n = 2, q = 2: every nonzero u has dim M_u = 2, under the alternating bound dim M - (n-1) = 3,
+    # whose alternating gate the report applies, not the replay
+    M = sp.full_kind_space(F2, 2, "general")
+    assert sp.kernel_at(M, (0, 1), "left").dim == sp.kernel_at(M, (1, 1), "right").dim == 2
+    witness = {"kind": "kernel-bound", "u": [0, 1], "side": "left", "dim_kernel": 2,
+               "lemma": "alternating dim >= dim M - (n-1)", "bound": 3}
+    assert tl.replay_witness(M, witness)
+    assert tl.replay_witness(M, {**witness, "u": [1, 1], "side": "right"})
+    assert not tl.replay_witness(M, {**witness, "dim_kernel": 1})  # a wrong dim
+    assert not tl.replay_witness(M, {**witness, "u": [0, 0]})  # M_0 = M has dim 4
+    assert not tl.replay_witness(M, {**witness, "lemma": "dim >= dim M - n", "bound": 2})  # 2 >= 4 - 2 holds
+    # the lemmas on rank-m elements: M_u holds only rank-1 forms, under m = 2
+    for lemma in ("dim >= dim M - m", "equality case: shared radical"):
+        assert not tl.replay_witness(M, {**witness, "lemma": lemma, "distinct_radicals": 2})
 
 
 def test_distinct_radicals_match_per_line_radicals(catalogue):
