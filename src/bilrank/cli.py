@@ -121,7 +121,7 @@ def _statistics(M, budget) -> dict:
         out["distinct_left_radicals"] = len(left.dims)
         out["distinct_right_radicals"] = len(right.dims)
         if M.field.p != 2 and M.kind != "general":
-            out["isotropic_nonzero"] = len(isotropic_set(M, budget))
+            out["isotropic_nonzero"] = (M.field.q - 1) * int(isotropic_set(M, budget).sum())
     except BudgetExceeded as exc:
         out["budget_error"] = str(exc)
     return out

@@ -28,8 +28,8 @@ census (its pivot columns) read it too, with no second elimination.
 
 V is indexed by its lines too: M_{cu} = M_u, A_{cu} = A_u, and
 radicals, spreads and I(M) are unions of lines, so `kernel_dims_all`,
-`max_rank_incidence` and `partition_status` keep one entry per line
-of V, in `line_representatives(q, n)` order.
+`max_rank_incidence`, `isotropic_set` and `partition_status` keep one
+entry per line of V, in `line_representatives(q, n)` order.
 
 One side stands for both where it can.  A symmetric or alternating M
 has G^T = +-G for every form, so rad_L G = rad_R G and the left and
@@ -49,7 +49,7 @@ stacked canonical bases of the distinct spaces, their dimensions and an
 id per matrix, so the radical census, the radical spread, the
 orthogonality checker and `max_rank_incidence` index the stack and test
 each distinct radical once; `_line_blocks` lists the lines of its
-spaces for that incidence and `partition_status`.  I(M) is an array too.
+spaces for that incidence and `partition_status`.
 
 Operations that walk q^d or q^n objects take an explicit step budget
 and raise BudgetExceeded instead of silently sampling: a theorem check
@@ -489,13 +489,8 @@ def v_set(M: FormSubspace, side: str, budget: Optional[int] = None) -> VSetRepor
     )
 
 
-def annihilator_Au(M: FormSubspace, u) -> Subspace:
-    """A_u = {w : f(u, w) = 0 for all f in M}: the null space of the rows u^T G_i."""
-    return Subspace(M.field, M.n, linalg.right_null_space(M.field, kernel_matrices(M, [u], "left")[0].T))
-
-
 def isotropic_set(M: FormSubspace, budget: Optional[int] = None):
-    """I(M)^x, all nonzero w with f(w, w) = 0 for every f in M: an (N, n) array in vector-index order."""
+    """I(M) by its lines: an (L,) boolean mask over `line_representatives(q, n)`, true where f(w, w) = 0 for all f."""
     fld = M.field
     if fld.p == 2:
         raise ValueError("isotropic_set requires odd characteristic")
@@ -506,14 +501,14 @@ def isotropic_set(M: FormSubspace, budget: Optional[int] = None):
 
 
 def _isotropic_set(M: FormSubspace):
-    fld, n = M.field, M.n
-    vecs = linalg.code_vectors(fld.q, n)[1:]  # the nonzero vectors
-    mask = np.ones(len(vecs), dtype=bool)
-    for g in M._flat.reshape(-1, n, n):
-        tv = fld.matmul_arr(vecs, g)
-        quad = fld.sum_arr(fld.mul_arr(tv, vecs), axis=1)
-        mask &= quad == 0
-    return vecs[mask]
+    fld, q, n = M.field, M.field.q, M.n
+    reps, stack = line_representatives(q, n), M._flat.reshape(-1, n, n)
+    per = max(1, min(_BLOCK, len(reps)) // max(M.dim, 1))  # d forms x per lines: at most _BLOCK, or L, products
+    parts = [np.zeros(0, dtype=bool)]
+    for start in range(0, len(reps), per):
+        w = linalg.code_vectors(q, n, reps[start:start + per])  # lead-1 w, as f(cw, cw) = c^2 f(w, w)
+        parts.append(~fld.sum_arr(fld.mul_arr(fld.matmul_arr(w, stack), w), axis=2).any(axis=0))  # all f_k(w, w) = 0
+    return np.concatenate(parts)
 
 
 @dataclass(frozen=True)

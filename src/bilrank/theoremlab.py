@@ -5,9 +5,13 @@ and only asserts the conclusion when all of them hold; otherwise the
 verdict is "not-applicable" and the conclusion's truth value is still
 computed and recorded as informational, because the boundary cases are
 exactly where tightness shows.  A "violated" verdict always carries a
-witness, and `replay_witness` re-runs it through formcore or a one-vector
-solve, bit for bit, for every kind but the recorded counts of the spread,
-isotropic-partition, Witt-census and filtration checkers.
+witness, and `replay_witness` re-runs it bit for bit.  Orthogonality,
+extension, radical-equality and spectrum-element witnesses replay through
+formcore alone, sharing no code with the batched path; kernel-bound and
+counting-identity ones by a `kernel_at` solve per vector, not the stored
+per-line M_u the checkers read.  Spread witnesses and spectrum witnesses
+without an element re-run `radical_spread` and `rank_spectrum` themselves;
+the isotropic-partition, Witt-census and filtration checkers record counts.
 
 Floor/ceiling boundaries are implemented exactly as each theorem states
 them; constant rank is always re-derived from the spectrum, never read
@@ -441,8 +445,7 @@ def check_isotropic_partition(tid, M: FormSubspace, budget: Optional[int] = None
     hyps = _shared(M, spec, "symmetric", "odd characteristic", "constant rank", "full dimension", "field size")
     if not M.symmetric or q % 2 == 0:
         return _finish(tid, hyps, False, None, {"note": "isotropic set undefined here"})
-    iso = isotropic_set(M, budget)
-    on_iso = np.isin(line_representatives(q, n), linalg.code_index(q, iso))  # I(M) is a union of lines
+    on_iso = isotropic_set(M, budget)  # I(M) by its lines
     # A_u is the null space of the rows u^T G_i, and A_{cu} = A_u: one system per isotropic line
     lead_one = linalg.code_vectors(q, n, line_representatives(q, n)[on_iso])
     classes = null_spaces(M.field, kernel_matrices(M, lead_one, "left").transpose(0, 2, 1))
@@ -466,7 +469,7 @@ def check_isotropic_partition(tid, M: FormSubspace, budget: Optional[int] = None
         "dim_A_u_equals_dim_M_u": dim_match,
     }
     details = {
-        "isotropic_nonzero": len(iso),
+        "isotropic_nonzero": (q - 1) * int(on_iso.sum()),
         "classes": r_classes,
         "class_dims": sorted(set(class_dims)),
         "squared_sum_lhs": lhs,
@@ -508,11 +511,11 @@ def check_witt_census_identity(tid, M: FormSubspace, budget: Optional[int] = Non
     grams = flat_forms_for(M, coeffs).reshape(-1, n, n)
     witt = np.bincount(_witt_indices(M.field, grams, reduced, m), minlength=k + 1)
     a_count, b_count = (q - 1) * int(witt[k]), (q - 1) * int(witt[k - 1])
-    iso = isotropic_set(M, budget)
+    iso_count = (q - 1) * int(isotropic_set(M, budget).sum())  # q - 1 nonzero w per isotropic line
     total_ok = a_count + b_count == q**d - 1
     diff = a_count - b_count
-    identity_ok = diff % (q**k) == 0 and diff // (q**k) == len(iso)
-    details = {"A": a_count, "B": b_count, "isotropic_nonzero": len(iso)}
+    identity_ok = diff % (q**k) == 0 and diff // (q**k) == iso_count
+    details = {"A": a_count, "B": b_count, "isotropic_nonzero": iso_count}
     return _finish(tid, hyps, total_ok and identity_ok, {"kind": "witt-census", **details, "q^k": q**k}, details)
 
 
@@ -784,9 +787,10 @@ def replay_witness(M: FormSubspace, witness: dict) -> bool:
         if lemma == "dim >= dim M - m":
             return bool(rads) and K.dim == witness["dim_kernel"] < d - m
         return K.dim == witness["dim_kernel"] == d - m and len(rads) == witness["distinct_radicals"] > 1
-    if kind == "counting-identity":
-        rep = check_counting_identity(M)
-        return rep.details["lhs"] == witness["lhs"] and rep.details["rhs"] == witness["rhs"]
+    if kind == "counting-identity":  # one kernel_at solve per nonzero u, not the stored kernel_dims_all
+        q, d, n = M.field.q, M.dim, M.n
+        rhs = sum(q ** kernel_at(M, u, "left").dim - 1 for u in linalg.code_vectors(q, n) if u.any())
+        return witness["lhs"] == (q**d - 1) * (q ** (n - rank_spectrum(M).m) - 1) != rhs == witness["rhs"]
     raise ValueError(f"unknown witness kind {kind!r}")
 
 

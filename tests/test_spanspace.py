@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import catalogue_requests
+from conftest import brute_annihilator, catalogue_requests
 
 from bilrank import constructions as cons
 from bilrank import formcore as fc
@@ -772,6 +772,7 @@ def test_every_stored_array_is_read_only(make):
         handed += [sp.kernel_dims_all(M, side), *sp.max_rank_incidence(M, side)]
     if M.kind != "general":
         handed.append(sp.isotropic_set(M))
+        assert handed[-1].shape == ((3**M.n - 1) // 2,)  # one entry per line of V
     assert len(handed) >= 19
     for arr in handed:
         assert isinstance(arr, np.ndarray) and not arr.flags.writeable
@@ -829,23 +830,65 @@ def test_v_set_subspace_under_lemma_hypotheses():
 # --- I(M), A_u, total isotropy ---------------------------------------------------
 
 
+def _isotropic_vectors(M):
+    """The nonzero w of V whose line `isotropic_set` marks, in vector-index order: every vector reads its line."""
+    iso = sp.isotropic_set(M)
+    return [u for u in itertools.product(range(M.field.q), repeat=M.n) if any(u) and iso[_line_id(M.field, u)]]
+
+
+def _isotropic_set_cases():
+    """Seeded symmetric and alternating draws and the zero subspace, q^n <= 20000, and the odd-q symmetric catalogue."""
+    rng = np.random.default_rng(23)
+    out = []
+    for q in (3, 5, 7, 9, 25, 27):
+        F = field_for_order(q)
+        for n in (n for n in (2, 3, 4) if q**n <= 20000):
+            out.append(sp.span([], field=F, n=n))
+            for kind in ("symmetric", "alternating"):
+                d = int(rng.integers(1, min(sp.kind_space_dim(n, kind), 3) + 1))
+                out.append(sp.random_subspace(F, n, d, kind, int(rng.integers(1 << 30))))
+    for req in catalogue_requests(qs=(3, 5)):
+        M, _ = cons.build(req)
+        if M.symmetric and M.field.p != 2:
+            out.append(M)
+    return out
+
+
+def test_isotropic_set_matches_scalar_brute_force():
+    """Every nonzero w: f(w, w) = 0 for every basis form, by formcore.evaluate, iff its line's entry is set."""
+    cases = _isotropic_set_cases()
+    assert {(M.field.q, M.kind) for M in cases} >= set(itertools.product((3, 5, 7, 9, 25, 27), sp.KINDS[1:]))
+    marked = 0
+    for M in cases:
+        F, n, basis = M.field, M.n, M.basis
+        iso = sp.isotropic_set(M)
+        assert iso.shape == ((F.q**n - 1) // (F.q - 1),) and iso.dtype == bool and not iso.flags.writeable, M
+        for w in itertools.product(range(F.q), repeat=n):
+            if any(w):
+                assert iso[_line_id(F, w)] == all(fc.evaluate(g, w, w) == 0 for g in basis), (M, w)
+        marked += int(iso.sum())
+    assert marked  # some isotropic lines were found
+
+
 def test_isotropic_set_identity_form():
     iso = sp.isotropic_set(sp.span([fc.identity_form(F3, 2)]))
-    assert iso.shape == (0, 2)
+    assert iso.shape == (4,) and not iso.any()
 
 
 def test_isotropic_set_zero_subspace_is_everything():
-    iso = sp.isotropic_set(sp.span([], field=F3, n=2))
-    assert len(iso) == 8
-    assert iso.tolist() == linalg.code_vectors(3, 2)[1:].tolist()  # in vector-index order
+    M = sp.span([], field=F3, n=2)
+    iso = sp.isotropic_set(M)
+    assert iso.shape == (4,) and iso.all()
+    assert _isotropic_vectors(M) == [u for u in itertools.product(range(3), repeat=2) if any(u)]  # all 8
 
 
 def test_isotropic_set_block_example_contains_u():
     M = cons.block_symmetric(F3, 4, 2)
     iso = sp.isotropic_set(M)
     # the top block U = span{e1, e2} is totally isotropic by the block shape
-    for v in [(1, 0, 0, 0), (0, 1, 0, 0), (1, 2, 0, 0)]:
-        assert v in set(map(tuple, iso.tolist()))
+    for v in [(1, 0, 0, 0), (0, 1, 0, 0), (1, 2, 0, 0), (2, 1, 0, 0)]:
+        assert iso[_line_id(F3, v)]
+        assert v in _isotropic_vectors(M)
 
 
 def test_isotropic_set_rejects_wrong_inputs():
@@ -855,26 +898,39 @@ def test_isotropic_set_rejects_wrong_inputs():
         sp.isotropic_set(sp.span([fc.GramForm(F3, [[0, 1], [0, 0]])]))
 
 
+def _batched_annihilators(M, vecs):
+    """A_u for each row u of vecs as the isotropic-partition checker solves it: one stack of systems u^T G_i."""
+    return sp.null_spaces(M.field, sp.kernel_matrices(M, vecs, "left").transpose(0, 2, 1))
+
+
+def _points(F, found, i):
+    """The points of the null space of matrix i of a NullSpaces, as a set of tuples."""
+    j = found.ids[i]
+    return set(map(tuple, fc.Subspace(F, found.bases.shape[2], found.bases[j, :found.dims[j]]).points().tolist()))
+
+
 def test_isotropic_partition_classes_meet_trivially():
-    # A_u / A_w are equal or intersect in 0 (pairwise intersection scan)
+    # A_u / A_w are equal or intersect in 0 (pairwise intersection scan), every isotropic u by brute force
     M = cons.embed_with_radical(cons.symmetric_trace(F3, 2), 3)
-    iso = sp.isotropic_set(M)
-    subs = {}
-    for u in iso:
-        a = sp.annihilator_Au(M, u)
-        subs[a.key()] = a
-    subs = list(subs.values())
+    subs = {frozenset(brute_annihilator(M, u)) for u in _isotropic_vectors(M)}
+    assert subs
+    subs = list(subs)
     for i in range(len(subs)):
         for j in range(i + 1, len(subs)):
-            assert subs[i].meet_dim(subs[j]) == 0
+            assert subs[i] & subs[j] == {(0, 0, 0)}
 
 
 def test_annihilator_examples():
     M = sp.span([fc.identity_form(F3, 3)])
-    assert sp.annihilator_Au(M, (0, 0, 0)).dim == 3
-    assert sp.annihilator_Au(sp.span([], field=F4, n=3), (1, 0, 0)) == fc.Subspace.full(F4, 3)
-    hyper = sp.annihilator_Au(M, (1, 0, 0))
-    assert hyper.key() == ((0, 1, 0), (0, 0, 1))
+    vecs = np.array([(0, 0, 0), (1, 0, 0)])
+    found = _batched_annihilators(M, vecs)
+    for i, u in enumerate(vecs.tolist()):
+        assert _points(F3, found, i) == brute_annihilator(M, u)
+    assert found.dims[found.ids[0]] == 3
+    zero = sp.span([], field=F4, n=3)
+    assert _points(F4, _batched_annihilators(zero, [(1, 0, 0)]), 0) == brute_annihilator(zero, (1, 0, 0))
+    assert _batched_annihilators(zero, [(1, 0, 0)]).dims.tolist() == [3]
+    assert found.bases[found.ids[1], :found.dims[found.ids[1]]].tolist() == [[0, 1, 0], [0, 0, 1]]
 
 
 def test_annihilator_dim_equals_kernel_dim_at_full_dimension():
@@ -882,8 +938,12 @@ def test_annihilator_dim_equals_kernel_dim_at_full_dimension():
     req = cons.ConstructionRequest("column-family", {"q": 3, "m": 3, "r": 1, "ext": 2})
     M, _ = cons.build(req)
     assert M.dim == M.n
-    for u in linalg.code_vectors(3, 6)[1:50]:
-        assert sp.annihilator_Au(M, u).dim == sp.kernel_at(M, u, "left").dim
+    vecs = linalg.code_vectors(3, 6)[1:50]
+    found = _batched_annihilators(M, vecs)
+    for i, u in enumerate(vecs.tolist()):
+        dim = sp.kernel_at(M, u, "left").dim
+        assert len(brute_annihilator(M, u)) == 3**dim
+        assert found.dims[found.ids[i]] == dim
 
 
 # --- radical spreads ---------------------------------------------------------------

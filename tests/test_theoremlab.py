@@ -5,6 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import brute_annihilator
 
 from bilrank import constructions as cons
 from bilrank import formcore as fc
@@ -126,6 +127,35 @@ def test_counting_identity_gates_on_constant_rank():
     M = cons.block_symmetric(F3, 4, 2)  # spectrum {2, 4}
     rep = tl.check_counting_identity(M)
     assert rep.verdict == tl.NOT_APPLICABLE
+
+
+def test_counting_identity_replay_solves_each_u(monkeypatch):
+    """A witness made from corrupted stored M_u dimensions does not replay: the replay solves each u by kernel_at."""
+    M = sp.full_kind_space(F3, 3, "alternating")  # constant rank 2: every nonzero u has dim M_u = 1
+    real = sp.kernel_dims_all
+
+    def one_off(M, side, budget=None):
+        dims = real(M, side, budget).copy()
+        dims[0] += 1  # the line of (0, 0, 1)
+        return dims
+
+    monkeypatch.setattr(tl, "kernel_dims_all", one_off)
+    rep = tl.check_counting_identity(M)
+    assert rep.verdict == tl.VIOLATED
+    assert (rep.witness["lhs"], rep.witness["rhs"]) == (52, 24 * (3 - 1) + 2 * (3**2 - 1))
+    assert not tl.replay_witness(M, rep.witness)
+    assert not tl.replay_witness(M, {**rep.witness, "rhs": 52})  # lhs = rhs is no violation
+
+
+def test_counting_identity_informational_witness_replays():
+    M = cons.block_symmetric(F3, 4, 2)  # spectrum {2, 4}: not constant rank, and the identity fails
+    rep = tl.check_counting_identity(M)
+    assert rep.verdict == tl.NOT_APPLICABLE
+    witness = rep.details["informational"]["witness"]
+    assert witness["lhs"] != witness["rhs"]
+    assert tl.replay_witness(M, witness)
+    assert not tl.replay_witness(M, {**witness, "rhs": witness["rhs"] + 1})
+    assert not tl.replay_witness(M, {**witness, "lhs": witness["lhs"] + 1})
 
 
 # --- kernel bounds ----------------------------------------------------------------
@@ -645,21 +675,27 @@ def test_filtration_one_side_matches_two_sided_reference(catalogue):
 
 
 def test_isotropic_classes_match_per_vector_annihilators(catalogue):
-    """The batched A_u against annihilator_Au, vector by vector and in the report."""
+    """The batched A_u, one per isotropic line, against a brute-force A_u at every isotropic vector, and the report."""
     checked = 0
     for req, M, _ in catalogue:
-        q, n = M.field.q, M.n
+        F, q, n = M.field, M.field.q, M.n
         rep = tl.check_isotropic_partition(M)
         if "classes" not in rep.details or q**n > 729:
             continue
         iso = sp.isotropic_set(M)
-        batched = sp.null_spaces(M.field, sp.kernel_matrices(M, iso, "left").transpose(0, 2, 1))
-        assert len(batched.ids) == len(iso)
-        classes = {}
-        for u, i in zip(iso, batched.ids):
-            a_u = fc.Subspace(M.field, n, batched.bases[i, :batched.dims[i]])
-            assert a_u == sp.annihilator_Au(M, u), (req, u)
+        lead_one = linalg.code_vectors(q, n, sp.line_representatives(q, n)[iso])
+        batched = sp.null_spaces(F, sp.kernel_matrices(M, lead_one, "left").transpose(0, 2, 1))
+        assert len(batched.ids) == len(lead_one)
+        classes, vectors = {}, 0
+        for rep_u, i in zip(lead_one.tolist(), batched.ids):
+            a_u = fc.Subspace(F, n, batched.bases[i, :batched.dims[i]])
+            points = set(map(tuple, a_u.points().tolist()))
+            for c in range(1, q):  # every nonzero vector c * u of the line
+                u = [F.mul(c, x) for x in rep_u]
+                assert points == brute_annihilator(M, u), (req, u)
+                vectors += 1
             classes[a_u.key()] = a_u.dim
+        assert rep.details["isotropic_nonzero"] == vectors, req
         assert rep.details["classes"] == len(classes), req
         assert rep.details["class_dims"] == sorted(set(classes.values())), req
         assert rep.details["squared_sum_lhs"] == sum((q**k - 1) ** 2 for k in classes.values()), req
