@@ -1,7 +1,7 @@
 """Rank spectra, radicals and spreads for subspaces of bilinear forms
 over small finite fields, with exhaustive theorem verification."""
 
-from .formcore import GramForm, Subspace, classify, evaluate, left_radical, rank, right_radical, witt_census
+from .formcore import GramForm, Subspace, evaluate, left_radical, rank, right_radical
 from .gf import Field, FieldSpec, Tower, field_for_order, make_field, make_tower
 from .spanspace import (
     BudgetExceeded,
@@ -14,7 +14,6 @@ from .spanspace import (
     random_subspace,
     rank_spectrum,
     span,
-    v_set,
 )
 
 __all__ = [
@@ -26,7 +25,6 @@ __all__ = [
     "RankSpectrum",
     "Subspace",
     "Tower",
-    "classify",
     "enumerate_nonzero",
     "evaluate",
     "field_for_order",
@@ -41,8 +39,6 @@ __all__ = [
     "rank_spectrum",
     "right_radical",
     "span",
-    "v_set",
-    "witt_census",
 ]
 
 __version__ = "0.1.0"

@@ -1,22 +1,18 @@
-"""Bilinear forms as Gram matrices: rank, radicals, classification, Witt data.
+"""Bilinear forms as Gram matrices, one form at a time: rank, radicals, evaluation.
 
 A form f on V x V is stored as the n x n matrix of values f(e_i, e_j).
-Vectors are sequences of element codes.  Everything here is immutable
-and pure, so forms can be shared freely across enumeration workers.
+Vectors are sequences of element codes.  Forms and subspaces of V are
+immutable.  Witness replay reads these; the per-form classification and
+Witt census that the tests hold the batched path against live with the
+other oracles in `tests/oracles.py`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .gf import Field
-
-ALTERNATING = "alternating"
-SYMMETRIC_NOT_ALTERNATING = "symmetric-not-alternating"
-GENERAL = "general"
 
 
 def _code_array(field: Field, entries):
@@ -66,20 +62,12 @@ class GramForm:
         return f"GramForm(GF({self.field.q}), {self.rows()})"
 
 
-def zero_form(field: Field, n: int) -> GramForm:
-    return GramForm(field, np.zeros((n, n), dtype=np.int64))
-
-
-def identity_form(field: Field, n: int) -> GramForm:
-    return GramForm(field, np.eye(n, dtype=np.int64))
-
-
 class Subspace:
     """A subspace of V, held as a canonical reduced row-echelon basis.
 
-    The constructor takes canonical RREF rows; `from_rows` reduces any rows first.
-    Equal subspaces have identical representations, so `==` and hashing
-    are structural.
+    The constructor takes canonical RREF rows, as the null-space bases of
+    `linalg` are.  Equal subspaces have identical representations, so
+    `==` and hashing are structural.
     """
 
     __slots__ = ("field", "n", "rows")
@@ -91,34 +79,9 @@ class Subspace:
         arr.setflags(write=False)
         self.rows = arr
 
-    @classmethod
-    def from_rows(cls, field: Field, n: int, rows) -> "Subspace":
-        arr = np.asarray(rows, dtype=np.int64).reshape(-1, n)
-        return cls(field, n, linalg.rref(field, arr)[0] if len(arr) else arr)
-
-    @classmethod
-    def zero(cls, field: Field, n: int) -> "Subspace":
-        return cls(field, n, np.zeros((0, n), dtype=np.int64))
-
-    @classmethod
-    def full(cls, field: Field, n: int) -> "Subspace":
-        return cls(field, n, np.eye(n, dtype=np.int64))
-
     @property
     def dim(self) -> int:
         return self.rows.shape[0]
-
-    def contains(self, vec) -> bool:
-        return linalg.rank(self.field, np.vstack([self.rows, vec])) == self.dim
-
-    def points(self):
-        """All q^dim points as a (q^dim, n) array (the zero vector included)."""
-        return self.field.matmul_arr(linalg.code_vectors(self.field.q, self.dim), self.rows)
-
-    def meet_dim(self, other: "Subspace") -> int:
-        """Dimension of the intersection with another subspace of the same V."""
-        stacked = np.vstack([self.rows, other.rows])
-        return self.dim + other.dim - linalg.rank(self.field, stacked)
 
     def key(self):
         return tuple(tuple(int(v) for v in row) for row in self.rows)
@@ -139,7 +102,7 @@ class Subspace:
 
 
 # ---------------------------------------------------------------------------
-# Rank, radicals, classification
+# Rank, radicals, evaluation
 
 
 def rank(f: GramForm) -> int:
@@ -155,22 +118,6 @@ def left_radical(f: GramForm) -> Subspace:
 def right_radical(f: GramForm) -> Subspace:
     """{v : f(u, v) = 0 for all u}."""
     return Subspace(f.field, f.n, linalg.right_null_space(f.field, f.entries))
-
-
-def classify(f: GramForm) -> str:
-    """One of 'alternating', 'symmetric-not-alternating', 'general'.
-
-    Alternating is decided by the matrix criterion (skew-symmetric with
-    zero diagonal), which stays exact in characteristic 2 where the
-    f(v,v) = 0 condition is strictly finer than symmetry.
-    """
-    g = f.entries
-    neg_t = f.field.neg_arr(g.T)
-    if (g == neg_t).all() and not g.diagonal().any():
-        return ALTERNATING
-    if (g == g.T).all():
-        return SYMMETRIC_NOT_ALTERNATING
-    return GENERAL
 
 
 def evaluate(f: GramForm, u, w) -> int:
@@ -189,92 +136,3 @@ def evaluate(f: GramForm, u, w) -> int:
                 s = fld.add(s, fld.mul(int(row[j]), int(wj)))
         acc = fld.add(acc, fld.mul(int(ui), s))
     return acc
-
-
-# ---------------------------------------------------------------------------
-# Witt index and isotropic counts for symmetric forms in odd characteristic
-
-
-@dataclass(frozen=True)
-class WittCensus:
-    rank: int
-    witt_index: int
-    isotropic_nonzero_count: int
-
-
-def _diagonalize_symmetric(field: Field, gram) -> list[int]:
-    """Diagonal of a congruent diagonal matrix (odd characteristic only)."""
-    a = [list(map(int, row)) for row in gram]
-    n = len(a)
-    for i in range(n):
-        if a[i][i] == 0:
-            j = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
-            if j is not None:
-                a[i], a[j] = a[j], a[i]
-                for row in a:
-                    row[i], row[j] = row[j], row[i]
-            else:
-                j = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
-                if j is None:
-                    continue
-                # e_i += e_j turns the (i,i) entry into 2*a[i][j] != 0
-                for c in range(n):
-                    a[i][c] = field.add(a[i][c], a[j][c])
-                for r in range(n):
-                    a[r][i] = field.add(a[r][i], a[r][j])
-        d_inv = field.inv(a[i][i])
-        for j in range(i + 1, n):
-            if a[i][j]:
-                fct = field.mul(a[i][j], d_inv)
-                for c in range(n):
-                    a[j][c] = field.sub(a[j][c], field.mul(fct, a[i][c]))
-                for r in range(n):
-                    a[r][j] = field.sub(a[r][j], field.mul(fct, a[r][i]))
-    return [a[i][i] for i in range(n)]
-
-
-def witt_census(f: GramForm) -> WittCensus:
-    """Rank, Witt index and isotropic point count of a symmetric form.
-
-    The Witt index is the number of hyperbolic planes in the
-    non-degenerate part: for even rank 2k it is k when (-1)^k times the
-    discriminant is a square and k-1 otherwise, for odd rank 2k+1 it is
-    always k.  The isotropic count comes from the matching closed form
-    over F_q and is cross-checked against brute-force enumeration in the
-    test suite rather than trusted blindly.
-
-    One form at a time, in pure Python: this is the oracle the tests hold
-    the verify path's bulk census (every line of M at once, with
-    determinants read off the pivots of `linalg.batch_rref`'s sweep)
-    against, and `bilrank verify` does not call it.
-    """
-    if f.field.p == 2:
-        raise ValueError("witt_census requires odd characteristic")
-    if classify(f) == GENERAL:
-        raise ValueError("witt_census requires a symmetric form")
-    fld = f.field
-    diag = _diagonalize_symmetric(fld, f.entries)
-    nz = [d for d in diag if d]
-    r = len(nz)
-    if r % 2 == 1:
-        w = (r - 1) // 2
-    elif r == 0:
-        w = 0
-    else:
-        k = r // 2
-        disc = 1
-        for d in nz:
-            disc = fld.mul(disc, d)
-        val = fld.mul(fld.pow(fld.neg(1), k), disc)
-        w = k if fld.is_square(val) else k - 1
-    q = fld.q
-    n = f.n
-    if r == 0:
-        total = q**n
-    elif r % 2 == 1:
-        total = q ** (n - 1)
-    else:
-        k = r // 2
-        eta = 1 if w == k else -1
-        total = (q ** (r - 1) + eta * (q**k - q ** (k - 1))) * q ** (n - r)
-    return WittCensus(rank=r, witt_index=w, isotropic_nonzero_count=total - 1)

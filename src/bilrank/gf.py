@@ -298,16 +298,12 @@ class Field:
         """All q element codes, ascending."""
         return range(self.q)
 
-    def is_square(self, a: int) -> bool:
-        """True iff a is a square in the field (0 counts as a square)."""
-        if a == 0:
-            return True
-        if self.p == 2:
-            return True  # squaring is a bijection in characteristic 2
-        return self._log[a] % 2 == 0
-
     def is_square_arr(self, a):
-        """`is_square` on an array of codes."""
+        """Per code of an array, True iff it is a square in the field (0 counts as a square).
+
+        In characteristic 2 squaring is a bijection, so every code is; otherwise the nonzero
+        squares are the even powers of the generator.  The Witt census checker reads it.
+        """
         a = np.asarray(a, dtype=np.int64)
         if self.p == 2:
             return np.ones(a.shape, dtype=bool)

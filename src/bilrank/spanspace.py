@@ -70,7 +70,7 @@ from typing import Iterator, NamedTuple, Optional
 import numpy as np
 
 from . import linalg
-from .formcore import GramForm, Subspace, _code_array
+from .formcore import GramForm, _code_array
 from .gf import Field
 
 DEFAULT_BUDGET = 10**8
@@ -376,7 +376,7 @@ def reduced_null_spaces(field: Field, red, ranks) -> NullSpaces:
 
 
 # ---------------------------------------------------------------------------
-# Kernels M_u, the sets V(M), I(M), A_u, and radical spreads
+# Kernels M_u, the set I(M), A_u, and radical spreads
 
 
 def _solved_side(M: FormSubspace, side: str) -> str:
@@ -456,37 +456,6 @@ def _max_rank_incidence(M: FormSubspace, ranks, own: NullSpaces, other: NullSpac
         np.maximum.at(at_hi, at, hi[block, None])
     holds = at_hi >= 0
     return holds, ~holds | (at_lo == at_hi)
-
-
-@dataclass(frozen=True)
-class VSetReport:
-    """Point set {v : M_v != 0} and whether it happens to be a subspace."""
-
-    subspace_flag: bool
-    points: tuple[tuple[int, ...], ...]
-    subspace: Optional[Subspace]
-
-
-def v_set(M: FormSubspace, side: str, budget: Optional[int] = None) -> VSetReport:
-    """V(M) on the chosen side, reported as found.
-
-    The flag states the truth for this input; closure under addition is
-    a theorem only under hypotheses, so it is never assumed.
-    """
-    q, n = M.field.q, M.n
-    lead_one = linalg.code_vectors(q, n, line_representatives(q, n)[kernel_dims_all(M, side, budget) > 0])
-    # V(M) is the union of those lines, and of {0} when M_0 = M is not zero: listed by vector index
-    on_lines = linalg.code_index(q, M.field.mul_arr(np.arange(1, q)[:, None, None], lead_one).reshape(-1, n))
-    pts = linalg.code_vectors(q, n, np.sort(np.append(on_lines, [0] * min(M.dim, 1))))
-    if len(pts) == 0:
-        return VSetReport(True, (), Subspace.zero(M.field, M.n))
-    spanned = Subspace.from_rows(M.field, M.n, pts)
-    flag = len(pts) == M.field.q**spanned.dim
-    return VSetReport(
-        flag,
-        tuple(tuple(int(v) for v in p) for p in pts),
-        spanned if flag else None,
-    )
 
 
 def isotropic_set(M: FormSubspace, budget: Optional[int] = None):

@@ -481,7 +481,8 @@ def check_isotropic_partition(tid, M: FormSubspace, budget: Optional[int] = None
 def _witt_indices(field, grams, reduced, m: int):
     """The Witt index of each symmetric form of a stack (L, n, n) whose forms all have even rank m > 0.
 
-    The same index as `formcore.witt_census`, for the whole stack at once.
+    The same index as the per-form Witt census oracle in `tests/oracles.py`
+    gives, for the whole stack at once.
     `reduced` is the stack's `linalg.batch_rref`.  The pivot columns I of
     G's RREF index a complement of its radical, so G[I, I] is its
     non-degenerate part, and the index is m/2 when (-1)^(m/2) det G[I, I]

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
 
 from bilrank import constructions as cons
-from bilrank.formcore import evaluate
 from bilrank.spanspace import rank_spectrum
 
 
@@ -30,12 +27,6 @@ def catalogue_requests(qs=(2, 3, 4, 5), nmax=6):
     out.append(cons.ConstructionRequest("alt-odd", {"q": 2, "k": 3, "ext": 2}))
     out.append(cons.ConstructionRequest("column-family", {"q": 2, "m": 2, "r": 2, "ext": 2}))
     return out
-
-
-def brute_annihilator(M, u):
-    """A_u = {w : f(u, w) = 0 for every basis form f} by formcore.evaluate over every w of V: a set of tuples."""
-    basis = M.basis
-    return {w for w in itertools.product(range(M.field.q), repeat=M.n) if all(evaluate(g, u, w) == 0 for g in basis)}
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from conftest import catalogue_requests
 
@@ -152,7 +153,7 @@ def test_verify_and_analyze_build_no_subspace(tmp_path, capsys, monkeypatch):
         assert run(["analyze", path]) == 0, path
     capsys.readouterr()
     assert built == []
-    fc.Subspace.zero(field_for_order(3), 2)  # the count sees a Subspace when one is built
+    fc.Subspace(field_for_order(3), 2, np.zeros((0, 2), dtype=np.int64))  # the count sees a Subspace when one is built
     assert len(built) == 1
 
 

@@ -7,7 +7,19 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import brute_annihilator, catalogue_requests
+from conftest import catalogue_requests
+from oracles import (
+    ALTERNATING,
+    brute_annihilator,
+    classify,
+    contains,
+    identity_form,
+    points,
+    subspace_from_rows,
+    v_set,
+    zero_form,
+    zero_subspace,
+)
 
 from bilrank import constructions as cons
 from bilrank import formcore as fc
@@ -25,7 +37,7 @@ F5 = field_for_order(5)
 
 
 def test_span_collapses_duplicates():
-    f = fc.identity_form(F3, 2)
+    f = identity_form(F3, 2)
     assert sp.span([f, f]).dim == 1
 
 
@@ -49,7 +61,7 @@ def test_span_with_one_dependency():
 
 def test_span_rejects_mixed_inputs():
     with pytest.raises(ValueError, match="mixed"):
-        sp.span([fc.identity_form(F3, 2), fc.identity_form(F3, 3)])
+        sp.span([identity_form(F3, 2), identity_form(F3, 3)])
     with pytest.raises(ValueError, match="empty"):
         sp.span([])
 
@@ -93,12 +105,12 @@ def _random_subspaces():
 
 
 def test_dependent_basis_row_is_named():
-    f = fc.identity_form(F3, 2)
+    f = identity_form(F3, 2)
     g = fc.GramForm(F3, F3.mul_arr(2, f.entries))
     with pytest.raises(ValueError, match="basis row 1 is dependent"):
         sp.FormSubspace(F3, 2, [f.entries, g.entries])
     with pytest.raises(ValueError, match="basis row 0 is dependent"):
-        sp.FormSubspace(F3, 2, [fc.zero_form(F3, 2).entries, f.entries])
+        sp.FormSubspace(F3, 2, [zero_form(F3, 2).entries, f.entries])
     h = fc.GramForm(F3, [[0, 1], [0, 0]])
     with pytest.raises(ValueError, match="basis row 2 is dependent"):
         sp.FormSubspace(F3, 2, [f.entries, h.entries, F3.add_arr(f.entries, h.entries)])
@@ -160,13 +172,13 @@ def test_kind_tag_matches_classification():
     assert sp.full_kind_space(F3, 3, "alternating").kind == "alternating"
     assert sp.full_kind_space(F3, 3, "symmetric").kind == "symmetric"
     assert sp.full_kind_space(F3, 2, "general").kind == "general"
-    mixed = sp.span([fc.identity_form(F3, 2), fc.GramForm(F3, [[0, 1], [2, 0]])])
+    mixed = sp.span([identity_form(F3, 2), fc.GramForm(F3, [[0, 1], [2, 0]])])
     assert mixed.kind == "general"
     seen = Counter()
     for M in _random_subspaces():
         # the oracle: per-form classify for alternation, G^T = G per form for symmetry (an alternating
         # form is symmetric only in characteristic 2, so odd-characteristic mixes of the two are general)
-        if all(fc.classify(f) == fc.ALTERNATING for f in M.basis):
+        if all(classify(f) == ALTERNATING for f in M.basis):
             want = "alternating"
         elif all((f.entries == f.entries.T).all() for f in M.basis):
             want = "symmetric"
@@ -183,7 +195,7 @@ def test_kind_tag_matches_classification():
 
 
 def test_enumeration_counts():
-    assert sum(1 for _ in sp.enumerate_nonzero(sp.span([fc.identity_form(F3, 2)]))) == 2
+    assert sum(1 for _ in sp.enumerate_nonzero(sp.span([identity_form(F3, 2)]))) == 2
     alt = sp.full_kind_space(F2, 3, "alternating")
     assert sum(1 for _ in sp.enumerate_nonzero(alt)) == 7
 
@@ -265,7 +277,7 @@ def test_line_listing_matches_normalised_points(q, block, monkeypatch):
     spaces = 0
     for n in range(1, 5):
         for k in range(min(n, 3) + 1):
-            subs = [fc.Subspace.from_rows(F, n, _random_of_rank(F, rng, n, k).T) for _ in range(3)]
+            subs = [subspace_from_rows(F, n, _random_of_rank(F, rng, n, k).T) for _ in range(3)]
             subs.append(subs[0])  # a repeated space
             bases, dims = _stack(n, subs)
             got = np.concatenate([at for _, at in sp._line_blocks(F, bases, k)])
@@ -729,7 +741,7 @@ def test_right_radicals_read_off_the_stored_stack(block, monkeypatch):
     members = [
         sp.full_kind_space(F3, 2, "general"),
         sp.random_subspace(F5, 3, 3, "general", 4),
-        sp.span([fc.identity_form(F4, 3)]),  # every line of full rank
+        sp.span([identity_form(F4, 3)]),  # every line of full rank
         cons.alternating_pencil(F4, 4),
         cons.block_symmetric(F3, 4, 2),
         sp.span([], field=F3, n=2),
@@ -799,12 +811,12 @@ def test_isotropic_set_is_stored_and_still_charged():
 def test_v_set_of_full_bilinear_space_is_everything():
     for n in (2, 3):
         M = sp.full_kind_space(F2, n, "general")
-        rep = sp.v_set(M, "left")
+        rep = v_set(M, "left")
         assert rep.subspace_flag and len(rep.points) == 2**n
 
 
 def test_v_set_single_invertible_form():
-    rep = sp.v_set(sp.span([fc.identity_form(F3, 2)]), "left")
+    rep = v_set(sp.span([identity_form(F3, 2)]), "left")
     assert rep.subspace_flag
     assert rep.points == ((0, 0),)
     assert rep.subspace.dim == 0
@@ -813,8 +825,8 @@ def test_v_set_single_invertible_form():
 def test_v_set_union_of_two_lines_is_not_closed():
     # search-found witness: span{I, diag(1, 2)} over GF(3) has
     # V(M)^L = two crossing lines, not a subspace
-    M = sp.span([fc.identity_form(F3, 2), fc.GramForm(F3, [[1, 0], [0, 2]])])
-    rep = sp.v_set(M, "left")
+    M = sp.span([identity_form(F3, 2), fc.GramForm(F3, [[1, 0], [0, 2]])])
+    rep = v_set(M, "left")
     assert not rep.subspace_flag
     assert set(rep.points) == {(0, 0), (0, 1), (0, 2), (1, 0), (2, 0)}
     assert rep.subspace is None
@@ -824,7 +836,7 @@ def test_v_set_subspace_under_lemma_hypotheses():
     # constant rank m with dim M >= 2m+1 and q >= m+1 forces closure
     M = cons.bilinear_column_family(F3, 3, 1)  # constant rank 1, dim 3 >= 3
     for side in ("left", "right"):
-        assert sp.v_set(M, side).subspace_flag
+        assert v_set(M, side).subspace_flag
 
 
 # --- I(M), A_u, total isotropy ---------------------------------------------------
@@ -871,7 +883,7 @@ def test_isotropic_set_matches_scalar_brute_force():
 
 
 def test_isotropic_set_identity_form():
-    iso = sp.isotropic_set(sp.span([fc.identity_form(F3, 2)]))
+    iso = sp.isotropic_set(sp.span([identity_form(F3, 2)]))
     assert iso.shape == (4,) and not iso.any()
 
 
@@ -893,7 +905,7 @@ def test_isotropic_set_block_example_contains_u():
 
 def test_isotropic_set_rejects_wrong_inputs():
     with pytest.raises(ValueError, match="odd"):
-        sp.isotropic_set(sp.span([fc.identity_form(F2, 2)]))
+        sp.isotropic_set(sp.span([identity_form(F2, 2)]))
     with pytest.raises(ValueError, match="symmetric"):
         sp.isotropic_set(sp.span([fc.GramForm(F3, [[0, 1], [0, 0]])]))
 
@@ -906,7 +918,7 @@ def _batched_annihilators(M, vecs):
 def _points(F, found, i):
     """The points of the null space of matrix i of a NullSpaces, as a set of tuples."""
     j = found.ids[i]
-    return set(map(tuple, fc.Subspace(F, found.bases.shape[2], found.bases[j, :found.dims[j]]).points().tolist()))
+    return set(map(tuple, points(fc.Subspace(F, found.bases.shape[2], found.bases[j, :found.dims[j]])).tolist()))
 
 
 def test_isotropic_partition_classes_meet_trivially():
@@ -921,7 +933,7 @@ def test_isotropic_partition_classes_meet_trivially():
 
 
 def test_annihilator_examples():
-    M = sp.span([fc.identity_form(F3, 3)])
+    M = sp.span([identity_form(F3, 3)])
     vecs = np.array([(0, 0, 0), (1, 0, 0)])
     found = _batched_annihilators(M, vecs)
     for i, u in enumerate(vecs.tolist()):
@@ -952,7 +964,7 @@ def test_annihilator_dim_equals_kernel_dim_at_full_dimension():
 @pytest.mark.parametrize("block", [4, sp._BLOCK])
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
 def test_partition_status_matches_point_by_point_containment(q, block, monkeypatch):
-    """Hits per nonzero vector counted with Subspace.contains over all of V, against the stacked line listings."""
+    """Hits per nonzero vector counted with `contains` over all of V, against the stacked line listings."""
     monkeypatch.setattr(sp, "_BLOCK", block)  # 4 splits every dimension's stack into blocks
     F = field_for_order(q)
     n = 3
@@ -960,15 +972,15 @@ def test_partition_status_matches_point_by_point_containment(q, block, monkeypat
     drawn = [fc.Subspace(F, n, linalg.rref(F, _random_of_rank(F, rng, n, k).T)[0]) for k in (1, 1, 1, 2, 2, 3)]
     cases = [
         [],
-        [fc.Subspace.zero(F, n)],
+        [zero_subspace(F, n)],
         drawn,  # mixed dimensions
         drawn[:3] + drawn[:1],  # a repeated space
-        [fc.Subspace.zero(F, n)] + drawn[3:5] * 2,
-        [fc.Subspace.from_rows(F, n, [e]) for e in np.eye(n, dtype=np.int64)],  # the coordinate axes
+        [zero_subspace(F, n)] + drawn[3:5] * 2,
+        [subspace_from_rows(F, n, [e]) for e in np.eye(n, dtype=np.int64)],  # the coordinate axes
     ]
     vecs, line = linalg.code_vectors(q, n)[1:], _lines_of_V(F, n)
     for spaces in cases:
-        hits = np.array([sum(sub.contains(v) for sub in spaces) for v in vecs])
+        hits = np.array([sum(contains(sub, v) for sub in spaces) for v in vecs])
         pairwise_trivial, union = sp.partition_status(F, *_stack(n, spaces))
         assert pairwise_trivial == bool((hits <= 1).all())
         assert union.shape == ((q**n - 1) // (q - 1),)
@@ -1001,7 +1013,7 @@ def test_radical_spread_trace_construction_n6():
 
 def test_radical_spread_input_validation():
     with pytest.raises(ValueError, match="alternating"):
-        sp.radical_spread(sp.span([fc.identity_form(F3, 2)]))
+        sp.radical_spread(sp.span([identity_form(F3, 2)]))
     M = sp.full_kind_space(F3, 4, "alternating")  # spectrum {2, 4}
     with pytest.raises(ValueError, match="constant rank"):
         sp.radical_spread(M)
