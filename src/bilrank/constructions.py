@@ -7,10 +7,9 @@ verification suite re-derives from scratch.  `build` looks the name up
 in the one `_BUILDERS` table, whose builders return the subspace and
 its claims, and adds the name, parameters, dimension and kind.
 
-The odd-dimensional full-rank alternating family is a candidate formula
-only: it is brute-force verified (constant rank, spread census) at
-construction time for every parameter pair it is asked for, and refused
-outright if the check fails.
+Trace forms have one rule: `_trace_forms` reads Tr(a_s * values) off the
+tower's trace table for a whole array of L-codes, `trace_compress` is the
+one place an L-form becomes K-forms, and `_over_extension` applies it.
 """
 
 from __future__ import annotations
@@ -40,8 +39,13 @@ class ConstructionRequest:
     params: dict = dc_field(default_factory=dict)
 
 
+def _trace_forms(tower: Tower, a, values):
+    """The K-forms Tr(a_s * values), one per a_s: an (..., len(a), N, N) stack for an (..., N, N) stack of L-codes."""
+    return tower.trace_arr(tower.top.mul_arr(np.reshape(a, (-1, 1, 1)), np.expand_dims(values, -3)))
+
+
 def symmetric_trace(K: Field, m: int) -> FormSubspace:
-    """The trace family f_z(x, y) = Tr(z * x * y) on L = GF(q^m) over K.
+    """The trace family f_z(x, y) = Tr(z * x * y) on L = GF(q^m) over K: `trace_compress` of <xy> on L^1.
 
     L is identified with K^m through the power basis of the canonical
     top-field generator; the returned basis is {f_b} for b running over
@@ -50,14 +54,7 @@ def symmetric_trace(K: Field, m: int) -> FormSubspace:
     if m < 2:
         raise ValueError("the trace family needs extension degree m >= 2")
     tower = make_tower(K, m)
-    top = tower.top
-    b = tower.power_basis()
-    forms = np.zeros((m, m, m), dtype=np.int64)
-    for z, entries in zip(b, forms):
-        for i in range(m):
-            for j in range(m):
-                entries[i, j] = tower.trace(top.mul(z, top.mul(b[i], b[j])))
-    return FormSubspace(K, m, forms)
+    return trace_compress(FormSubspace(tower.top, 1, [[[1]]]), tower)
 
 
 def embed_with_radical(N: FormSubspace, n: int) -> FormSubspace:
@@ -113,18 +110,9 @@ def alternating_odd_full(k: int, field: Field, budget: Optional[int] = None) -> 
         raise ValueError(f"k must be odd and > 1, got {k}")
     q = field.q
     tower = make_tower(field, k)
-    top = tower.top
-    b = tower.power_basis()
-    forms = np.zeros((k, k, k), dtype=np.int64)
-    for a, entries in zip(b, forms):
-        for i in range(k):
-            for j in range(k):
-                # x y^q - x^q y evaluated on the basis pair (b_i, b_j)
-                v = top.sub(
-                    top.mul(b[i], top.pow(b[j], q)),
-                    top.mul(top.pow(b[i], q), b[j]),
-                )
-                entries[i, j] = tower.trace(top.mul(a, v))
+    top, b = tower.top, np.array(tower.power_basis())
+    xy_q = top.mul_arr(b[:, None], [top.pow(x, q) for x in b])  # b_i b_j^q, and b_i^q b_j is its transpose
+    forms = _trace_forms(tower, b, top.sub_arr(xy_q, xy_q.T))
     try:
         M = FormSubspace(field, k, forms)
     except ValueError as exc:
@@ -161,21 +149,10 @@ def trace_compress(M: FormSubspace, tower: Tower) -> FormSubspace:
         raise ValueError("trace compression needs a tower of degree >= 2")
     if M.field != tower.top:
         raise ValueError("subspace must live over the tower's top field")
-    top = tower.top
-    K = tower.base
-    t = tower.t
-    lam = tower.power_basis()
-    n_k = M.n * t
-    forms = np.zeros((M.dim, t, n_k, n_k), dtype=np.int64)  # form f, then lam_a
-    for f, g in zip(forms, M.basis_flat().reshape(-1, M.n, M.n)):
-        for a, entries in enumerate(f):
-            for i in range(M.n):
-                for bi in range(t):
-                    for j in range(M.n):
-                        for cj in range(t):
-                            val = top.mul(lam[a], top.mul(lam[bi], top.mul(lam[cj], int(g[i, j]))))
-                            entries[i * t + bi, j * t + cj] = tower.trace(val)
-    return FormSubspace(K, n_k, forms.reshape(-1, n_k, n_k))
+    top, lam, n_k = tower.top, np.array(tower.power_basis()), M.n * tower.t
+    # form f at (i t + b, j t + c) takes lam_b lam_c g_f[i, j], and then one trace form per lam_a
+    values = top.mul_arr(M.basis_flat().reshape(-1, M.n, 1, M.n, 1), top.mul_arr(lam[:, None, None], lam))
+    return FormSubspace(tower.base, n_k, _trace_forms(tower, lam, values.reshape(-1, n_k, n_k)).reshape(-1, n_k, n_k))
 
 
 def bilinear_column_family(L: Field, m: int, r: int) -> FormSubspace:
@@ -234,22 +211,23 @@ def _alt_full(p: dict, budget):
     return M, {"spectrum": [2 * s for s in range(1, n // 2 + 1)]}
 
 
+def _over_extension(q: int, t: int, make) -> FormSubspace:
+    """make(GF(q^t)), pushed down to GF(q) by `trace_compress` when t >= 2."""
+    M = make(field_for_order(q**t))
+    return trace_compress(M, make_tower(field_for_order(q), t)) if t >= 2 else M
+
+
 def _alt_odd(p: dict, budget):
     q, k = _require(p, "q", "k")
     t = _param(p, "ext", 1)
-    base = field_for_order(q)
-    M = alternating_odd_full(k, field_for_order(q**t), budget)
-    if t >= 2:
-        M = trace_compress(M, make_tower(base, t))
+    M = _over_extension(q, t, lambda L: alternating_odd_full(k, L, budget))
     return M, {"spectrum": [(k - 1) * t], "spread_t": (q ** (k * t) - 1) // (q**t - 1)}
 
 
 def _column_family(p: dict, budget):
     q, m, r = _require(p, "q", "m", "r")
     s = _param(p, "ext", 1)
-    M = bilinear_column_family(field_for_order(q**s), m, r)
-    if s >= 2:
-        M = trace_compress(M, make_tower(field_for_order(q), s))
+    M = _over_extension(q, s, lambda L: bilinear_column_family(L, m, r))
     return M, {"spectrum": [u * s for u in range(1, r + 1)]}
 
 

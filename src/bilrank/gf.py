@@ -409,8 +409,8 @@ class Tower:
 
     The embedding sends the residue class generating K to the smallest-code
     root of K's modulus in L, which fixes 0 and 1 and is a field
-    homomorphism.  `trace` is the usual x + x^q + ... + x^(q^(t-1)),
-    returned as a base-field code.
+    homomorphism.  Tr_{L/K} is one read-only table built with the tower: the
+    sum of the t iterates of the Frobenius table x -> x^q, in base-field codes.
     """
 
     def __init__(self, base: Field, top: Field, t: int):
@@ -425,9 +425,17 @@ class Tower:
                 acc = top.add(top.mul(acc, rho), c)
             emb.append(acc)
         self._embed = emb
-        self._section = {z: a for a, z in enumerate(emb)}
-        if len(self._section) != base.q:
-            raise RuntimeError("embedding is not injective (invalid tower)")
+        frobenius = np.array([top.pow(x, base.q) for x in top.elements()], dtype=np.int64)
+        power = total = np.arange(top.q, dtype=np.int64)
+        for _ in range(t - 1):  # total = x + x^q + ... + x^(q^(t-1))
+            power = frobenius[power]
+            total = top.add_arr(total, power)
+        section = np.full(top.q, -1, dtype=np.int64)  # the inverse of the embedding
+        section[emb] = np.arange(base.q)
+        self._trace = section[total]
+        if (section[emb] != np.arange(base.q)).any() or (self._trace < 0).any():
+            raise RuntimeError("embedding not injective, or a trace outside its image (invalid tower)")
+        self._trace.setflags(write=False)
 
     def _find_root(self) -> int:
         mod = self.base.spec.modulus
@@ -443,22 +451,15 @@ class Tower:
         """Image in L of a base-field code."""
         return self._embed[a]
 
-    def retract(self, z: int) -> int:
-        """Base-field code of an element lying in the embedded copy of K."""
-        try:
-            return self._section[z]
-        except KeyError:
-            raise ValueError(f"top-field code {z} is not in the embedded base field") from None
-
     def trace(self, x: int) -> int:
         """Tr_{L/K}(x) = sum of x^(q^i) for i < t, as a base-field code."""
         if not (0 <= x < self.top.q):
             raise ValueError(f"code {x} out of range for the top field")
-        q = self.base.q
-        acc = 0
-        for i in range(self.t):
-            acc = self.top.add(acc, self.top.pow(x, q**i))
-        return self.retract(acc)
+        return int(self._trace[x])
+
+    def trace_arr(self, a):
+        """Tr_{L/K} of every top-field code of an array, as base-field codes."""
+        return self._trace[np.asarray(a, dtype=np.int64)]
 
     def power_basis(self) -> tuple[int, ...]:
         """K-basis of L: powers of the class of x in L (just (1,) when t = 1)."""

@@ -29,7 +29,7 @@ def rref(field, mat):
     if arr.ndim != 2:
         raise ValueError("expected a 2-d matrix")
     nrows, ncols = arr.shape
-    a = [list(map(int, row)) for row in arr]
+    a = arr.tolist()
     pivots: list[int] = []
     r = 0
     for c in range(ncols):

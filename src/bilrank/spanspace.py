@@ -64,6 +64,7 @@ that computed it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
@@ -95,10 +96,10 @@ def charge(items: int, cell_cost: int, budget: Optional[int], what: str) -> None
 
 
 def _frozen(result):
-    """Make every array of a result read-only: an array, or a tuple (a NullSpaces too) of results."""
+    """Make every array of a result read-only: an array, or a tuple (a NullSpaces too) of results; a scalar passes."""
     if isinstance(result, np.ndarray):
         result.setflags(write=False)
-    else:
+    elif isinstance(result, tuple):
         for part in result:
             _frozen(part)
     return result
@@ -133,9 +134,10 @@ class FormSubspace:
         if stack.ndim != 3 or stack.shape[1:] != (n, n):
             raise ValueError(f"basis must be a (d, {n}, {n}) stack of Gram matrices, got shape {stack.shape}")
         flat = stack.reshape(len(stack), n * n)
-        if len(flat) and linalg.rank(field, flat) < len(flat):
-            # only now look for the first dependent row, to name it in diagnostics
-            i = next(i for i in range(len(flat)) if linalg.rank(field, flat[: i + 1]) <= i)
+        # the pivot columns of the transpose are the rows independent of the rows before them
+        pivots = linalg.rref(field, flat.T)[1] if len(flat) else []
+        if len(pivots) < len(flat):
+            i = min(set(range(len(flat))) - set(pivots))
             raise ValueError(f"basis row {i} is dependent on earlier rows")
         self.field = field
         self.n = n
@@ -403,8 +405,18 @@ def kernel_matrices(M: FormSubspace, vecs, side: str):
 
 
 def kernel_at(M: FormSubspace, u, side: str = "left") -> FormSubspace:
-    """M_u: the forms of M whose chosen radical contains u, solved for one u."""
-    return M.subspace_from_coefficients(linalg.right_null_space(M.field, kernel_matrices(M, [u], side)[0]))
+    """M_u: the forms of M whose chosen radical contains u, solved for one u.
+
+    Column k of its n x d system is u^T G_k (left side) or G_k u (right side), summed in scalar field ops.
+    """
+    _solved_side(M, side)  # raises on an unknown side
+    fld, n, u = M.field, M.n, [int(c) for c in u]
+    if len(u) != n:
+        raise ValueError(f"u must have {n} coordinates, got {len(u)}")
+    stack = M._flat.reshape(-1, n, n)
+    forms = (stack.transpose(0, 2, 1) if side == "left" else stack).tolist()  # u^T G = G^T u
+    system = [[functools.reduce(fld.add, map(fld.mul, g[i], u), 0) for g in forms] for i in range(n)]
+    return M.subspace_from_coefficients(linalg.right_null_space(fld, np.reshape(system, (n, M.dim))))
 
 
 def kernel_dims_all(M: FormSubspace, side: str, budget: Optional[int] = None):
@@ -526,7 +538,8 @@ def radical_spread(M: FormSubspace, budget: Optional[int] = None) -> SpreadRepor
     if not spec.is_constant_rank:
         raise ValueError(f"radical_spread requires constant rank, spectrum is {spec.ranks}")
     radicals = lines(M, budget)[3]
-    pairwise_trivial, union = partition_status(M.field, radicals.bases, radicals.dims)
+    pairwise_trivial, union = _stored(M, "radical_spread",
+                                      lambda: partition_status(M.field, radicals.bases, radicals.dims))
     return SpreadReport(radicals, len(radicals.dims), bool(union.all()), pairwise_trivial)
 
 

@@ -5,13 +5,17 @@ and only asserts the conclusion when all of them hold; otherwise the
 verdict is "not-applicable" and the conclusion's truth value is still
 computed and recorded as informational, because the boundary cases are
 exactly where tightness shows.  A "violated" verdict always carries a
-witness, and `replay_witness` re-runs it bit for bit.  Orthogonality,
-extension, radical-equality and spectrum-element witnesses replay through
-formcore alone, sharing no code with the batched path; kernel-bound and
-counting-identity ones by a `kernel_at` solve per vector, not the stored
-per-line M_u the checkers read.  Spread witnesses and spectrum witnesses
-without an element re-run `radical_spread` and `rank_spectrum` themselves;
-the isotropic-partition, Witt-census and filtration checkers record counts.
+witness, and `replay_witness` re-runs it bit for bit, with formcore ranks,
+radicals and `evaluate` and no line table or batched elimination.  An
+orthogonality witness replays through formcore alone; spectrum-element and
+radical-equality ones build their forms with `form_from_coefficients`
+(`flat_forms_for`), and extension ones walk `enumerate_nonzero`
+(`flat_forms_for`, `matmul_arr`) and add with `add_arr`.  Kernel-bound and
+counting-identity witnesses replay by a `kernel_at` solve per vector, its
+system built in scalar field arithmetic, not the stored per-line M_u the
+checkers read.  Spread witnesses and spectrum witnesses without an element
+re-run `radical_spread` and `rank_spectrum` themselves; the
+isotropic-partition, Witt-census and filtration checkers record counts.
 
 Floor/ceiling boundaries are implemented exactly as each theorem states
 them; constant rank is always re-derived from the spectrum, never read

@@ -1,10 +1,12 @@
 """Per-form and per-vector oracles the tests hold the batched verify path against.
 
-Nothing in `bilrank` calls these.  Each works one form, one vector or
-one subspace of V at a time, in scalar field arithmetic (`add`, `mul`,
-`neg`), single-matrix `linalg.rref` or `spanspace.kernel_at`, so none
-shares code with the stacked eliminations, line tables and array field
-ops it checks; CI greps this file for their names.
+Nothing in `bilrank` calls these.  Each works one form, one vector, one
+field element or one subspace of V at a time, in scalar field arithmetic
+(`add`, `mul`, `neg`, `pow`), single-matrix `linalg.rref` or
+`spanspace.kernel_at` (whose one system is built in scalar arithmetic
+too), so none shares code with the stacked eliminations, line tables,
+trace table and array field ops it checks; CI greps this file for their
+names.
 """
 
 from __future__ import annotations
@@ -35,6 +37,15 @@ def identity_form(field, n: int) -> GramForm:
 def is_square(field, x: int) -> bool:
     """x in {y^2 : y in F}, by squaring every element (0 counts as a square)."""
     return x in {field.mul(y, y) for y in range(field.q)}
+
+
+def trace(tower, x: int) -> int:
+    """Tr_{L/K}(x): the sum of x^(q^i) for i < t in scalar `pow` and `add`, read back as the base code it embeds from."""
+    top, q = tower.top, tower.base.q
+    total = 0
+    for i in range(tower.t):
+        total = top.add(total, top.pow(x, q**i))
+    return next(a for a in range(q) if tower.embed(a) == total)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 import pytest
-from oracles import witt_census
+from oracles import trace, witt_census
 
 from bilrank import constructions as cons
 from bilrank import fileio
@@ -120,7 +120,7 @@ def test_acceptance_4_trace_compression(capsys):
                     for j in range(M.n):
                         for cj in range(t):
                             val = L.mul(lam[bi], L.mul(lam[cj], int(g.entries[i, j])))
-                            entries[i * t + bi, j * t + cj] = tower.trace(val)
+                            entries[i * t + bi, j * t + cj] = trace(tower, val)
             F = fc.GramForm(tower.base, entries)
             assert fc.rank(F) == t * fc.rank(g), (q, t, g.rows())
             assert C.contains_form(F)

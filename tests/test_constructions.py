@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from oracles import classify, contains
+from oracles import classify, contains, trace
 
 from bilrank import constructions as cons
 from bilrank import formcore as fc
@@ -179,7 +179,7 @@ def test_trace_compress_multiplies_ranks_elementwise(q, t, make):
                 for j in range(M.n):
                     for cj in range(t):
                         val = L.mul(lam[bi], L.mul(lam[cj], int(g.entries[i, j])))
-                        entries[i * t + bi, j * t + cj] = tower.trace(val)
+                        entries[i * t + bi, j * t + cj] = trace(tower, val)
         F = fc.GramForm(base, entries)
         assert fc.rank(F) == t * fc.rank(g)
         assert C.contains_form(F)

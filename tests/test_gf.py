@@ -7,7 +7,7 @@ directly in the tests, never the table machinery under test.
 
 import numpy as np
 import pytest
-from oracles import is_square
+from oracles import is_square, trace
 
 from bilrank.gf import (
     FieldSpec,
@@ -179,6 +179,16 @@ def test_trace_gf4_to_gf2_by_power_sum():
         assert tower.trace(x) == L.add(x, L.mul(x, x))
     assert tower.trace(0) == 0
     assert tower.trace(2) == 1
+
+
+@pytest.mark.parametrize("q,t", [(q, t) for q in ORDERS_64 for t in range(1, 13) if q**t <= 4096])
+def test_trace_table_matches_the_power_sum_oracle(q, t):
+    """Every tower with a base q <= 64 (so every one with t >= 2) and q^t <= 4096, at every top-field code."""
+    tower = make_tower(field_for_order(q), t)
+    codes = np.arange(tower.top.q)
+    table = tower.trace_arr(codes)
+    assert table.tolist() == [trace(tower, x) for x in codes.tolist()]
+    assert [tower.trace(x) for x in codes.tolist()] == table.tolist()
 
 
 def test_trace_rejects_out_of_range_codes():

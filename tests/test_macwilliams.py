@@ -20,6 +20,7 @@ import pytest
 from conftest import catalogue_requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import trace
 
 from bilrank import constructions as cons
 from bilrank import fileio
@@ -117,7 +118,7 @@ def _gabidulin(K, n: int, k: int):
     """
     tower = make_tower(K, n)
     top, b = tower.top, tower.power_basis()
-    forms = [[[tower.trace(top.mul(top.mul(b[j], b[t]), top.pow(b[i], K.q**s))) for j in range(n)]
+    forms = [[[trace(tower, top.mul(top.mul(b[j], b[t]), top.pow(b[i], K.q**s))) for j in range(n)]
               for i in range(n)] for s in range(k) for t in range(n)]
     return sp.FormSubspace(K, n, forms)
 
