@@ -5,26 +5,27 @@ in bulk (shape, codes, independence), with its kind read off the stack.
 GramForms are made on demand only: by `basis`, `form_from_coefficients`
 and `enumerate_nonzero`.  `span` takes a list of GramForms.
 
-This is the one module that walks the elements of M.  `scan_blocks` is
-that walk: it lists the q^d - 1 nonzero coefficient vectors by ascending
-code (code i -> base-q digits of i, most significant first) and yields
-them in blocks together with their flattened forms, so runs are
-reproducible and blocks are vectorised.  In `projective` mode it lists
-only the codes of `line_representatives`, the one listing of lines: the
-vectors whose leading nonzero entry is 1, one per scalar line, which is
-exhaustive for anything that depends only on ranks or radicals.
+This is the one module that walks the elements of M, and `line_table` is
+the walk: rank, radicals and Witt index are constant on the scalar lines
+of M^x, so it lists one element per line, the codes of
+`line_representatives`, the one listing of lines (code i -> base-q digits
+of i, most significant first; a line's lead-1 vector has its least
+code), and eliminates their Gram matrices `_BLOCK` at a time into one
+preallocated table, so runs are reproducible and blocks are vectorised.
+`enumerate_nonzero` lists all q^d - 1 elements by ascending code, one
+GramForm each, for witness replay.
 
 What is computed from M is stored on M, in its one store: `_stored`
 runs a computation on the first call only and makes every array of the
 result read-only, so no caller can change what a later call reads.
 
-M is walked once.  Rank, radicals and Witt index are constant on the
-scalar lines of M^x, so `line_table` is one projective walk returning
-`(coeffs, ranks, reduced)`: the lead-1 coefficients of the lines and
-the `batch_rref` of their Gram matrices as one stack.  `rank_spectrum`
-counts its ranks q - 1 times each, `lines` reads the right radicals off
-`reduced` and adds the left ones, and the spectrum witness and the Witt
-census (its pivot columns) read it too, with no second elimination.
+M is walked once.  `line_table` returns `(coeffs, ranks, reduced)`: the
+lead-1 coefficients of the lines and the `batch_rref` of their Gram
+matrices as one stack.  `rank_spectrum` counts its ranks q - 1 times each,
+`lines` reads the right radicals off `reduced` and adds the left ones,
+and the spectrum witness and the Witt census (its pivot columns) read it
+too, with no second elimination.  The maximality scan reads the table of
+its ambient kind space for the ranks of its candidates.
 
 V is indexed by its lines too: M_{cu} = M_u, A_{cu} = A_u, and
 radicals, spreads and I(M) are unions of lines, so `kernel_dims_all`,
@@ -54,12 +55,11 @@ spaces for that incidence and `partition_status`.
 Operations that walk q^d or q^n objects take an explicit step budget
 and raise BudgetExceeded instead of silently sampling: a theorem check
 is either exhaustive or it did not run.  One step is one enumerated
-object times one Gram-matrix cell (n^2 cells per form).  `scan_blocks`
-charges nothing: each walk is charged once per call by the function
-that owns it (`line_table`, `kernel_dims_all`, `isotropic_set`,
-`enumerate_nonzero`, and the maximality checker for its scan), so a
-call that returns a result stored on M is charged the same as the call
-that computed it.
+object times one Gram-matrix cell (n^2 cells per form).  Each walk is
+charged once per call by the function that owns it (`line_table`,
+`kernel_dims_all`, `isotropic_set`, `enumerate_nonzero`, and the
+maximality checker for its scan), so a call that returns a result stored
+on M is charged the same as the call that computed it.
 """
 
 from __future__ import annotations
@@ -240,32 +240,16 @@ def line_representatives(q: int, k: int):
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 
-def scan_blocks(M: FormSubspace, projective=False):
-    """Yield (coeffs, flats) blocks over the nonzero elements of M by ascending code: the one walk.
-
-    With projective=True it lists only the `line_representatives`: one
-    element per scalar line, enough for anything that only depends on
-    radicals or ranks.  It charges nothing; its caller charges the walk.
-    """
-    q, d = M.field.q, M.dim
-    codes = line_representatives(q, d) if projective else range(1, q**d)  # a range is listed block by block
-    for start in range(0, len(codes), _BLOCK):
-        coeffs = linalg.code_vectors(q, d, codes[start:start + _BLOCK])
-        yield coeffs, flat_forms_for(M, coeffs)
-
-
 def enumerate_nonzero(
     M: FormSubspace, budget: Optional[int] = None
 ) -> Iterator[tuple[tuple[int, ...], GramForm]]:
-    """Yield every (coefficients, form) pair for the q^d - 1 nonzero elements.
-
-    Order is lexicographic in the coefficient codes and identical from
-    run to run.
-    """
-    charge(M.field.q**M.dim, M.n * M.n, budget, "enumerate_nonzero")
-    for coeffs, flats in scan_blocks(M):
-        for row_c, row_f in zip(coeffs, flats):
-            yield tuple(int(c) for c in row_c), GramForm(M.field, row_f.reshape(M.n, M.n))
+    """Yield (coefficients, GramForm) for each of the q^d - 1 nonzero elements, by ascending code."""
+    q, d, n = M.field.q, M.dim, M.n
+    charge(q**d, n * n, budget, "enumerate_nonzero")
+    for start in range(1, q**d, _BLOCK):
+        coeffs = linalg.code_vectors(q, d, range(start, min(start + _BLOCK, q**d)))
+        for row_c, row_f in zip(coeffs, flat_forms_for(M, coeffs)):
+            yield tuple(int(c) for c in row_c), GramForm(M.field, row_f.reshape(n, n))
 
 
 @dataclass(frozen=True)
@@ -293,30 +277,35 @@ class RankSpectrum:
 
 
 def line_table(M: FormSubspace, budget: Optional[int], what: str):
-    """(coeffs, ranks, reduced) of the scalar lines of M^x, in projective `scan_blocks` order.
+    """(coeffs, ranks, reduced) of the scalar lines of M^x, in `line_representatives(q, d)` order.
 
-    `coeffs` is the (L, d) array of lead-1 coefficient vectors, L = (q^d - 1)/(q - 1), and
-    `ranks, reduced` the `linalg.batch_rref` of their (L, n, n) Gram matrices.  Charged under `what`.
+    `coeffs` is the (L, d) array of lead-1 coefficient vectors, L = (q^d - 1)/(q - 1), and `ranks, reduced`
+    the `linalg.batch_rref` of their (L, n, n) Gram matrices.  Charged under `what` on every call.
     """
     charge(M.field.q**M.dim, M.n * M.n, budget, what)
     return _stored(M, "line_table", lambda: _line_table(M))
 
 
 def _line_table(M: FormSubspace):
-    n = M.n
-    parts = [(np.zeros((0, M.dim), dtype=np.int64), np.zeros((0, n, n), dtype=np.int64), np.zeros(0, dtype=np.int64))]
-    for block, flats in scan_blocks(M, projective=True):
-        parts.append((block, *linalg.batch_rref(M.field, flats.reshape(-1, n, n))))
-    coeffs, reduced, ranks = (np.concatenate(part) for part in zip(*parts))
+    q, d, n = M.field.q, M.dim, M.n
+    coeffs = linalg.code_vectors(q, d, line_representatives(q, d))
+    ranks, reduced = np.empty(len(coeffs), dtype=np.int64), np.empty((len(coeffs), n, n), dtype=np.int64)
+    for start in range(0, len(coeffs), _BLOCK):  # filled in place: the table is the peak, with no parts to join
+        at = slice(start, start + _BLOCK)
+        reduced[at], ranks[at] = linalg.batch_rref(M.field, flat_forms_for(M, coeffs[at]).reshape(-1, n, n))
     return coeffs, ranks, reduced
 
 
 def rank_spectrum(M: FormSubspace, budget: Optional[int] = None) -> RankSpectrum:
     """Exact rank spectrum of M: each scalar line holds q - 1 elements of its rank."""
-    q, d, n = M.field.q, M.dim, M.n
-    if d == 0:
+    if M.dim == 0:
         return RankSpectrum((), ())
-    counts = np.bincount(line_table(M, budget, "rank_spectrum")[1], minlength=n + 1) * (q - 1)
+    ranks = line_table(M, budget, "rank_spectrum")[1]  # charged on every call, stored or not
+    return _stored(M, "rank_spectrum", lambda: _rank_spectrum(M.field.q, M.n, ranks))
+
+
+def _rank_spectrum(q: int, n: int, ranks) -> RankSpectrum:
+    counts = np.bincount(ranks, minlength=n + 1) * (q - 1)
     present = [r for r in range(1, n + 1) if counts[r]]
     return RankSpectrum(tuple(present), tuple((r, int(counts[r])) for r in present))
 

@@ -13,9 +13,10 @@ radical-equality ones build their forms with `form_from_coefficients`
 (`flat_forms_for`, `matmul_arr`) and add with `add_arr`.  Kernel-bound and
 counting-identity witnesses replay by a `kernel_at` solve per vector, its
 system built in scalar field arithmetic, not the stored per-line M_u the
-checkers read.  Spread witnesses and spectrum witnesses without an element
-re-run `radical_spread` and `rank_spectrum` themselves; the
-isotropic-partition, Witt-census and filtration checkers record counts.
+checkers read.  A spectrum, m or radical count t that a witness needs is
+recounted over `enumerate_nonzero` with formcore, never read from the
+`rank_spectrum` or `radical_spread` it checks; the isotropic-partition,
+Witt-census and filtration checkers record counts.
 
 Floor/ceiling boundaries are implemented exactly as each theorem states
 them; constant rank is always re-derived from the spectrum, never read
@@ -59,7 +60,6 @@ from .spanspace import (
     partition_status,
     radical_spread,
     rank_spectrum,
-    scan_blocks,
 )
 
 HOLDS = "holds"
@@ -541,9 +541,9 @@ def check_maximality(
 
     Exhaustive when the ambient kind space fits the budget, otherwise a
     seeded sample of candidate extensions, charged per candidate as the
-    exhaustive scan is.  A found extension is
-    conclusive either way and becomes the witness; a clean exhaustive
-    scan certifies maximality.
+    exhaustive scan is, which reads the ambient space's `line_table`.  A
+    found extension is conclusive either way and becomes the witness; a
+    clean exhaustive scan certifies maximality.
     """
     spec = rank_spectrum(M, budget)
     q, n, d, m = M.field.q, M.n, M.dim, spec.m
@@ -574,25 +574,27 @@ def check_maximality(
     stack = flat_forms_for(M, linalg.code_vectors(q, d))  # all of M, zero first
     if exhaustive:
         # h extends M iff c h does, and a line's lead-1 vector has its least code: one candidate per line
-        # finds the first extension in the scan of all q^dk - 1, and its code is its position there
+        # finds the first extension in the scan of all q^dk - 1, and its code is its position there;
+        # h + 0 = h is one of the sums, so only the lines of rank m can extend
         charge(q**dk * q**d, n * n, budget, tid)
-        blocks = ((linalg.code_index(q, coeffs), cands) for coeffs, cands in scan_blocks(ambient, projective=True))
-        tried = q**dk - 1
+        coeffs, ranks, _ = line_table(ambient, budget, tid)
+        coeffs = coeffs[ranks == m]
+        at, tried = linalg.code_index(q, coeffs), q**dk - 1
     else:
         rng = np.random.default_rng(seed)
-        combos = [rng.integers(0, q, size=dk, dtype=np.int64) for _ in range(trials)]
-        combos = np.array([c for c in combos if c.any()], dtype=np.int64).reshape(-1, dk)
-        charge(len(combos) * q**d, n * n, budget, tid)
-        blocks = [(np.arange(1, len(combos) + 1), fld.matmul_arr(combos, ambient.basis_flat()))]
-        tried = len(combos)
-    per_call = max(1, 8192 // len(stack))  # candidates per batch_rank call
+        draws = (rng.integers(0, q, size=dk, dtype=np.int64) for _ in range(trials))
+        coeffs = np.array([c for c in draws if c.any()], dtype=np.int64).reshape(-1, dk)
+        charge(len(coeffs) * q**d, n * n, budget, tid)
+        at, tried = np.arange(1, len(coeffs) + 1), len(coeffs)
+    per = max(1, _BLOCK // len(stack))  # candidates per batch_rank call
     extension = None
-    for at, cands in ((a[i:i + per_call], b[i:i + per_call]) for a, b in blocks for i in range(0, len(b), per_call)):
+    for start in range(0, len(coeffs), per):
+        cands = flat_forms_for(ambient, coeffs[start:start + per])
         sums = fld.add_arr(cands[:, None, :], stack[None, :, :]).reshape(-1, n, n)
         extends = (linalg.batch_rank(fld, sums).reshape(len(cands), -1) == m).all(axis=1)
         if extends.any():
             first = int(np.argmax(extends))
-            extension, tried = cands[first], int(at[first])
+            extension, tried = cands[first], int(at[start + first])
             break
 
     maximal = extension is None
@@ -747,12 +749,17 @@ def _spectrum_witness(M: FormSubspace, declared_ranks, budget) -> dict:
 # Witness replay
 
 
+def _element_ranks(M: FormSubspace) -> list[int]:
+    """The distinct ranks over M^x, ascending: one formcore `rank` per element, replay's own count."""
+    return sorted({rank(f) for _, f in enumerate_nonzero(M)})
+
+
 def replay_witness(M: FormSubspace, witness: dict) -> bool:
     """Re-run a violation witness through formcore; True iff it reproduces."""
     kind = witness.get("kind")
     if kind == "spectrum-mismatch":
         if witness.get("coefficients") is None:
-            return rank_spectrum(M).ranks != tuple(witness["declared"])
+            return _element_ranks(M) == witness["actual"] != witness["declared"]
         f = M.form_from_coefficients(witness["coefficients"])
         return rank(f) == witness["rank"] and witness["rank"] not in set(witness["declared"])
     if kind == "dim-mismatch":
@@ -780,14 +787,15 @@ def replay_witness(M: FormSubspace, witness: dict) -> bool:
         return len(lk) == 2 and len(rk) == 2
     if kind == "spread-mismatch":
         if witness.get("actual_t") is None:
-            return not rank_spectrum(M).is_constant_rank or M.kind != KIND_ALTERNATING
-        return radical_spread(M).t == witness["actual_t"] != witness["declared_t"]
+            return M.kind != KIND_ALTERNATING or len(_element_ranks(M)) != 1
+        t = len({left_radical(f).key() for _, f in enumerate_nonzero(M)})
+        return t == witness["actual_t"] != witness["declared_t"]
     if kind == "kernel-bound":  # one kernel_at solve at u, and formcore ranks; the lemmas' gates are the report's
         K, lemma, d, n = kernel_at(M, witness["u"], witness["side"]), witness["lemma"], M.dim, M.n
         bounds = {"dim >= dim M - n": d - n, "alternating dim >= dim M - (n-1)": d - (n - 1)}
         if lemma in bounds:
             return K.dim == witness["dim_kernel"] < bounds[lemma]
-        m, other = rank_spectrum(M).m, right_radical if witness["side"] == "left" else left_radical
+        m, other = max(_element_ranks(M), default=0), right_radical if witness["side"] == "left" else left_radical
         rads = {other(f).key() for _, f in enumerate_nonzero(K) if rank(f) == m}  # of M_u's rank-m elements
         if lemma == "dim >= dim M - m":
             return bool(rads) and K.dim == witness["dim_kernel"] < d - m
@@ -795,7 +803,8 @@ def replay_witness(M: FormSubspace, witness: dict) -> bool:
     if kind == "counting-identity":  # one kernel_at solve per nonzero u, not the stored kernel_dims_all
         q, d, n = M.field.q, M.dim, M.n
         rhs = sum(q ** kernel_at(M, u, "left").dim - 1 for u in linalg.code_vectors(q, n) if u.any())
-        return witness["lhs"] == (q**d - 1) * (q ** (n - rank_spectrum(M).m) - 1) != rhs == witness["rhs"]
+        m = max(_element_ranks(M), default=0)
+        return witness["lhs"] == (q**d - 1) * (q ** (n - m) - 1) != rhs == witness["rhs"]
     raise ValueError(f"unknown witness kind {kind!r}")
 
 

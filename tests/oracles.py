@@ -34,6 +34,16 @@ def identity_form(field, n: int) -> GramForm:
     return GramForm(field, np.eye(n, dtype=np.int64))
 
 
+def element(M, coeffs) -> GramForm:
+    """The element sum c_k B_k of M over its basis B, entry by entry in scalar `add` and `mul`."""
+    fld, n = M.field, M.n
+    out = [[0] * n for _ in range(n)]
+    for c, g in zip(coeffs, M.basis):
+        rows = g.rows()
+        out = [[fld.add(out[i][j], fld.mul(int(c), rows[i][j])) for j in range(n)] for i in range(n)]
+    return GramForm(fld, out)
+
+
 def is_square(field, x: int) -> bool:
     """x in {y^2 : y in F}, by squaring every element (0 counts as a square)."""
     return x in {field.mul(y, y) for y in range(field.q)}

@@ -5,7 +5,7 @@ the dimensions of radicals, M_u, A_u and I(M).  A new basis Q B of M, Q in GL(d,
 itself.  Frobenius x -> x^p on every entry is a field automorphism applied to all of M, so it
 keeps the same quantities.  So every suite but maximality (whose sampled candidates depend on
 the basis) must give the same verdicts, hypotheses, details and charged steps on M and on its
-image.  Transposition G -> G^T swaps left and right, so on general M the image's reports are
+image; an exhaustive maximality scan must give the same verdict, mode and `maximal`.  Transposition G -> G^T swaps left and right, so on general M the image's reports are
 M's with every left and right exchanged.  The image is a fresh FormSubspace and a catalogue M is
 the session-shared member, whose results other tests may already have stored: equal steps show
 that each call is charged the same whether or not its result was stored.
@@ -169,3 +169,30 @@ def test_transposition_on_random_subspaces(q, n, d, monkeypatch):
     assert draws
     for M in draws:
         _assert_transposition_swaps_sides(M, None, monkeypatch)
+
+
+def _maximality(M, declared):
+    report = tl.check_maximality(M, declared=declared)
+    return report.verdict, report.details["mode"], report.details["maximal"]
+
+
+def test_maximality_on_catalogue_members(catalogue):
+    """Every exhaustively scanned constant-rank member with q^dk <= 4096, dk the ambient kind space's dim.
+
+    The first extension in the scan, so `candidates_tried` and the witness, depend on the basis
+    and are not compared.
+    """
+    rng = np.random.default_rng(23)
+    members = [(M, declared) for _, M, declared in catalogue
+               if sp.rank_spectrum(M).is_constant_rank and M.field.q ** sp.kind_space_dim(M.n, M.kind) <= 4096]
+    assert len(members) == 30
+    seen = set()
+    for M, declared in members:
+        want = _maximality(M, declared)
+        assert want[1] == "exhaustive", M
+        seen.add(want[2])
+        images = [_congruent(M, rng)] + ([_frobenius(M)] if M.field.q == 4 else [])  # Frobenius moves GF(4) only
+        for image in images:
+            assert image.kind == M.kind and image.dim == M.dim
+            assert _maximality(image, declared) == want, M
+    assert seen == {True, False}

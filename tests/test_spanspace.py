@@ -13,6 +13,7 @@ from oracles import (
     brute_annihilator,
     classify,
     contains,
+    element,
     identity_form,
     points,
     subspace_from_rows,
@@ -289,17 +290,20 @@ def test_line_listing_matches_normalised_points(q, block, monkeypatch):
     assert spaces == 4 * sum(min(n, 3) + 1 for n in range(1, 5))
 
 
-@pytest.mark.parametrize("projective", [False, True])
-def test_scan_blocks_lists_codes_in_order_and_charges_nothing(projective, monkeypatch):
-    monkeypatch.setattr(sp, "_BLOCK", 5)
-    monkeypatch.setattr(sp, "charge", lambda *args: pytest.fail("scan_blocks charged"))
-    M = cons.alternating_pencil(F3, 4)  # d = 3
-    blocks = list(sp.scan_blocks(M, projective=projective))
-    assert [len(coeffs) for coeffs, _ in blocks[:-1]] == [5] * (len(blocks) - 1) and 0 < len(blocks[-1][0]) <= 5
-    codes = np.concatenate([linalg.code_index(3, coeffs) for coeffs, _ in blocks])
-    assert codes.tolist() == (sp.line_representatives(3, 3) if projective else np.arange(1, 27)).tolist()
-    for coeffs, flats in blocks:
-        assert flats.tolist() == sp.flat_forms_for(M, coeffs).tolist()
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_line_table_matches_per_line_scalar_oracle(q, monkeypatch):
+    """One lead-1 element per line, ascending, with formcore's rank and linalg.rref's rows, and no charge."""
+    monkeypatch.setattr(sp, "_BLOCK", 5)  # the lines split into blocks
+    monkeypatch.setattr(sp, "charge", lambda *args: pytest.fail("_line_table charged"))
+    F = field_for_order(q)
+    for d, kind in ((1, "symmetric"), (3, "general"), (3, "alternating")):
+        M = sp.random_subspace(F, 3, d, kind, q)
+        coeffs, ranks, reduced = sp._line_table(M)
+        assert coeffs.tolist() == linalg.code_vectors(q, d, sp.line_representatives(q, d)).tolist()
+        for c, r, red in zip(coeffs, ranks.tolist(), reduced):
+            f = element(M, c)
+            assert r == fc.rank(f), (kind, c)
+            assert red[:r].tolist() == linalg.rref(F, f.entries)[0].tolist() and not red[r:].any(), (kind, c)
 
 
 def test_a_walk_is_charged_once_per_call(monkeypatch):

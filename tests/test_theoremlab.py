@@ -1,5 +1,6 @@
 """Checker gating, verdicts, witnesses and replay."""
 
+import dataclasses
 import itertools
 from collections import Counter
 
@@ -782,6 +783,39 @@ def test_spectrum_witness_is_first_stray_element(q):
                     assert first == (None, None)
                 else:
                     assert (rep.witness["coefficients"], rep.witness["rank"]) == first, (seed, declared)
+
+
+def test_spread_replay_counts_the_radicals_itself(monkeypatch):
+    """A radical_spread that reports t + 1 makes a false spread witness, which does not replay."""
+    M, declared = cons.build(cons.ConstructionRequest("alt-odd", {"q": 3, "k": 3}))
+    honest = tl.check_declared(M, {**declared, "spread_t": declared["spread_t"] - 1})
+    assert honest.verdict == tl.VIOLATED and tl.replay_witness(M, honest.witness)
+    real = tl.radical_spread
+    monkeypatch.setattr(tl, "radical_spread", lambda M, budget=None: dataclasses.replace(
+        real(M, budget), t=real(M, budget).t + 1))
+    rep = tl.check_declared(M, declared)
+    assert rep.verdict == tl.VIOLATED
+    assert (rep.witness["declared_t"], rep.witness["actual_t"]) == (13, 14)
+    assert not tl.replay_witness(M, rep.witness)
+
+
+def test_spectrum_replay_counts_the_ranks_itself(monkeypatch):
+    """A rank_spectrum that drops a rank makes a false spectrum witness, which does not replay."""
+    M, declared = cons.build(cons.ConstructionRequest("column-family", {"q": 2, "m": 2, "r": 2}))
+    assert declared["spectrum"] == [1, 2]
+    honest = tl.check_declared(M, {"spectrum": [1, 2, 3]})  # no stray rank: a declared rank is missing
+    assert honest.witness["coefficients"] is None and tl.replay_witness(M, honest.witness)
+    real = tl.rank_spectrum
+
+    def dropped(M, budget=None):
+        spec = real(M, budget)
+        return sp.RankSpectrum(spec.ranks[1:], spec.counts[1:])
+
+    monkeypatch.setattr(tl, "rank_spectrum", dropped)
+    rep = tl.check_declared(M, declared)
+    assert rep.verdict == tl.VIOLATED
+    assert (rep.witness["coefficients"], rep.witness["actual"]) == (None, [2])
+    assert not tl.replay_witness(M, rep.witness)
 
 
 def test_replay_rejects_unknown_kind():
