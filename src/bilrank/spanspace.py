@@ -10,8 +10,9 @@ the walk: rank, radicals and Witt index are constant on the scalar lines
 of M^x, so it lists one element per line, the codes of
 `line_representatives`, the one listing of lines (code i -> base-q digits
 of i, most significant first; a line's lead-1 vector has its least
-code), and eliminates their Gram matrices `_BLOCK` at a time into one
-preallocated table, so runs are reproducible and blocks are vectorised.
+code), and eliminates their Gram matrices through `_eliminate`, the one
+loop that fills a preallocated eliminated stack, `_BLOCK` matrices per
+`linalg.batch_rref`, so runs are reproducible and blocks are vectorised.
 `enumerate_nonzero` lists all q^d - 1 elements by ascending code, one
 GramForm each, for witness replay.
 
@@ -28,38 +29,37 @@ too, with no second elimination.  The maximality scan reads the table of
 its ambient kind space for the ranks of its candidates.
 
 V is indexed by its lines too: M_{cu} = M_u, A_{cu} = A_u, and
-radicals, spreads and I(M) are unions of lines, so `kernel_dims_all`,
+radicals, spreads and I(M) are unions of lines, so `kernel_table`,
 `max_rank_incidence`, `isotropic_set` and `partition_status` keep one
-entry per line of V, in `line_representatives(q, n)` order.
+entry per line of V, in `line_representatives(q, n)` order; each M_u
+system is eliminated once, by `kernel_table`.
 
-One side stands for both where it can.  A symmetric or alternating M
-has G^T = +-G for every form, so rad_L G = rad_R G and the left and
-right M_u agree: for such M (`M.two_sided` false) `lines`,
-`kernel_dims_all` and `max_rank_incidence` solve one side and return it
-for the other (`_solved_side`), and the filtration checker stacks only
-the left systems.
+One side stands for both where it can: a symmetric or alternating M has
+G^T = +-G for every form, so its radicals and M_u agree on both sides,
+and `lines`, `kernel_table` and `max_rank_incidence` solve one side for
+such M (`M.two_sided` false) and return it for the other (`_solved_side`).
 
-Null spaces are solved in bulk: `kernel_matrices` builds the systems
-of M_u for a stack of vectors u, `null_spaces` eliminates any stack
-(radicals, M_u, A_u) in blocks, and `reduced_null_spaces` takes one
-reduced stack, such as `line_table`'s.  The `linalg.null_vectors` of
-two matrices are equal exactly when their null spaces are, so one
-`np.unique` over the stack finds the distinct null spaces, and only
-those get the final `batch_rref`.  A `NullSpaces` is its output: the
-stacked canonical bases of the distinct spaces, their dimensions and an
-id per matrix, so the radical census, the radical spread, the
-orthogonality checker and `max_rank_incidence` index the stack and test
-each distinct radical once; `_line_blocks` lists the lines of its
-spaces for that incidence and `partition_status`.
+Null spaces are solved in bulk: `kernel_matrices` builds the systems of
+M_u for a stack of vectors u, `null_spaces` eliminates any stack
+(radicals, A_u, induced M_i), and `reduced_null_spaces` takes one
+reduced stack, such as `line_table`'s or rows of `kernel_table`'s.  The
+`linalg.null_vectors` of two matrices are equal exactly when their null
+spaces are, so one `np.unique` over the stack finds the distinct null
+spaces, and only those are reduced again, to canonical bases.  A
+`NullSpaces` is its output: the stacked canonical bases of the distinct
+spaces, their dimensions and an id per matrix, so the radical census,
+the radical spread, the orthogonality checker and `max_rank_incidence`
+index the stack and test each distinct radical once; `_line_blocks`
+lists the lines of its spaces for that incidence and `partition_status`.
 
 Operations that walk q^d or q^n objects take an explicit step budget
 and raise BudgetExceeded instead of silently sampling: a theorem check
 is either exhaustive or it did not run.  One step is one enumerated
-object times one Gram-matrix cell (n^2 cells per form).  Each walk is
-charged once per call by the function that owns it (`line_table`,
-`kernel_dims_all`, `isotropic_set`, `enumerate_nonzero`, and the
-maximality checker for its scan), so a call that returns a result stored
-on M is charged the same as the call that computed it.
+object times one cell of its matrix (n^2 per form, d n per M_u system).
+Each walk is charged once per call by the function that owns it
+(`line_table`, `kernel_table` as `kernel_dims_all`, `isotropic_set`,
+`enumerate_nonzero`, the maximality scan), so a stored result is charged
+the same as the call that computed it; the A_u and M_i solves are not.
 """
 
 from __future__ import annotations
@@ -289,11 +289,18 @@ def line_table(M: FormSubspace, budget: Optional[int], what: str):
 def _line_table(M: FormSubspace):
     q, d, n = M.field.q, M.dim, M.n
     coeffs = linalg.code_vectors(q, d, line_representatives(q, d))
-    ranks, reduced = np.empty(len(coeffs), dtype=np.int64), np.empty((len(coeffs), n, n), dtype=np.int64)
-    for start in range(0, len(coeffs), _BLOCK):  # filled in place: the table is the peak, with no parts to join
-        at = slice(start, start + _BLOCK)
-        reduced[at], ranks[at] = linalg.batch_rref(M.field, flat_forms_for(M, coeffs[at]).reshape(-1, n, n))
+    reduced, ranks = _eliminate(M.field, len(coeffs), (n, n),
+                                lambda at: flat_forms_for(M, coeffs[at]).reshape(-1, n, n))
     return coeffs, ranks, reduced
+
+
+def _eliminate(field: Field, count: int, shape, block):
+    """`linalg.batch_rref` of `count` matrices of `shape` into preallocated arrays; `block(at)` makes those at `at`."""
+    reduced, ranks = np.empty((count, *shape), dtype=np.int64), np.empty(count, dtype=np.int64)
+    for start in range(0, count, _BLOCK):
+        at = slice(start, start + _BLOCK)
+        reduced[at], ranks[at] = linalg.batch_rref(field, block(at))
+    return reduced, ranks
 
 
 def rank_spectrum(M: FormSubspace, budget: Optional[int] = None) -> RankSpectrum:
@@ -343,9 +350,7 @@ class NullSpaces(NamedTuple):
 
 def null_spaces(field: Field, mats) -> NullSpaces:
     """The right null spaces of a (B, rows, c) stack, eliminated in blocks of _BLOCK matrices."""
-    starts = range(0, max(len(mats), 1), _BLOCK)  # an empty stack is one empty block
-    red, ranks = (np.concatenate(part) for part in zip(*(linalg.batch_rref(field, mats[s:s + _BLOCK]) for s in starts)))
-    return reduced_null_spaces(field, red, ranks)
+    return reduced_null_spaces(field, *_eliminate(field, len(mats), mats.shape[1:], lambda at: mats[at]))
 
 
 def reduced_null_spaces(field: Field, red, ranks) -> NullSpaces:
@@ -362,7 +367,7 @@ def reduced_null_spaces(field: Field, red, ranks) -> NullSpaces:
     keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).reshape(len(vecs))
     _, at, inverse = np.unique(keys, return_index=True, return_inverse=True)
     first = np.sort(at)  # the distinct spaces in order of first appearance
-    bases, dims = linalg.batch_rref(field, vecs[first])
+    bases, dims = _eliminate(field, len(first), (cols, cols), lambda s: vecs[first[s]])
     return _frozen(NullSpaces(bases, dims, np.searchsorted(first, at)[inverse.reshape(-1)], first))
 
 
@@ -408,18 +413,22 @@ def kernel_at(M: FormSubspace, u, side: str = "left") -> FormSubspace:
     return M.subspace_from_coefficients(linalg.right_null_space(fld, np.reshape(system, (n, M.dim))))
 
 
-def kernel_dims_all(M: FormSubspace, side: str, budget: Optional[int] = None):
-    """dim M_u per line of V, solved at its lead-1 u: an (L,) array in `line_representatives(q, n)` order."""
+def kernel_table(M: FormSubspace, side: str, budget: Optional[int] = None):
+    """(dims, reduced): dim M_u and the reduced `kernel_matrices` system per line of V, stored per solved side."""
     charge(M.field.q**M.n, M.dim * M.n, budget, "kernel_dims_all")
     side = _solved_side(M, side)
-    return _stored(M, ("kernel_dims_all", side), lambda: _kernel_dims(M, side))
+    return _stored(M, ("kernel_table", side), lambda: _kernel_table(M, side))
 
 
-def _kernel_dims(M: FormSubspace, side: str):
+def _kernel_table(M: FormSubspace, side: str):
     vecs = linalg.code_vectors(M.field.q, M.n, line_representatives(M.field.q, M.n))
-    starts = range(0, max(len(vecs), 1), _BLOCK)  # V = {0} has no lines: one empty block
-    return M.dim - np.concatenate([linalg.batch_rank(M.field, kernel_matrices(M, vecs[s:s + _BLOCK], side))
-                                   for s in starts])
+    reduced, ranks = _eliminate(M.field, len(vecs), (M.n, M.dim), lambda at: kernel_matrices(M, vecs[at], side))
+    return M.dim - ranks, reduced
+
+
+def kernel_dims_all(M: FormSubspace, side: str, budget: Optional[int] = None):
+    """dim M_u per line of V, solved at its lead-1 u: the (L,) `dims` of `kernel_table`."""
+    return kernel_table(M, side, budget)[0]
 
 
 def max_rank_incidence(M: FormSubspace, side: str, budget: Optional[int] = None):

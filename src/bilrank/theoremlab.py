@@ -15,8 +15,10 @@ counting-identity witnesses replay by a `kernel_at` solve per vector, its
 system built in scalar field arithmetic, not the stored per-line M_u the
 checkers read.  A spectrum, m or radical count t that a witness needs is
 recounted over `enumerate_nonzero` with formcore, never read from the
-`rank_spectrum` or `radical_spread` it checks; the isotropic-partition,
-Witt-census and filtration checkers record counts.
+`rank_spectrum` or `radical_spread` it checks, and a spread witness's
+covers and pairwise-trivial flags are recounted from those radicals with
+`linalg.rank`, one per meet and one per membership of a vector of V; the
+isotropic-partition, Witt-census and filtration checkers record counts.
 
 Floor/ceiling boundaries are implemented exactly as each theorem states
 them; constant rank is always re-derived from the spectrum, never read
@@ -30,6 +32,7 @@ raised anywhere in it becomes its "budget-exceeded" report, except in
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -52,6 +55,7 @@ from .spanspace import (
     kernel_at,
     kernel_dims_all,
     kernel_matrices,
+    kernel_table,
     line_representatives,
     line_table,
     lines,
@@ -60,6 +64,7 @@ from .spanspace import (
     partition_status,
     radical_spread,
     rank_spectrum,
+    reduced_null_spaces,
 )
 
 HOLDS = "holds"
@@ -621,8 +626,7 @@ def check_maximality(
 def check_filtration(tid, M: FormSubspace, budget: Optional[int] = None) -> VerificationReport:
     """Extract the chain M_s (dim sn, s smallest ranks) by the proof's recipe."""
     spec = rank_spectrum(M, budget)
-    q, n, d, m = M.field.q, M.n, M.dim, spec.m
-    r = spec.r
+    n, d, m, r = M.n, M.dim, spec.m, spec.r
     hyps = [
         _hyp("dimension", f"dim M = rn = {r * n}", f"dim M = {d}", d == r * n),
         _hyp("rank range", f"m <= ceil(n/2) = {(n + 1) // 2}", f"m = {m}", m <= (n + 1) // 2),
@@ -630,20 +634,20 @@ def check_filtration(tid, M: FormSubspace, budget: Optional[int] = None) -> Veri
     chain = [(M, spec)]
     failed_at = None
     current, cur_spec = M, spec
-    lead_one = linalg.code_vectors(q, n, line_representatives(q, n))
     while cur_spec.r > 1:
-        # M_u of every lead-1 u, left then right for each u, in the proof's order; where
-        # G^T = +-G each right system has the null space of the left one just before it
-        sides = ("left", "right") if current.two_sided else ("left",)
-        mats = np.stack([kernel_matrices(current, lead_one, side) for side in sides], axis=1)
+        # the M_u of dim (r-1)n, u by lead-1 u and left before right, in the proof's order; where
+        # G^T = +-G both sides are one table, and each right M_u repeats the left one just before it
+        tables = [kernel_table(current, side, budget) for side in ("left", "right")]
+        k = (cur_spec.r - 1) * n
+        at, side = np.nonzero(np.stack([dims for dims, _ in tables], axis=1) == k)
+        reduced = np.stack([red[at] for _, red in tables])[side, np.arange(len(at))]
         # distinct M_u in order of first appearance: the first to pass is the first u's that passes
-        found = null_spaces(M.field, mats.reshape(-1, n, current.dim))
-        for basis, k in zip(found.bases, found.dims.tolist()):
-            if k == (cur_spec.r - 1) * n:
-                K = current.subspace_from_coefficients(basis[:k])
-                kspec = rank_spectrum(K, budget)
-                if kspec.ranks == cur_spec.ranks[:-1]:
-                    break
+        found = reduced_null_spaces(M.field, reduced, np.full(len(at), current.dim - k))
+        for basis in found.bases:
+            K = current.subspace_from_coefficients(basis[:k])
+            kspec = rank_spectrum(K, budget)
+            if kspec.ranks == cur_spec.ranks[:-1]:
+                break
         else:
             failed_at = cur_spec.r
             break
@@ -754,6 +758,17 @@ def _element_ranks(M: FormSubspace) -> list[int]:
     return sorted({rank(f) for _, f in enumerate_nonzero(M)})
 
 
+def _spread_status(field, n: int, rads) -> tuple[bool, bool]:
+    """(covers V, meet pairwise trivially) for subspaces of V given by basis rows, by `linalg.rank` alone.
+
+    u lies in R iff adding it keeps R's rank, and R, S meet trivially iff their stacked rows stay independent.
+    """
+    trivial = all(linalg.rank(field, np.vstack([a, b])) == len(a) + len(b) for a, b in itertools.combinations(rads, 2))
+    covers = all(any(linalg.rank(field, np.vstack([r, u])) == len(r) for r in rads)
+                 for u in linalg.code_vectors(field.q, n) if u.any())
+    return covers, trivial
+
+
 def replay_witness(M: FormSubspace, witness: dict) -> bool:
     """Re-run a violation witness through formcore; True iff it reproduces."""
     kind = witness.get("kind")
@@ -788,8 +803,10 @@ def replay_witness(M: FormSubspace, witness: dict) -> bool:
     if kind == "spread-mismatch":
         if witness.get("actual_t") is None:
             return M.kind != KIND_ALTERNATING or len(_element_ranks(M)) != 1
-        t = len({left_radical(f).key() for _, f in enumerate_nonzero(M)})
-        return t == witness["actual_t"] != witness["declared_t"]
+        rads = {r.key(): r.rows for r in (left_radical(f) for _, f in enumerate_nonzero(M))}
+        t, (covers, trivial) = len(rads), _spread_status(M.field, M.n, list(rads.values()))
+        found = (t, covers, trivial) == (witness["actual_t"], witness["covers"], witness["pairwise_trivial"])
+        return found and (t != witness["declared_t"] or not (covers and trivial))
     if kind == "kernel-bound":  # one kernel_at solve at u, and formcore ranks; the lemmas' gates are the report's
         K, lemma, d, n = kernel_at(M, witness["u"], witness["side"]), witness["lemma"], M.dim, M.n
         bounds = {"dim >= dim M - n": d - n, "alternating dim >= dim M - (n-1)": d - (n - 1)}

@@ -464,6 +464,28 @@ def test_kernel_dims_all_matches_kernel_at_everywhere(q):
                 sp.kernel_dims_all(M, "left", budget=q**n * M.dim * n - 1)
 
 
+def test_kernel_table_matches_kernel_at(monkeypatch):
+    """Each line's M_u, read off kernel_table, against one kernel_at solve per line and side."""
+    monkeypatch.setattr(sp, "_BLOCK", 3)  # the fill spans several blocks
+    members = [cons.build(req)[0] for req in _catalogue_up_to(729)]  # built here, so no table is stored yet
+    rng = np.random.default_rng(31)
+    for q in (2, 3, 4, 9):
+        F = field_for_order(q)
+        members.append(sp.span([], field=F, n=3))  # the zero subspace: systems of shape (L, n, 0)
+        members += [sp.random_subspace(F, 3, int(rng.integers(1, 4)), kind, int(rng.integers(1 << 30)))
+                    for kind in sp.KINDS]
+    for M in members:
+        q, n, d = M.field.q, M.n, M.dim
+        vecs = linalg.code_vectors(q, n, sp.line_representatives(q, n))
+        for side in ("left", "right"):
+            dims, reduced = sp.kernel_table(M, side)
+            assert reduced.shape == (len(vecs), n, d) and sp.kernel_dims_all(M, side) is dims
+            found = sp.reduced_null_spaces(M.field, reduced, d - dims)
+            for u, i in zip(vecs, found.ids):
+                assert M.subspace_from_coefficients(_rows(found, i)) == sp.kernel_at(M, u, side), (M, side, u)
+    assert {M.field.q for M in members} >= {2, 3, 4, 5, 9} and any(M.dim == 0 for M in members)
+
+
 def test_kernel_lower_bounds_lemmas():
     # dim M_u >= dim M - n always; >= dim M - m with a max-rank element
     # in M_u and q >= m+1; alternating refinement uses n-1.

@@ -645,7 +645,7 @@ def test_filtration_chain_matches_per_vector_kernels(catalogue):
 
 
 def test_filtration_one_side_matches_two_sided_reference(catalogue):
-    """Symmetric and alternating M stack only the left systems; the reference tries both sides of every u."""
+    """Symmetric and alternating M read one kernel table for both sides; the reference tries both sides of every u."""
     members = [M for _, M, _ in catalogue if M.kind != "general"]
     rng = np.random.default_rng(23)
     for q in (2, 3, 4, 5, 9):
@@ -664,6 +664,7 @@ def test_filtration_one_side_matches_two_sided_reference(catalogue):
             found = [sp.null_spaces(M.field, mats) for mats in (both.reshape(-1, M.n, M.dim), both[:, 0])]
             spaces = [(f.bases.tolist(), f.dims.tolist()) for f in found]
             assert spaces[0] == spaces[1], M
+            assert sp.kernel_table(M, "left") is sp.kernel_table(M, "right"), M
         if sp.rank_spectrum(M).r < 2:
             continue
         rep = tl.check_filtration(M)
@@ -673,6 +674,17 @@ def test_filtration_one_side_matches_two_sided_reference(catalogue):
         assert (witness or {}).get("failed_at_r") == failed_at, M
         ran[M.field.q, M.kind] += 1
     assert set(itertools.product((2, 3, 4, 5, 9), ("symmetric", "alternating"))) | {(3, "general")} <= set(ran)
+
+
+def test_filtration_solves_are_charged():
+    """The filtration's M_u come from kernel_table, charged at q^n d n steps, more than the spectrum's q^d n^2."""
+    M = sp.random_subspace(F3, 4, 2, "symmetric", 1)  # spectrum {3, 4}, so the chain is searched
+    q, n, d = M.field.q, M.n, M.dim
+    assert sp.rank_spectrum(M).r == 2 and q**d * n * n < q**n * d * n
+    for budget in (q**d * n * n, q**n * d * n - 1):  # the spectrum fits, the M_u systems do not
+        rep = tl.check_filtration(M, budget=budget)
+        assert rep.verdict == tl.BUDGET_EXCEEDED and "kernel_dims_all" in rep.details["budget_error"]
+    assert tl.check_filtration(M, budget=q**n * d * n).verdict != tl.BUDGET_EXCEEDED
 
 
 def test_isotropic_classes_match_per_vector_annihilators(catalogue):
@@ -797,6 +809,18 @@ def test_spread_replay_counts_the_radicals_itself(monkeypatch):
     assert rep.verdict == tl.VIOLATED
     assert (rep.witness["declared_t"], rep.witness["actual_t"]) == (13, 14)
     assert not tl.replay_witness(M, rep.witness)
+
+
+def test_spread_replay_counts_covers_and_meets_itself():
+    """A declared t that matches, on radicals that do not cover V, is a violation whose witness replays."""
+    M, _ = cons.build(cons.ConstructionRequest("alt-pencil", {"q": 2, "n": 3}))  # t = 3 lines of V's 7
+    rep = tl.check_declared(M, {"spread_t": 3})
+    assert rep.verdict == tl.VIOLATED
+    w = rep.witness
+    assert (w["declared_t"], w["actual_t"], w["covers"], w["pairwise_trivial"]) == (3, 3, False, True)
+    assert tl.replay_witness(M, w)
+    assert not tl.replay_witness(M, {**w, "covers": True})  # flipped: the replay's own count disagrees
+    assert not tl.replay_witness(M, {**w, "pairwise_trivial": False})
 
 
 def test_spectrum_replay_counts_the_ranks_itself(monkeypatch):
