@@ -155,6 +155,7 @@ def cmd_verify(args) -> int:
         budget=args.budget,
         declared=loaded.declared,
         seed=args.seed,
+        trials=args.trials,
     )
     _emit(fileio.reports_to_json(reports), args.json, args.out)
     if not args.json:
@@ -208,19 +209,6 @@ def _search_rank2_distinct_radicals(args, budget):
     )
 
 
-def _search_maximal(args, budget):
-    loaded = fileio.read_subspace(args.file)
-    trials = {} if args.trials is None else {"trials": args.trials}  # unset: check_maximality's default
-    report = theoremlab.check_maximality(loaded.subspace, budget, loaded.declared, seed=args.seed, **trials)
-    return {
-        "mode": args.mode,
-        "file": args.file,
-        "verdict": report.verdict,
-        "details": report.details,
-        "witness": report.witness,
-    }
-
-
 def _search_alt_spectrum(args, budget):
     field = field_for_order(args.q)
     n = args.n
@@ -241,7 +229,6 @@ def _search_alt_spectrum(args, budget):
 
 _SEARCHES = {
     "rank2-distinct-radicals": _search_rank2_distinct_radicals,
-    "maximal": _search_maximal,
     "alt-spectrum": _search_alt_spectrum,
 }
 
@@ -251,8 +238,7 @@ def cmd_search(args) -> int:
     _emit(log, args.json, args.log)
     if not args.json:
         print(log)
-    # a hunt that finds nothing is still a clean run; a maximality check exits by its verdict
-    return _exit_code_for([log["verdict"]]) if args.mode == "maximal" else EXIT_OK
+    return EXIT_OK  # a hunt that finds nothing is still a clean run
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("file")
     v.add_argument("--suite", help=f"comma list from {','.join(theoremlab.SUITE_NAMES)}")
     v.add_argument("--seed", type=int, help="seed for sampled maximality scans")
+    v.add_argument("--trials", type=int, help="candidates a sampled maximality scan draws (default 1000)")
     v.add_argument("--out", help="write the report file here")
     v.set_defaults(func=lambda args: cmd_verify(args))
 
@@ -417,9 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--q", type=int)
     s.add_argument("--n", type=int)
     s.add_argument("--s", type=int, default=1, help="smallest half-rank for alt-spectrum")
-    s.add_argument("--file", help="fixture to confirm (maximal mode)")
     s.add_argument("--seed", type=int)
-    s.add_argument("--trials", type=int, help="draws per hunt (default 0), or maximality samples (default 1000)")
+    s.add_argument("--trials", type=int, help="draws per hunt (default 0)")
     s.add_argument("--out", help="write any found fixture here")
     s.add_argument("--log", help="write the search log here")
     s.set_defaults(func=lambda args: cmd_search(args))
@@ -447,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
 _AT_LEAST = {
     "search": (("trials", 0), ("n", 1), ("seed", 0)),
     "campaign": (("trials", 0), ("seed", 0)),
-    "verify": (("seed", 0),),
+    "verify": (("seed", 0), ("trials", 0)),
 }
 
 
@@ -458,14 +444,11 @@ def main(argv=None) -> int:
         if value is not None and value < least:
             print(f"error: --{flag} must be >= {least}", file=sys.stderr)
             return EXIT_ERROR
-    if args.command in ("search",) and args.mode != "maximal" and args.seed is None:
+    if args.command == "search" and args.seed is None:
         print("error: randomized searches require --seed", file=sys.stderr)
         return EXIT_ERROR
-    if args.command == "search" and args.mode != "maximal" and (args.q is None or args.n is None):
+    if args.command == "search" and (args.q is None or args.n is None):
         print("error: this search mode requires --q and --n", file=sys.stderr)
-        return EXIT_ERROR
-    if args.command == "search" and args.mode == "maximal" and args.file is None:
-        print("error: this search mode requires --file", file=sys.stderr)
         return EXIT_ERROR
     if args.budget is None:
         # --budget overrides BILRANK_BUDGET, which overrides the default

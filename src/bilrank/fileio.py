@@ -231,7 +231,7 @@ def _declared(value) -> Optional[dict]:
     if value is None:
         return None
     _object(value, "declared")
-    for key in ("dim", "spread_t"):
+    for key in ("dim", "spread_t", "distinct_radicals"):
         if key in value:
             _int(value[key], f"declared {key}")
     spectrum = value.get("spectrum", [])

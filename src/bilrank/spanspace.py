@@ -59,7 +59,8 @@ object times one cell of its matrix (n^2 per form, d n per M_u system).
 Each walk is charged once per call by the function that owns it
 (`line_table`, `kernel_table` as `kernel_dims_all`, `isotropic_set`,
 `enumerate_nonzero`, the maximality scan), so a stored result is charged
-the same as the call that computed it; the A_u and M_i solves are not.
+the same as the call that computed it; the spread and isotropic-partition
+checkers charge the induced M_i and A_u systems they solve.
 """
 
 from __future__ import annotations

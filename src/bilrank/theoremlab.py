@@ -13,12 +13,15 @@ radical-equality ones build their forms with `form_from_coefficients`
 (`flat_forms_for`, `matmul_arr`) and add with `add_arr`.  Kernel-bound and
 counting-identity witnesses replay by a `kernel_at` solve per vector, its
 system built in scalar field arithmetic, not the stored per-line M_u the
-checkers read.  A spectrum, m or radical count t that a witness needs is
+checkers read.  A spectrum, m or radical count that a witness needs is
 recounted over `enumerate_nonzero` with formcore, never read from the
-`rank_spectrum` or `radical_spread` it checks, and a spread witness's
-covers and pairwise-trivial flags are recounted from those radicals with
-`linalg.rank`, one per meet and one per membership of a vector of V; the
-isotropic-partition, Witt-census and filtration checkers record counts.
+`rank_spectrum`, `lines` or `radical_spread` it checks, and a spread
+witness's covers and pairwise-trivial flags are recounted from those
+radicals with `linalg.rank`, one per meet and one per membership of a
+vector of V.  A dimension-bound witness replays from that spectrum and
+M's dimension against the bound it records.  The spread,
+isotropic-partition, Witt-census and filtration checkers only record
+counts: their witnesses do not replay.
 
 Floor/ceiling boundaries are implemented exactly as each theorem states
 them; constant rank is always re-derived from the spectrum, never read
@@ -391,7 +394,8 @@ def check_spread(tid, M: FormSubspace, budget: Optional[int] = None) -> Verifica
     report = radical_spread(M, budget)
     expected_t = (q**n - 1) // (q ** (n - m) - 1) if m < n else 1
     divides = True if m == n else n % (n - m) == 0
-    # the induced partition of M itself: M_i = {g : R_i <= rad g}
+    # the induced partition of M itself: M_i = {g : R_i <= rad g}, one n x d system per basis row of each R_i
+    charge(report.t * (n - m), n * M.dim, budget, tid)
     induced_sizes, induced_trivial, induced_covers = induced_partition(M, report.radicals)
     ok = (
         report.covers
@@ -457,6 +461,7 @@ def check_isotropic_partition(tid, M: FormSubspace, budget: Optional[int] = None
     on_iso = isotropic_set(M, budget)  # I(M) by its lines
     # A_u is the null space of the rows u^T G_i, and A_{cu} = A_u: one system per isotropic line
     lead_one = linalg.code_vectors(q, n, line_representatives(q, n)[on_iso])
+    charge(len(lead_one), d * n, budget, tid)
     classes = null_spaces(M.field, kernel_matrices(M, lead_one, "left").transpose(0, 2, 1))
     r_classes, class_dims = len(classes.dims), classes.dims.tolist()
     pairwise_trivial, union = partition_status(M.field, classes.bases, classes.dims)
@@ -540,15 +545,16 @@ def check_maximality(
     budget: Optional[int] = None,
     declared: Optional[dict] = None,
     seed: Optional[int] = None,
-    trials: int = 1000,
+    trials: Optional[int] = None,
 ) -> VerificationReport:
     """Is M maximal among constant rank m subspaces of its kind space?
 
     Exhaustive when the ambient kind space fits the budget, otherwise a
-    seeded sample of candidate extensions, charged per candidate as the
-    exhaustive scan is, which reads the ambient space's `line_table`.  A
-    found extension is conclusive either way and becomes the witness; a
-    clean exhaustive scan certifies maximality.
+    seeded sample of `trials` candidate extensions (1000 when None),
+    charged per candidate as the exhaustive scan is, which reads the
+    ambient space's `line_table`.  A found extension is conclusive either
+    way and becomes the witness; a clean exhaustive scan certifies
+    maximality.
     """
     spec = rank_spectrum(M, budget)
     q, n, d, m = M.field.q, M.n, M.dim, spec.m
@@ -587,6 +593,7 @@ def check_maximality(
         at, tried = linalg.code_index(q, coeffs), q**dk - 1
     else:
         rng = np.random.default_rng(seed)
+        trials = 1000 if trials is None else trials
         draws = (rng.integers(0, q, size=dk, dtype=np.int64) for _ in range(trials))
         coeffs = np.array([c for c in draws if c.any()], dtype=np.int64).reshape(-1, dk)
         charge(len(coeffs) * q**d, n * n, budget, tid)
@@ -673,8 +680,8 @@ def check_declared(tid, M: FormSubspace, declared: Optional[dict], budget: Optio
 
     True theorems cannot be violated by honest computation, so this is
     where corrupted fixtures fail: any mismatch between a declared
-    dimension, kind or spectrum and the re-derived truth is a violation
-    with a replayable witness.
+    dimension, kind, spectrum, spread t or radical count and the re-derived
+    truth is a violation with a replayable witness.
     """
     has = bool(declared)
     hyps = [_hyp("declared claims", "fixture carries declared claims", str(has), has)]
@@ -717,6 +724,12 @@ def check_declared(tid, M: FormSubspace, declared: Optional[dict], budget: Optio
                 "actual_t": None,
                 "note": "not constant-rank alternating, census undefined",
             }
+    if "distinct_radicals" in declared:
+        actual = len(lines(M, budget)[2].dims)  # the count a hunt accepts on: distinct left radicals over M^x
+        if actual != declared["distinct_radicals"]:
+            problems.append("distinct_radicals")
+            witness = witness or {"kind": "radical-count-mismatch",
+                                  "declared_radicals": declared["distinct_radicals"], "actual_radicals": actual}
     ok = not problems
     return _finish(tid, hyps, ok, witness, {"mismatches": problems})
 
@@ -807,6 +820,12 @@ def replay_witness(M: FormSubspace, witness: dict) -> bool:
         t, (covers, trivial) = len(rads), _spread_status(M.field, M.n, list(rads.values()))
         found = (t, covers, trivial) == (witness["actual_t"], witness["covers"], witness["pairwise_trivial"])
         return found and (t != witness["declared_t"] or not (covers and trivial))
+    if kind == "radical-count-mismatch":
+        actual = len({left_radical(f).key() for _, f in enumerate_nonzero(M)})
+        return actual == witness["actual_radicals"] != witness["declared_radicals"]
+    if kind == "dimension-bound":  # the limit and strictness are the report's; spectrum and dim are recounted
+        over = M.dim >= witness["limit"] if witness["strict"] else M.dim > witness["limit"]
+        return _element_ranks(M) == witness["spectrum"] and M.dim == witness["dim"] and over
     if kind == "kernel-bound":  # one kernel_at solve at u, and formcore ranks; the lemmas' gates are the report's
         K, lemma, d, n = kernel_at(M, witness["u"], witness["side"]), witness["lemma"], M.dim, M.n
         bounds = {"dim >= dim M - n": d - n, "alternating dim >= dim M - (n-1)": d - (n - 1)}
@@ -832,7 +851,7 @@ def replay_witness(M: FormSubspace, witness: dict) -> bool:
 # name -> checker, in suite order; the lambdas look each checker up by name
 # at call time, so a rebinding of the module attribute reaches run_suite
 _CHECKERS = {
-    "declared": lambda M, budget, declared, seed: [check_declared(M, declared, budget)],
+    "declared": lambda M, budget, declared, *_: [check_declared(M, declared, budget)],
     "orthogonality": lambda M, budget, *_: [check_orthogonality(M, budget)],
     "counting": lambda M, budget, *_: [check_counting_identity(M, budget)],
     "kernel-bounds": lambda M, budget, *_: [check_kernel_bounds(M, budget)],
@@ -842,7 +861,7 @@ _CHECKERS = {
     "isotropic-partition": lambda M, budget, *_: [check_isotropic_partition(M, budget)],
     "witt-census": lambda M, budget, *_: [check_witt_census_identity(M, budget)],
     "filtration": lambda M, budget, *_: [check_filtration(M, budget)],
-    "maximality": lambda M, budget, declared, seed: [check_maximality(M, budget, declared, seed)],
+    "maximality": lambda M, budget, declared, seed, trials: [check_maximality(M, budget, declared, seed, trials)],
 }
 SUITE_NAMES = tuple(_CHECKERS)
 
@@ -862,11 +881,12 @@ def run_suite(
     budget: Optional[int] = None,
     declared: Optional[dict] = None,
     seed: Optional[int] = None,
+    trials: Optional[int] = None,
 ) -> list[VerificationReport]:
-    """Dispatch the selected checkers (all by default) and collect reports."""
+    """Dispatch the selected checkers (all by default) and collect reports; `seed` and `trials` go to maximality."""
     selected = select_suite(selection)
     out: list[VerificationReport] = []
     for name in SUITE_NAMES:
         if name in selected:
-            out.extend(_CHECKERS[name](M, budget, declared, seed))
+            out.extend(_CHECKERS[name](M, budget, declared, seed, trials))
     return out

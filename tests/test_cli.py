@@ -251,8 +251,9 @@ def test_non_integer_values_are_rejected(tmp_path, capsys, fields, message):
     assert run(["analyze", _one_form_file(tmp_path / "ok.json")]) == 0
 
 
-@pytest.mark.parametrize("argv", [["verify"], ["search", "maximal", "--file"]], ids=["verify", "search-maximal"])
-def test_code_past_int64_exits_2_from_verify_and_search_maximal(tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv", [["verify"], ["verify", "--suite", "maximality", "--trials", "3"]],
+                         ids=["all-suites", "maximality-trials"])
+def test_code_past_int64_exits_2_from_verify(tmp_path, capsys, argv):
     # analyze is a row of the table above
     path = _one_form_file(tmp_path / "m.json", entry=10**30)
     assert run([*argv, path]) == 2
@@ -269,11 +270,12 @@ def test_code_past_int64_exits_2_from_verify_and_search_maximal(tmp_path, capsys
         ({"spectrum": [2.0]}, "declared spectrum[0] must be an integer, got 2.0"),
         ({"dim": 3.0}, "declared dim must be an integer, got 3.0"),
         ({"spread_t": True}, "declared spread_t must be an integer, got True"),
+        ({"distinct_radicals": 4.0}, "declared distinct_radicals must be an integer, got 4.0"),
         ({"kind": 3}, "declared kind must be a string, got 3"),
         ({"maximal": "no"}, "declared maximal must be true or false, got 'no'"),
     ],
     ids=["string", "list", "spectrum-int", "spectrum-nested", "spectrum-float", "dim-float", "spread-bool",
-         "kind-int", "maximal-string"],
+         "radicals-float", "kind-int", "maximal-string"],
 )
 def test_declared_claims_of_the_wrong_type_are_rejected(trace_fixture, tmp_path, capsys, declared, message):
     obj = dict(read_json(trace_fixture), declared=declared)
@@ -358,15 +360,21 @@ def test_search_finds_rank2_distinct_radical_fixture(tmp_path):
     assert loaded.declared["distinct_radicals"] == 4
 
 
-def test_search_maximal_confirms_trace_fixture(trace_fixture, tmp_path):
-    log = str(tmp_path / "log.json")
-    assert run(["search", "maximal", "--file", trace_fixture, "--log", log]) == 0
-    obj = read_json(log)
-    assert obj["verdict"] == "holds" and obj["details"]["mode"] == "exhaustive"
+def test_search_maximal_is_not_a_mode(capsys):
+    """The maximality scan has one entry, `verify --suite maximality`."""
+    with pytest.raises(SystemExit) as exc:
+        run(["search", "maximal", "--seed", "1"])
+    assert exc.value.code == 2 and "invalid choice: 'maximal'" in capsys.readouterr().err
+
+
+def test_verify_maximality_confirms_trace_fixture(trace_fixture, capsys):
+    assert run(["verify", trace_fixture, "--suite", "maximality", "--json"]) == 0
+    (report,) = json.loads(capsys.readouterr().out)["reports"]
+    assert report["verdict"] == "holds" and report["details"]["mode"] == "exhaustive"
 
 
 @pytest.mark.parametrize("budget, verdict, code", [(None, "violated", 1), ("10", "budget-exceeded", 2)])
-def test_search_maximal_exits_by_its_verdict(tmp_path, budget, verdict, code):
+def test_verify_maximality_exits_by_its_verdict(tmp_path, capsys, budget, verdict, code):
     # the pencil extends to a larger constant rank 2 subspace, so a maximality claim is violated
     path = str(tmp_path / "pencil.json")
     assert run(["construct", "--name", "alt-pencil", "--q", "3", "--n", "3", "--out", path]) == 0
@@ -374,22 +382,27 @@ def test_search_maximal_exits_by_its_verdict(tmp_path, budget, verdict, code):
     obj["declared"]["maximal"] = True
     with open(path, "w") as fh:
         fh.write(fileio.dumps(obj))
-    log = str(tmp_path / "log.json")
-    assert run(["search", "maximal", "--file", path, "--log", log, *(["--budget", budget] if budget else [])]) == code
-    assert read_json(log)["verdict"] == verdict
+    capsys.readouterr()
+    argv = ["verify", path, "--suite", "maximality", "--json", *(["--budget", budget] if budget else [])]
+    assert run(argv) == code
+    (report,) = json.loads(capsys.readouterr().out)["reports"]
+    assert report["verdict"] == verdict
 
 
-def test_search_maximal_passes_trials_to_the_sampled_scan(tmp_path, monkeypatch, capsys):
-    """--trials caps a seeded scan's draws; without it the scan draws check_maximality's default 1000, as it did."""
+def test_verify_passes_trials_to_the_sampled_scan(tmp_path, monkeypatch, capsys):
+    """--trials caps a seeded scan's draws; without it the scan draws check_maximality's default 1000."""
     monkeypatch.chdir(tmp_path)
     assert run(["construct", "--name", "alt-pencil", "--q", "3", "--n", "5", "--out", "ap.json"]) == 0
     capsys.readouterr()
-    argv = ["search", "maximal", "--file", "ap.json", "--seed", "17", "--json"]
-    assert run([*argv, "--trials", "3"]) == 0
-    details = json.loads(capsys.readouterr().out)["details"]
-    assert details["mode"] == "sampled" and details["candidates_tried"] <= 3
-    # the output of the run without --trials, candidates_tried 1000, before the flag was passed through
-    assert _call_digest(argv, capsys) == "cc32eeb068958ee9453e292fca412e225eddef6697c41e566aafe3fdf8427880"
+
+    def details(*flags):
+        assert run(["verify", "ap.json", "--suite", "maximality", "--seed", "17", "--json", *flags]) == 0
+        (report,) = json.loads(capsys.readouterr().out)["reports"]
+        assert report["details"]["mode"] == "sampled"
+        return report["details"]
+
+    assert details("--trials", "3")["candidates_tried"] <= 3
+    assert details()["candidates_tried"] == 1000
 
 
 def test_search_alt_spectrum_trivial_case(tmp_path):
@@ -492,7 +505,7 @@ _VERIFY = ["verify", os.path.join(os.path.dirname(__file__), "..", "fixtures", "
         (_HUNT + ["--n", "3", "--seed", "-1", "--trials", "1"], "--seed must be >= 0"),
         (_GRID + ["--seed", "-1", "--trials", "1"], "--seed must be >= 0"),
         (_HUNT + ["--seed", "1", "--trials", "1"], "this search mode requires --q and --n"),
-        (["search", "maximal", "--seed", "1"], "this search mode requires --file"),
+        (_VERIFY + ["--suite", "maximality", "--seed", "1", "--trials", "-1"], "--trials must be >= 0"),
         # an empty selection names nothing: the same usage error as an unknown name, not the default selection
         (_VERIFY + ["--suite", ""], "unknown suite selection: ['']"),
         (_VERIFY + ["--suite", ","], "unknown suite selection: ['']"),
@@ -500,7 +513,7 @@ _VERIFY = ["verify", os.path.join(os.path.dirname(__file__), "..", "fixtures", "
         (_GRID + ["--seed", "1", "--trials", "1", "--kind", ""], "unknown kind ''"),
     ],
     ids=["search-trials", "campaign-trials", "search-n", "search-seed", "campaign-seed", "search-no-n",
-         "search-maximal-no-file", "verify-empty-suite", "verify-comma-suite", "campaign-empty-suite",
+         "verify-trials", "verify-empty-suite", "verify-comma-suite", "campaign-empty-suite",
          "campaign-empty-kind"],
 )
 def test_out_of_range_flag_is_named_before_any_draw(tmp_path, capsys, argv, message):
@@ -519,7 +532,7 @@ _MISSING = "no-such-subspace.json"
         (["verify", _MISSING, "--budget", "-5"], "--budget must be >= 0"),
         (["analyze", _MISSING, "--budget", "-1"], "--budget must be >= 0"),
         (["construct", "--name", "alt-pencil", "--q", "3", "--n", "3", "--budget", "-1"], "--budget must be >= 0"),
-        (["search", "maximal", "--file", _MISSING, "--budget", "-1"], "--budget must be >= 0"),
+        (_HUNT + ["--n", "3", "--seed", "1", "--trials", "1", "--budget", "-1"], "--budget must be >= 0"),
         (_GRID + ["--seed", "1", "--trials", "1", "--budget", "-1"], "--budget must be >= 0"),
         (["verify", _MISSING, "--suite", "maximality", "--seed", "-1"], "--seed must be >= 0"),
     ],

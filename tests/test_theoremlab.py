@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import os
 from collections import Counter
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from oracles import brute_annihilator, contains, identity_form, is_square, meet_dim, points, witt_census, zero_form
 
 from bilrank import constructions as cons
+from bilrank import fileio
 from bilrank import formcore as fc
 from bilrank import linalg
 from bilrank import spanspace as sp
@@ -19,6 +21,7 @@ F2 = field_for_order(2)
 F3 = field_for_order(3)
 F4 = field_for_order(4)
 F5 = field_for_order(5)
+FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def report_map(reports):
@@ -330,6 +333,16 @@ def test_spread_gates_on_constant_rank():
     assert rep.verdict == tl.NOT_APPLICABLE
 
 
+@pytest.mark.parametrize("budget", [400, 899])
+def test_spread_charges_the_induced_partition(budget):
+    """Its walk costs 400 steps; the induced M_i cost t k systems of n d cells, 15 * 3 * 5 * 4 = 900 more."""
+    M, _ = cons.build(cons.ConstructionRequest("alt-pencil", {"q": 2, "n": 5}))
+    rep = tl.check_spread(M, budget=budget)
+    assert rep.verdict == tl.BUDGET_EXCEEDED
+    assert rep.details["budget_error"] == f"spread needs 900 steps, budget is {budget}"
+    assert tl.check_spread(M, budget=900).verdict == tl.NOT_APPLICABLE
+
+
 # --- radical equality -------------------------------------------------------------------
 
 
@@ -365,6 +378,17 @@ def test_isotropic_partition_applicable_at_m_equals_n():
     assert rep.verdict == tl.HOLDS
     assert rep.details["isotropic_nonzero"] == 0
     assert rep.details["squared_sum_lhs"] == 0 == rep.details["squared_sum_rhs"]
+
+
+def test_isotropic_partition_charges_its_A_u_systems(monkeypatch):
+    """One n x d system per isotropic line, d n cells each, under the checker's name."""
+    M, _ = cons.build(cons.ConstructionRequest("block-symmetric", {"q": 3, "n": 4, "r": 1}))
+    charged, real = [], tl.charge
+    monkeypatch.setattr(tl, "charge", lambda items, cost, budget, what: (
+        charged.append((items, cost, what)), real(items, cost, budget, what)))
+    tl.check_isotropic_partition(M)
+    lines_on_iso = int(sp.isotropic_set(M).sum())
+    assert lines_on_iso == 14 and charged == [(lines_on_iso, M.dim * M.n, "isotropic-partition")]
 
 
 def test_witt_census_identity_trace_family():
@@ -840,6 +864,35 @@ def test_spectrum_replay_counts_the_ranks_itself(monkeypatch):
     assert rep.verdict == tl.VIOLATED
     assert (rep.witness["coefficients"], rep.witness["actual"]) == (None, [2])
     assert not tl.replay_witness(M, rep.witness)
+
+
+def test_dimension_bound_witnesses_replay():
+    """Alt(4) over GF(3) breaks four gated-out bounds; each informational witness replays, and a changed one not."""
+    M = sp.full_kind_space(F3, 4, "alternating")
+    witnesses = [r.details["informational"]["witness"] for r in tl.check_dimension_bounds(M)
+                 if "witness" in r.details.get("informational", {})]
+    assert len(witnesses) == 4 and {w["kind"] for w in witnesses} == {"dimension-bound"}
+    for w in witnesses:
+        assert tl.replay_witness(M, w)
+        assert not tl.replay_witness(M, {**w, "dim": w["dim"] + 1})
+        assert not tl.replay_witness(M, {**w, "spectrum": w["spectrum"][1:]})
+    # dim = limit breaks a strict bound only
+    at_limit = {**witnesses[0], "limit": M.dim}
+    assert not tl.replay_witness(M, {**at_limit, "strict": False})
+    assert tl.replay_witness(M, {**at_limit, "strict": True})
+
+
+def test_declared_distinct_radicals_are_rederived():
+    """The hunt's distinct_radicals claim is recounted; a wrong one is a violation whose witness replays."""
+    loaded = fileio.read_subspace(os.path.join(FIXTURE_DIR, "symm-rank2-distinct-radicals-q3-n3.json"))
+    M, declared = loaded.subspace, loaded.declared
+    assert declared["distinct_radicals"] == 4 and tl.check_declared(M, declared).verdict == tl.HOLDS
+    rep = tl.check_declared(M, {**declared, "distinct_radicals": 5})
+    assert rep.verdict == tl.VIOLATED and rep.details["mismatches"] == ["distinct_radicals"]
+    assert rep.witness == {"kind": "radical-count-mismatch", "declared_radicals": 5, "actual_radicals": 4}
+    assert tl.replay_witness(M, rep.witness)
+    assert not tl.replay_witness(M, {**rep.witness, "actual_radicals": 5})
+    assert not tl.replay_witness(M, {**rep.witness, "declared_radicals": 4})
 
 
 def test_replay_rejects_unknown_kind():
